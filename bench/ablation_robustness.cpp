@@ -23,9 +23,10 @@ int main() {
     failure_axis.emplace_back(std::to_string(kill),
                               [kill](harness::ScenarioConfig& c) {
       for (int i = 0; i < kill; ++i) {
-        // Spread victims across ids and time; the root (near the centre) is
+        // Spread deaths across ids and time; the root (near the centre) is
         // chosen by position, so ids 10,20,... are unlikely to hit it.
-        c.failures.push_back({10 + i * 10, util::Time::seconds(30 + i * 10)});
+        c.faults.churn.scheduled.push_back(
+            {10 + i * 10, util::Time::seconds(30 + i * 10)});
       }
     });
   }

@@ -1,15 +1,10 @@
-// Microbenchmarks of the hot paths: event queue operations (A/B against
-// both pre-refactor generations: the PR-1 hash-set queue and the PR-2..4
-// std::function slot queue), broadcast packet delivery (zero-copy shared
-// frames vs the legacy per-receiver Packet copies), channel broadcast
-// scheduling (batched vs legacy per-neighbor events), topology neighbor
-// rebuilds (uniform-grid index vs the pre-mobility all-pairs scan), Safe
-// Sleep bookkeeping, shaper updates, and a full small-scenario run.
+// Microbenchmarks of the hot paths: event queue operations, broadcast
+// packet delivery through zero-copy shared frames, channel broadcast
+// scheduling, topology neighbor rebuilds, listener dispatch, Safe Sleep
+// bookkeeping, shaper updates, and a full small-scenario run.
 #include <benchmark/benchmark.h>
 
 #include <functional>
-#include <queue>
-#include <unordered_set>
 
 #include "src/essat.h"
 
@@ -18,147 +13,11 @@ namespace {
 using namespace essat;
 using util::Time;
 
-// The pre-refactor EventQueue, verbatim: lazy cancellation through a
-// live_/cancelled_ unordered_set pair, kept here as the baseline the
-// slot-indexed rewrite is measured against.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  sim::EventId push(Time t, Callback cb) {
-    const sim::EventId id = next_id_++;
-    heap_.push(Entry{t, next_seq_++, id, std::move(cb)});
-    live_.insert(id);
-    return id;
-  }
-  void cancel(sim::EventId id) {
-    if (id == sim::kInvalidEventId) return;
-    if (live_.erase(id) != 0) cancelled_.insert(id);
-  }
-  bool empty() const {
-    drop_cancelled_();
-    return heap_.empty();
-  }
-  std::pair<Time, Callback> pop() {
-    drop_cancelled_();
-    auto& top = const_cast<Entry&>(heap_.top());
-    std::pair<Time, Callback> out{top.time, std::move(top.cb)};
-    live_.erase(top.id);
-    heap_.pop();
-    return out;
-  }
-
- private:
-  struct Entry {
-    Time time;
-    std::uint64_t seq = 0;
-    sim::EventId id = sim::kInvalidEventId;
-    Callback cb;
-    bool operator<(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-  void drop_cancelled_() const {
-    while (!heap_.empty()) {
-      const auto it = cancelled_.find(heap_.top().id);
-      if (it == cancelled_.end()) return;
-      cancelled_.erase(it);
-      heap_.pop();
-    }
-  }
-  mutable std::priority_queue<Entry> heap_;
-  mutable std::unordered_set<sim::EventId> cancelled_;
-  std::unordered_set<sim::EventId> live_;
-  std::uint64_t next_seq_ = 0;
-  sim::EventId next_id_ = 1;
-};
-
-// The PR-2..4 EventQueue, verbatim: slot-indexed with O(1) cancel, but the
-// callback is a std::function (heap-allocated past 16 captured bytes) and
-// the heap is a binary std::priority_queue. This is the immediate pre-PR-5
-// baseline for the inline-callback/calendar-wheel core.
-class StdFunctionSlotQueue {
- public:
-  using Callback = std::function<void()>;
-
-  sim::EventId push(Time t, Callback cb) {
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    }
-    Slot& s = slots_[slot];
-    s.cb = std::move(cb);
-    s.pending = true;
-    heap_.push(Entry{t, next_seq_++, slot});
-    return (static_cast<sim::EventId>(slot) + 1) << 32 | s.generation;
-  }
-  void cancel(sim::EventId id) {
-    if (id == sim::kInvalidEventId) return;
-    const std::uint64_t slot_plus_1 = id >> 32;
-    if (slot_plus_1 == 0 || slot_plus_1 > slots_.size()) return;
-    Slot& s = slots_[static_cast<std::uint32_t>(slot_plus_1 - 1)];
-    if (!s.pending || s.generation != static_cast<std::uint32_t>(id)) return;
-    s.pending = false;
-    s.cb = nullptr;
-  }
-  bool empty() const {
-    drop_cancelled_();
-    return heap_.empty();
-  }
-  std::pair<Time, Callback> pop() {
-    drop_cancelled_();
-    const Entry top = heap_.top();
-    Slot& s = slots_[top.slot];
-    std::pair<Time, Callback> out{top.time, std::move(s.cb)};
-    s.cb = nullptr;
-    s.pending = false;
-    release_slot_(top.slot);
-    heap_.pop();
-    return out;
-  }
-
- private:
-  struct Entry {
-    Time time;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-    bool operator<(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-  struct Slot {
-    Callback cb;
-    std::uint32_t generation = 0;
-    bool pending = false;
-  };
-  void release_slot_(std::uint32_t slot) const {
-    ++slots_[slot].generation;
-    free_slots_.push_back(slot);
-  }
-  void drop_cancelled_() const {
-    while (!heap_.empty() && !slots_[heap_.top().slot].pending) {
-      release_slot_(heap_.top().slot);
-      heap_.pop();
-    }
-  }
-  mutable std::priority_queue<Entry> heap_;
-  mutable std::vector<Slot> slots_;
-  mutable std::vector<std::uint32_t> free_slots_;
-  std::uint64_t next_seq_ = 0;
-};
-
-template <typename Queue>
-void queue_push_pop(benchmark::State& state) {
+void BM_EventQueuePushPop(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   util::Rng rng{1};
   for (auto _ : state) {
-    Queue q;
+    sim::EventQueue q;
     for (int i = 0; i < n; ++i) {
       q.push(Time::nanoseconds(rng.uniform_int(0, 1'000'000)), [] {});
     }
@@ -166,25 +25,15 @@ void queue_push_pop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  queue_push_pop<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueuePushPop)->Arg(256)->Arg(4096);
-
-void BM_LegacyEventQueuePushPop(benchmark::State& state) {
-  queue_push_pop<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueuePushPop)->Arg(256)->Arg(4096);
 
 // The MAC/timer pattern the simulator hammers: every armed timer is
 // re-armed (push + cancel) many times before it finally fires.
-template <typename Queue>
-void queue_cancel_churn(benchmark::State& state) {
+void BM_EventQueueCancelChurn(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   util::Rng rng{2};
   for (auto _ : state) {
-    Queue q;
+    sim::EventQueue q;
     std::vector<sim::EventId> ids;
     ids.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
@@ -202,22 +51,11 @@ void queue_cancel_churn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * 4);
 }
-
-void BM_EventQueueCancelChurn(benchmark::State& state) {
-  queue_cancel_churn<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueueCancelChurn)->Arg(256)->Arg(4096);
 
-void BM_LegacyEventQueueCancelChurn(benchmark::State& state) {
-  queue_cancel_churn<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueCancelChurn)->Arg(256)->Arg(4096);
-
-// The PR-5 satellite A/B: push/pop with the capture size the simulator
-// actually carries on the hot path (a Timer's thunk plus its stored
-// callback state is ~40 bytes). The std::function baselines pay a heap
-// allocation per push for any capture past libstdc++'s 16 inline bytes;
-// the InlineCallback queue stores it in the slot.
+// Push/pop with the capture size the simulator actually carries on the hot
+// path (a Timer's thunk plus its stored callback state is ~40 bytes),
+// which the InlineCallback queue stores in the slot.
 struct RealisticCapture {
   void* a = nullptr;
   void* b = nullptr;
@@ -226,14 +64,13 @@ struct RealisticCapture {
   std::uint64_t j = 0;
 };
 
-template <typename Queue>
-void event_push_pop(benchmark::State& state) {
+void BM_EventPushPop(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   util::Rng rng{1};
   RealisticCapture payload;
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    Queue q;
+    sim::EventQueue q;
     for (int i = 0; i < n; ++i) {
       payload.k = static_cast<std::uint64_t>(i);
       q.push(Time::nanoseconds(rng.uniform_int(0, 1'000'000)),
@@ -244,27 +81,12 @@ void event_push_pop(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * n);
 }
-
-void BM_EventPushPop(benchmark::State& state) {
-  event_push_pop<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventPushPop)->Arg(256)->Arg(4096);
 
-// Immediate pre-PR-5 core (std::function slot queue, binary heap).
-void BM_EventPushPopStdFunction(benchmark::State& state) {
-  event_push_pop<StdFunctionSlotQueue>(state);
-}
-BENCHMARK(BM_EventPushPopStdFunction)->Arg(256)->Arg(4096);
-
-// The PR-5 satellite A/B: broadcast packet delivery end-to-end through
-// the event core, at realistic MAC timing (one frame every 120 us). Both
-// sides schedule one begin and one end event per transmission and fan the
-// frame out to `receivers` nodes. Legacy (pre-PR-5): the events capture
-// the frame by value inside a std::function (heap allocation per event),
-// the ATIM destination list is a std::vector (heap allocation per copy),
-// and every receiver copies the frame into its reception state and again
-// out of it on delivery — exactly the old Channel's shape. Zero-copy: the
-// events hold a 16-byte PacketRef from the recycling pool, the
+// Broadcast packet delivery end-to-end through the event core, at
+// realistic MAC timing (one frame every 120 us): one begin and one end
+// event per transmission fan the frame out to `receivers` nodes. The
+// events hold a 16-byte PacketRef from the recycling pool, the ATIM
 // destinations live inline in the header, and receivers bump a refcount.
 constexpr int kDeliveryTxs = 64;
 constexpr int kAtimDests = 6;
@@ -300,49 +122,6 @@ void BM_BroadcastDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastDelivery)->Arg(12)->Arg(32)->ArgNames({"receivers"});
 
-// The pre-PR frame, verbatim shape: ATIM destinations in a std::vector, so
-// every copy heap-allocates.
-struct LegacyAtimFrame {
-  net::NodeId link_src = 0;
-  net::NodeId link_dst = net::kBroadcastAddr;
-  int size_bytes = net::Packet::kControlBytes;
-  std::uint64_t channel_tx_id = 0;
-  std::vector<net::NodeId> destinations;
-};
-
-void BM_BroadcastDeliveryLegacyCopy(benchmark::State& state) {
-  const int receivers = static_cast<int>(state.range(0));
-  std::uint64_t sink = 0;
-  std::vector<net::NodeId> dests;
-  for (net::NodeId d = 1; d <= kAtimDests; ++d) dests.push_back(d);
-  for (auto _ : state) {
-    StdFunctionSlotQueue q;
-    std::vector<LegacyAtimFrame> rx_state(static_cast<std::size_t>(receivers));
-    for (int i = 0; i < kDeliveryTxs; ++i) {
-      LegacyAtimFrame p;
-      p.channel_tx_id = static_cast<std::uint64_t>(i) + 1;
-      p.destinations = dests;
-      q.push(Time::microseconds(i * 120), [&rx_state, p] {
-        for (auto& rx : rx_state) rx = p;  // full frame copy per receiver
-      });
-      q.push(Time::microseconds(i * 120 + 100), [&rx_state, &sink, p] {
-        for (auto& rx : rx_state) {
-          const LegacyAtimFrame delivered = rx;  // copy out, as end_arrival_ did
-          sink += delivered.destinations.size();
-        }
-      });
-    }
-    while (!q.empty()) q.pop().second();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * kDeliveryTxs *
-                          static_cast<std::int64_t>(state.range(0)));
-}
-BENCHMARK(BM_BroadcastDeliveryLegacyCopy)
-    ->Arg(12)
-    ->Arg(32)
-    ->ArgNames({"receivers"});
-
 // Timer re-arm fast path: the nav/wake-timer pattern (re-arm while armed)
 // against the cancel+push it replaces, on the same queue.
 void BM_TimerRearm(benchmark::State& state) {
@@ -366,20 +145,16 @@ void BM_TimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerRearm)->Arg(0)->Arg(1)->ArgNames({"fast"});
 
-// Channel broadcast scheduling: a dense clique (every node hears every
-// transmission) is the worst case for the legacy two-events-per-neighbor
-// path. range(0) selects batched (1) vs legacy (0) scheduling.
+// Channel broadcast scheduling on a dense clique (every node hears every
+// transmission), the worst case for per-arrival work.
 void BM_ChannelBroadcast(benchmark::State& state) {
-  const bool batched = state.range(0) == 1;
-  const int num_nodes = static_cast<int>(state.range(1));
+  const int num_nodes = static_cast<int>(state.range(0));
   util::Rng rng{3};
   const net::Topology topo = net::Topology::uniform_random(
       static_cast<std::size_t>(num_nodes), 80.0, 125.0, rng);  // clique
   for (auto _ : state) {
     sim::Simulator sim;
-    net::ChannelParams params;
-    params.batch_arrivals = batched;
-    net::Channel ch{sim, topo, params};
+    net::Channel ch{sim, topo};
     for (int i = 0; i < 64; ++i) {
       const auto src = static_cast<net::NodeId>(i % num_nodes);
       sim.schedule_at(Time::microseconds(i * 500), [&ch, src] {
@@ -393,14 +168,11 @@ void BM_ChannelBroadcast(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_ChannelBroadcast)
-    ->ArgsProduct({{0, 1}, {16, 64}})
-    ->ArgNames({"batched", "nodes"});
+BENCHMARK(BM_ChannelBroadcast)->Arg(16)->Arg(64)->ArgNames({"nodes"});
 
-// Neighbor-set rebuild: the cost mobility pays once per epoch. The grid
-// index inside Topology is measured against the seed's all-pairs scan,
-// reproduced verbatim below. Density is held constant (~12 neighbors/node)
-// as n grows, the regime where the grid is expected O(n).
+// Neighbor-set rebuild: the cost mobility pays once per epoch. Density is
+// held constant (~12 neighbors/node) as n grows, the regime where the grid
+// index inside Topology is expected O(n).
 std::vector<net::Position> scaled_positions(std::size_t n) {
   util::Rng rng{7};
   // Area grows with n so density stays fixed: ~n * pi * 125^2 / area = const.
@@ -424,45 +196,12 @@ void BM_NeighborRebuildGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborRebuildGrid)->Arg(80)->Arg(1000)->Arg(4000);
 
-void BM_NeighborRebuildAllPairs(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<net::Position> pos = scaled_positions(n);
-  for (auto _ : state) {
-    // The pre-grid build, verbatim.
-    std::vector<std::vector<net::NodeId>> neighbors(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (net::distance(pos[i], pos[j]) <= 125.0) {
-          neighbors[i].push_back(static_cast<net::NodeId>(j));
-          neighbors[j].push_back(static_cast<net::NodeId>(i));
-        }
-      }
-    }
-    benchmark::DoNotOptimize(neighbors[0].size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_NeighborRebuildAllPairs)->Arg(80)->Arg(1000)->Arg(4000);
-
-// The PR-7 attachment A/B: per-arrival listener dispatch. Legacy
-// (pre-PR-7) attachments held three std::functions per node — 96 bytes of
-// per-node state, and every arrival paid an indirect std::function call
-// just to ask "are you listening?" before the delivery dispatch. The
-// ChannelListener interface replaces the query with a channel-side cached
-// bool (no call at all) and the delivery with one virtual call through a
-// single pointer. The loop below replays the channel's per-arrival
-// sequence (activity notification + listening check + delivery) over a
-// neighborhood of nodes.
-struct LegacyAttachment {
-  std::function<bool()> is_listening;
-  std::function<void(const net::Packet&, bool)> on_rx_complete;
-  std::function<void()> on_channel_activity;
-};
-
+// Per-arrival listener dispatch: the loop replays the channel's per-arrival
+// sequence (activity notification + cached listening check + delivery)
+// over a neighborhood of nodes, through one ChannelListener pointer each.
 struct DevirtListener final : net::ChannelListener {
   std::uint64_t delivered = 0;
   std::uint64_t activity = 0;
-  bool on = true;
   void on_rx_complete(const net::Packet&, bool ok) override {
     delivered += ok ? 1 : 0;
   }
@@ -470,36 +209,6 @@ struct DevirtListener final : net::ChannelListener {
 };
 
 constexpr int kDispatchArrivals = 1024;
-
-void BM_ListenerDispatchLegacyStdFunction(benchmark::State& state) {
-  const int neighbors = static_cast<int>(state.range(0));
-  std::uint64_t delivered = 0, activity = 0;
-  bool on = true;
-  std::vector<LegacyAttachment> atts(static_cast<std::size_t>(neighbors));
-  for (auto& a : atts) {
-    a.is_listening = [&on] { return on; };
-    a.on_rx_complete = [&delivered](const net::Packet&, bool ok) {
-      delivered += ok ? 1 : 0;
-    };
-    a.on_channel_activity = [&activity] { ++activity; };
-  }
-  net::DataHeader h;
-  const net::Packet p = net::make_data_packet(0, net::kNoNode, h);
-  for (auto _ : state) {
-    for (int i = 0; i < kDispatchArrivals; ++i) {
-      for (auto& a : atts) {
-        if (a.on_channel_activity) a.on_channel_activity();
-        if (a.is_listening && a.is_listening()) a.on_rx_complete(p, true);
-      }
-    }
-  }
-  benchmark::DoNotOptimize(delivered);
-  benchmark::DoNotOptimize(activity);
-  state.SetItemsProcessed(state.iterations() * kDispatchArrivals * neighbors);
-}
-BENCHMARK(BM_ListenerDispatchLegacyStdFunction)
-    ->Arg(12)
-    ->ArgNames({"neighbors"});
 
 void BM_ListenerDispatchDevirtualized(benchmark::State& state) {
   const int neighbors = static_cast<int>(state.range(0));

@@ -12,7 +12,7 @@ int main() {
   using util::Time;
 
   std::printf("Failure recovery: 6 nodes die between t=40 s and t=90 s\n\n");
-  std::printf("%-8s %-10s %-12s %-14s %-14s\n", "proto", "failures",
+  std::printf("%-8s %-10s %-12s %-14s %-14s\n", "proto", "deaths",
               "duty (%)", "latency (ms)", "delivery (%)");
 
   for (auto p : {harness::Protocol::kNtsSs, harness::Protocol::kStsSs,
@@ -25,14 +25,16 @@ int main() {
       c.enable_maintenance = true;
       c.seed = 31;
       if (inject) {
+        // Permanent scheduled deaths (down_for defaults to zero).
         for (int i = 0; i < 6; ++i) {
-          c.failures.push_back(
+          c.faults.churn.scheduled.push_back(
               {8 + i * 12, Time::seconds(40) + Time::seconds(i * 10)});
         }
       }
       const auto m = harness::run_scenario(c);
-      std::printf("%-8s %-10s %-12.1f %-14.1f %-14.1f\n",
-                  harness::protocol_name(p), inject ? "6 nodes" : "none",
+      std::printf("%-8s %-10llu %-12.1f %-14.1f %-14.1f\n",
+                  harness::protocol_name(p),
+                  static_cast<unsigned long long>(m.node_deaths),
                   m.avg_duty_cycle * 100.0, m.avg_latency_s * 1e3,
                   m.delivery_ratio * 100.0);
     }

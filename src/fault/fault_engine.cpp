@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "src/obs/tracer.h"
 #include "src/sim/simulator.h"
@@ -30,9 +32,16 @@ FaultEngine::FaultEngine(sim::Simulator& sim, FaultEngineParams params,
   const FaultSpec& spec = params_.spec;
 
   // --- Churn: the scheduled list first, then the stochastic draws ---------
-  for (const ChurnEvent& ev : spec.churn.scheduled) {
+  for (std::size_t i = 0; i < spec.churn.scheduled.size(); ++i) {
+    const ChurnEvent& ev = spec.churn.scheduled[i];
+    if (ev.node < 0 || static_cast<std::size_t>(ev.node) >= n) {
+      // A mistyped id must not turn into a silently fault-free run.
+      throw std::invalid_argument{"FaultEngine: churn.scheduled[" +
+                                  std::to_string(i) + "] names node " +
+                                  std::to_string(ev.node) + ", outside [0, " +
+                                  std::to_string(n) + ")"};
+    }
     if (ev.node == params_.root) continue;  // the sink never dies
-    if (ev.node == net::kNoNode || static_cast<std::size_t>(ev.node) >= n) continue;
     planned_.push_back(PlannedFault{ev.node, params_.setup_end + ev.at,
                                     ev.down_for, FaultCause::kScheduled});
   }

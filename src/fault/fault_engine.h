@@ -65,6 +65,8 @@ class FaultEngine {
   // Reads a node's lifetime radio energy in mJ (battery depletion probe).
   using EnergyProbe = std::function<double(net::NodeId)>;
 
+  // Throws std::invalid_argument when a scheduled churn entry names a node
+  // outside [0, num_nodes).
   FaultEngine(sim::Simulator& sim, FaultEngineParams params, util::Rng&& rng);
 
   void set_crash_callback(NodeFn fn) { crash_cb_ = std::move(fn); }

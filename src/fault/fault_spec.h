@@ -25,7 +25,8 @@ namespace essat::fault {
 
 // One deterministic churn event: `node` goes down `at` after setup ends
 // and (when down_for > 0) restarts after `down_for`. A non-positive
-// down_for is a permanent death. The root is never killed.
+// down_for is a permanent death. The root is never killed; a node id
+// outside the deployment is rejected (std::invalid_argument).
 struct ChurnEvent {
   net::NodeId node = net::kNoNode;
   util::Time at = util::Time::zero();        // offset from end of setup
@@ -33,7 +34,8 @@ struct ChurnEvent {
 };
 
 struct ChurnSpec {
-  // Scheduled events, applied verbatim (root entries ignored).
+  // Scheduled events, applied verbatim (root entries ignored). A permanent
+  // entry is how a scenario kills a node.
   std::vector<ChurnEvent> scheduled;
   // Stochastic churn: each non-root member independently crashes once with
   // this probability, at a uniform time inside the measurement window.

@@ -126,15 +126,13 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
 
   // Link-quality feedback for parent selection: the estimator reads the
   // channel's loss statistics (and the loss model's own curve as a prior),
-  // the policy ranks candidate parents by it. A null policy (the "legacy"
-  // sentinel) leaves every selection site on its original hardwired path.
+  // the policy ranks candidate parents by it.
   const routing::LinkEstimator link_estimator{channel, topo,
                                               config.routing.etx};
   std::unique_ptr<routing::ParentPolicy> parent_policy = config.routing.build(
       routing::PolicyContext{&topo, &link_estimator, config.routing.etx});
   // Per-link frame statistics only cost something when a policy reads them.
-  channel.set_link_stats_enabled(parent_policy &&
-                                 parent_policy->uses_link_estimator());
+  channel.set_link_stats_enabled(parent_policy->uses_link_estimator());
 
   // Radio: transitions t_be/2 each way so that break-even == t_be.
   energy::RadioParams radio_params;
@@ -185,7 +183,7 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
         routing::TreeSetupParams{
             .finalize_after = config.setup_duration * 4 / 5,
             .max_dist_from_root = config.deployment.max_tree_dist_m},
-        std::move(setup_rng), parent_policy.get());
+        std::move(setup_rng), *parent_policy);
     for (std::size_t i = 0; i < n; ++i) {
       setup_protocol->attach_mac(static_cast<net::NodeId>(i), nodes[i].mac.get());
     }
@@ -290,7 +288,7 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
 
   // --- Maintenance / repair ----------------------------------------------
   routing::RepairService repair{topo, tree, {}};
-  repair.set_policy(parent_policy.get());
+  repair.set_policy(*parent_policy);
   repair.set_tracer(&sim);
   std::unique_ptr<core::MaintenanceService> maintenance;
   // Churn and battery faults imply maintenance: without detection, a dead
@@ -474,15 +472,6 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   sim.schedule_at(measure_start, [&] {
     for (auto& node : nodes) node.radio->begin_measurement();
   });
-
-  // Failure injection.
-  for (const auto& [victim, offset] : config.failures) {
-    sim.schedule_at(setup_end + offset, [&nodes, victim = victim] {
-      auto& node = nodes[static_cast<std::size_t>(victim)];
-      node.radio->fail();
-      if (node.agent) node.agent->halt();
-    });
-  }
 
   // Fault schedule: started last, so a same-time churn event (offset zero)
   // fires after the setup-boundary stack build it tears down.

@@ -97,8 +97,8 @@ struct ScenarioConfig {
   // exp::SweepSpec::axis_channel.
   net::ChannelModelSpec channel_model;
 
-  // Medium mechanics: propagation delay, capture, arrival batching, and
-  // the dense/sparse threshold for per-link statistics storage. Defaults
+  // Medium mechanics: propagation delay, capture, SINR, and the
+  // dense/sparse threshold for per-link statistics storage. Defaults
   // reproduce the paper's setup; the thresholds exist for the city-scale
   // benches and the dense-vs-sparse A/B equivalence tests.
   net::ChannelParams channel_params;
@@ -139,10 +139,9 @@ struct ScenarioConfig {
   bool use_distributed_setup = false;
 
   // §4.3 failure handling: detection thresholds + repair. Off by default
-  // (the paper's main experiments inject no failures).
+  // (the paper's main experiments inject no failures). To kill a node, add
+  // a permanent entry to faults.churn.scheduled.
   bool enable_maintenance = false;
-  // Nodes killed at the given offsets after the setup slot ends.
-  std::vector<std::pair<net::NodeId, util::Time>> failures;
 
   // Unified fault injection (src/fault): churn with full stack teardown and
   // restart, finite battery budgets, per-node clock drift. Disabled by

@@ -137,8 +137,11 @@ void Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
   // arrival events and every receiver's reception state hold refs into it.
   PacketRef frame = pool_.acquire(std::move(p));
 
+  // One event pair per transmission: every in-range receiver shares the
+  // same begin/end timestamps, so both events visit the receivers in
+  // neighbor-list order inside a single callback.
   const util::Time arrive = sim_.now() + params_.propagation_delay;
-  if (params_.batch_arrivals && topo_.time_varying()) {
+  if (topo_.time_varying()) {
     // Mobile topology: an epoch tick may rebuild the neighbor lists while
     // this frame is on the air, so both events must share the receiver set
     // frozen at transmit time — otherwise a begin without its end corrupts
@@ -151,24 +154,13 @@ void Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
     sim_.schedule_at(arrive + duration, [this, nbrs, frame] {
       for (NodeId m : *nbrs) end_arrival_(m, frame);
     });
-  } else if (params_.batch_arrivals) {
-    // One event pair per transmission: every in-range receiver shares the
-    // same begin/end timestamps, so visiting them in neighbor-list order
-    // inside a single callback is observably identical to the legacy
-    // per-neighbor events (which occupied consecutive queue slots anyway)
-    // while scheduling O(1) instead of O(neighbors) events.
+  } else {
     sim_.schedule_at(arrive, [this, sender, frame] {
       for (NodeId m : topo_.neighbors(sender)) begin_arrival_(m, frame);
     });
     sim_.schedule_at(arrive + duration, [this, sender, frame] {
       for (NodeId m : topo_.neighbors(sender)) end_arrival_(m, frame);
     });
-  } else {
-    for (NodeId m : topo_.neighbors(sender)) {
-      sim_.schedule_at(arrive, [this, m, frame] { begin_arrival_(m, frame); });
-      sim_.schedule_at(arrive + duration,
-                       [this, m, frame] { end_arrival_(m, frame); });
-    }
   }
   sim_.schedule_at(sim_.now() + duration, [this, sender] {
     auto& node = node_(sender);

@@ -93,12 +93,6 @@ struct ChannelParams {
   // capture threshold under two-ray d^-4 is a 10^(1/4) ~= 1.78 distance
   // ratio). Set <= 0 to disable capture (all overlaps collide).
   double capture_distance_ratio = 1.78;
-  // Batch the per-neighbor frame begin/end callbacks into one arrival event
-  // and one departure event per transmission (all neighbors share the same
-  // timestamps, so the visit order is unchanged). False restores the legacy
-  // two-events-per-neighbor scheduling; kept for the A/B micro-benchmark
-  // and the equivalence test.
-  bool batch_arrivals = true;
   // Per-link statistics storage: topologies with fewer nodes than this use
   // the legacy dense per-sender rows (pointer-stable, scan-friendly);
   // larger ones use the open-addressed (src,dst)-keyed FlatMap whose memory
@@ -130,8 +124,9 @@ class Channel {
  public:
   Channel(sim::Simulator& sim, const Topology& topo, ChannelParams params = {});
 
-  // Installs the per-link loss model (nullptr = the lossless legacy path;
-  // models reporting always_delivers() are bypassed at the same zero cost).
+  // Installs the per-link loss model. Until one is installed every in-range
+  // frame is decodable; models reporting always_delivers() (the unit disc)
+  // are bypassed on the hot path at the same zero cost.
   // The model is sampled once per (directed link, frame) at frame-arrival
   // time; a model-dropped frame still occupies the air for carrier sense
   // (energy above the detection threshold but below the decoding threshold

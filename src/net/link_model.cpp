@@ -173,7 +173,6 @@ std::vector<PrrTraceEntry> parse_prr_trace(const std::string& text) {
 
 const char* link_model_kind_name(LinkModelKind k) {
   switch (k) {
-    case LinkModelKind::kNone: return "none";
     case LinkModelKind::kUnitDisc: return "unit-disc";
     case LinkModelKind::kLogNormalShadowing: return "shadowing";
     case LinkModelKind::kGilbertElliott: return "gilbert-elliott";
@@ -184,9 +183,8 @@ const char* link_model_kind_name(LinkModelKind k) {
 
 LinkModelKind link_model_kind_from_name(const std::string& name) {
   for (LinkModelKind k :
-       {LinkModelKind::kNone, LinkModelKind::kUnitDisc,
-        LinkModelKind::kLogNormalShadowing, LinkModelKind::kGilbertElliott,
-        LinkModelKind::kPrrTrace}) {
+       {LinkModelKind::kUnitDisc, LinkModelKind::kLogNormalShadowing,
+        LinkModelKind::kGilbertElliott, LinkModelKind::kPrrTrace}) {
     if (name == link_model_kind_name(k)) return k;
   }
   throw std::invalid_argument{"link_model_kind_from_name: unknown name '" +
@@ -197,12 +195,6 @@ std::unique_ptr<LinkModel> ChannelModelSpec::build(double range_m,
                                                    util::Rng&& rng) const {
   std::unique_ptr<LinkModel> model;
   switch (kind) {
-    case LinkModelKind::kNone:
-      // Thinning still applies (as a wrapped unit disc): "none@0.9" must
-      // mean what its label says, not silently run lossless.
-      if (prr_scale >= 1.0) return nullptr;
-      model = std::make_unique<UnitDiscModel>();
-      break;
     case LinkModelKind::kUnitDisc:
       model = std::make_unique<UnitDiscModel>();
       break;
@@ -213,7 +205,6 @@ std::unique_ptr<LinkModel> ChannelModelSpec::build(double range_m,
     case LinkModelKind::kGilbertElliott: {
       std::unique_ptr<LinkModel> base;
       switch (gilbert_base) {
-        case LinkModelKind::kNone:
         case LinkModelKind::kUnitDisc:
           base = nullptr;  // unit-disc base, no per-frame draw needed
           break;
@@ -222,8 +213,9 @@ std::unique_ptr<LinkModel> ChannelModelSpec::build(double range_m,
                                                            rng.fork(1));
           break;
         case LinkModelKind::kGilbertElliott:
+        case LinkModelKind::kPrrTrace:
           throw std::invalid_argument{
-              "ChannelModelSpec: gilbert_base cannot itself be gilbert-elliott"};
+              "ChannelModelSpec: gilbert_base must be unit-disc or shadowing"};
       }
       model = std::make_unique<GilbertElliottModel>(gilbert, std::move(base),
                                                     rng.fork(2));

@@ -249,12 +249,6 @@ std::vector<PrrTraceEntry> parse_prr_trace(const std::string& text);
 // (exp::SweepSpec::axis_channel) and carried on harness::ScenarioConfig.
 
 enum class LinkModelKind {
-  // Install no model at all: the channel runs the exact pre-LinkModel code
-  // path. Behaviorally identical to kUnitDisc; kept for the equivalence
-  // test (mirrors ChannelParams::batch_arrivals' legacy path). With
-  // prr_scale < 1 a thinned unit disc is installed after all, so the
-  // label's "@scale" suffix always tells the truth.
-  kNone,
   kUnitDisc,
   kLogNormalShadowing,
   kGilbertElliott,
@@ -263,9 +257,9 @@ enum class LinkModelKind {
   kPrrTrace,
 };
 
-// Stable lower-case names ("none", "unit-disc", "shadowing",
-// "gilbert-elliott", "prr-trace"). Throws std::invalid_argument on an
-// out-of-range kind / unknown name.
+// Stable lower-case names ("unit-disc", "shadowing", "gilbert-elliott",
+// "prr-trace"). Throws std::invalid_argument on an out-of-range kind /
+// unknown name.
 const char* link_model_kind_name(LinkModelKind k);
 LinkModelKind link_model_kind_from_name(const std::string& name);
 
@@ -292,10 +286,6 @@ struct ChannelModelSpec {
   // Materializes the model for one trial. `range_m` is the deployment's
   // nominal radio range (the shadowing curve's reference distance); `rng`
   // is the trial's channel stream, taken by value so the model owns it.
-  // Returns nullptr for kNone (the channel then runs the legacy path with
-  // no per-frame hook); kUnitDisc builds a real UnitDiscModel so the hook
-  // layer itself is exercised — the equivalence test asserts the two are
-  // byte-identical.
   std::unique_ptr<LinkModel> build(double range_m, util::Rng&& rng) const;
 
   // Sink/axis label: the kind name, with non-default thinning appended

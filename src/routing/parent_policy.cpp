@@ -7,6 +7,11 @@
 
 namespace essat::routing {
 
+ParentPolicy& default_policy() {
+  static MinHopPolicy policy;
+  return policy;
+}
+
 // ------------------------------------------------------------------- etx
 
 EtxPolicy::EtxPolicy(const LinkEstimator& estimator, EtxParams params)
@@ -94,7 +99,12 @@ std::unique_ptr<ParentPolicy> ParentPolicyRegistry::create(
     for (const std::string& known : names()) msg += " " + known;
     throw std::invalid_argument{msg};
   }
-  return factory(ctx);
+  std::unique_ptr<ParentPolicy> policy = factory(ctx);
+  if (policy == nullptr) {
+    throw std::invalid_argument{"ParentPolicyRegistry: \"" + name +
+                                "\" built no policy"};
+  }
+  return policy;
 }
 
 ParentPolicyRegistrar::ParentPolicyRegistrar(std::string name,
@@ -105,7 +115,6 @@ ParentPolicyRegistrar::ParentPolicyRegistrar(std::string name,
 // ------------------------------------------------------------------ spec
 
 std::unique_ptr<ParentPolicy> RoutingSpec::build(const PolicyContext& ctx) const {
-  if (policy == "legacy") return nullptr;
   PolicyContext full = ctx;
   full.etx = etx;
   return ParentPolicyRegistry::instance().create(policy, full);

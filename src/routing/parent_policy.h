@@ -1,27 +1,22 @@
 // Pluggable parent-selection policies for tree construction and repair.
 //
-// The seed hardwired "lowest level wins" into three places: the central BFS
-// build, the distributed setup flood, and the repair service. A
-// ParentPolicy extracts that decision behind two quantities every selection
-// site composes the same way:
+// Three sites choose parents: the central build, the distributed setup
+// flood, and the repair service. A ParentPolicy puts that decision behind
+// two quantities every selection site composes the same way:
 //
 //   score(candidate) = path_cost(candidate) + link_cost(child, candidate)
 //
 // choosing the candidate with the lowest score (ties keep the incumbent /
-// first candidate in ascending-id order, reproducing the legacy rules).
+// first candidate in ascending-id order).
 //
 // Shipping policies, registered by string key (the same pattern as
 // harness::StackRegistry and net::LinkModel's spec):
-//  * "min-hop" — link_cost 1, path_cost = tree level. Provably identical
-//    decisions to the legacy hardwired rule (equivalence-tested).
+//  * "min-hop" — link_cost 1, path_cost = tree level: the paper's "lowest
+//    level wins" rule, and the default of every selection site.
 //  * "etx"     — link_cost = the hop's bidirectional expected transmission
 //    count from a LinkEstimator over the channel's loss statistics,
 //    path_cost = the candidate's summed link ETX to the root. Routes around
 //    gray-zone links that min-hop happily takes.
-//
-// The sentinel spec key "legacy" builds a null policy: selection sites then
-// run their original pre-policy code paths, kept for the equivalence test
-// (mirrors net::LinkModelKind::kNone).
 #pragma once
 
 #include <functional>
@@ -53,8 +48,8 @@ class ParentPolicy {
   virtual bool uses_link_estimator() const { return false; }
 };
 
-// The legacy rule as a policy: every hop costs 1, a member's path cost is
-// its level, so "lowest score" is exactly "lowest level".
+// Every hop costs 1 and a member's path cost is its level, so "lowest
+// score" is exactly "lowest level".
 class MinHopPolicy : public ParentPolicy {
  public:
   const char* name() const override { return "min-hop"; }
@@ -63,6 +58,10 @@ class MinHopPolicy : public ParentPolicy {
     return static_cast<double>(tree.level(n));
   }
 };
+
+// The shared MinHopPolicy that selection sites use when no policy is
+// installed. Stateless, so one instance serves every trial and thread.
+ParentPolicy& default_policy();
 
 struct EtxParams {
   // LinkEstimator smoothing: pseudo-frame weight of the model prior, and
@@ -111,7 +110,8 @@ class ParentPolicyRegistry {
   bool contains(const std::string& name) const;
   // Registered names, sorted (stable sweep-axis ordering).
   std::vector<std::string> names() const;
-  // Throws std::invalid_argument on an unknown key, listing the known names.
+  // Never returns null. Throws std::invalid_argument on an unknown key,
+  // listing the known names, or when the factory builds nothing.
   std::unique_ptr<ParentPolicy> create(const std::string& name,
                                        const PolicyContext& ctx) const;
 
@@ -132,14 +132,13 @@ struct ParentPolicyRegistrar {
 // sweepable as a unit (exp::SweepSpec::axis_routing).
 
 struct RoutingSpec {
-  // Registry key of the parent-selection policy, or the sentinel "legacy"
-  // which builds a null policy (the hardwired pre-policy code paths in
-  // setup/repair/central build, kept for the equivalence test).
+  // Registry key of the parent-selection policy.
   std::string policy = "min-hop";
 
   // "etx" knobs.
   EtxParams etx;
 
+  // Throws std::invalid_argument on an unknown key, listing the known names.
   std::unique_ptr<ParentPolicy> build(const PolicyContext& ctx) const;
 
   // Sink/axis label: the policy key.

@@ -9,7 +9,10 @@
 namespace essat::routing {
 
 RepairService::RepairService(const net::Topology& topo, Tree& tree, Hooks hooks)
-    : topo_{topo}, tree_{tree}, hooks_{std::move(hooks)} {}
+    : topo_{topo},
+      tree_{tree},
+      hooks_{std::move(hooks)},
+      policy_{&default_policy()} {}
 
 std::vector<int> RepairService::snapshot_ranks_() const {
   std::vector<int> out(tree_.num_nodes(), -1);
@@ -32,22 +35,16 @@ net::NodeId RepairService::pick_parent_(
     net::NodeId n, net::NodeId exclude, bool subtree_check,
     const std::function<bool(net::NodeId)>& alive) const {
   net::NodeId best = net::kNoNode;
-  int best_level = std::numeric_limits<int>::max();
   double best_score = std::numeric_limits<double>::infinity();
   for (net::NodeId cand : topo_.neighbors(n)) {
     if (!tree_.is_member(cand)) continue;
     if (cand == exclude) continue;
     if (subtree_check && tree_.in_subtree(n, cand)) continue;
     if (alive && !alive(cand)) continue;
-    if (policy_ != nullptr) {
-      const double score =
-          policy_->path_cost(tree_, cand) + policy_->link_cost(n, cand);
-      if (score < best_score) {
-        best_score = score;
-        best = cand;
-      }
-    } else if (tree_.level(cand) < best_level) {
-      best_level = tree_.level(cand);
+    const double score =
+        policy_->path_cost(tree_, cand) + policy_->link_cost(n, cand);
+    if (score < best_score) {
+      best_score = score;
       best = cand;
     }
   }

@@ -6,9 +6,8 @@
 // one phase update on the first report to the new parent).
 //
 // Candidate parents are ranked by the installed ParentPolicy
-// (path_cost + link_cost, lowest wins, ascending-id first on ties); with no
-// policy installed the original hardwired lowest-level rule runs, which
-// MinHopPolicy reproduces exactly.
+// (path_cost + link_cost, lowest wins, ascending-id first on ties); the
+// default MinHopPolicy picks the lowest level.
 // Retries: a failed repair used to strand the node until the maintenance
 // thresholds re-triggered at their fixed cadence — after mass churn every
 // stranded node retried in lockstep. With enable_retries() a failed
@@ -51,8 +50,8 @@ class RepairService {
   void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
   // Installs the parent-selection policy (non-owning; must outlive this
-  // service). nullptr = the legacy lowest-level rule.
-  void set_policy(ParentPolicy* policy) { policy_ = policy; }
+  // service). Until then the shared default_policy() ranks candidates.
+  void set_policy(ParentPolicy& policy) { policy_ = &policy; }
 
   // Lets repairs emit kParentChange trace records (the service itself has no
   // simulator dependency otherwise). nullptr = no tracing from repairs.
@@ -106,7 +105,7 @@ class RepairService {
   void fire_rank_changes_(const std::vector<int>& ranks_before);
   std::vector<int> snapshot_ranks_() const;
   // Best alive member neighbor of `n` (excluding `exclude` and, when
-  // `subtree_check`, n's own subtree), by policy score or legacy level.
+  // `subtree_check`, n's own subtree), by policy score.
   net::NodeId pick_parent_(net::NodeId n, net::NodeId exclude, bool subtree_check,
                            const std::function<bool(net::NodeId)>& alive) const;
   void note_attempt_(net::NodeId n);
@@ -118,7 +117,7 @@ class RepairService {
   const net::Topology& topo_;
   Tree& tree_;
   Hooks hooks_;
-  ParentPolicy* policy_ = nullptr;
+  ParentPolicy* policy_;
   const sim::Simulator* trace_sim_ = nullptr;
 
   // Retry state (absent until enable_retries()).

@@ -168,7 +168,9 @@ Tree build_bfs_tree(const net::Topology& topo, net::NodeId root,
 
 Tree build_policy_tree(const net::Topology& topo, net::NodeId root,
                        double max_dist_from_root, ParentPolicy* policy) {
-  if (policy == nullptr) return build_bfs_tree(topo, root, max_dist_from_root);
+  if (policy == nullptr) {
+    throw std::invalid_argument{"build_policy_tree: null ParentPolicy"};
+  }
 
   const std::size_t n = topo.num_nodes();
   const net::Position root_pos = topo.position(root);

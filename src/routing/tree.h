@@ -76,22 +76,22 @@ class Tree {
   std::vector<bool> member_;
 };
 
-// Central construction used by default: BFS min-hop tree from `root` over
-// nodes within `max_dist_from_root` metres of the root (the paper's tree
-// "spans all nodes located within 300 m from the root" and "is setup before
-// the start of the experiments"). Ties between candidate parents break
-// toward the lower node id, keeping runs reproducible.
+// BFS min-hop tree from `root` over nodes within `max_dist_from_root`
+// metres of the root (the paper's tree "spans all nodes located within
+// 300 m from the root" and "is setup before the start of the
+// experiments"). Ties between candidate parents break toward the lower
+// node id, keeping runs reproducible. Tests use it as the reference for
+// build_policy_tree under MinHopPolicy.
 Tree build_bfs_tree(const net::Topology& topo, net::NodeId root,
                     double max_dist_from_root);
 
 class ParentPolicy;
 
-// Policy-driven central construction: a shortest-path (Dijkstra) tree over
-// the policy's link costs, with FIFO-stable tie-breaking and ascending-id
-// neighbor expansion so that unit costs (MinHopPolicy) reproduce
-// build_bfs_tree exactly — structure, child order and all
-// (equivalence-tested). A null policy falls back to build_bfs_tree, the
-// legacy code path.
+// Central construction, as the harness runs it: a shortest-path (Dijkstra)
+// tree over the policy's link costs, with FIFO-stable tie-breaking and
+// ascending-id neighbor expansion so that unit costs (MinHopPolicy)
+// reproduce build_bfs_tree exactly — structure, child order and all.
+// Throws std::invalid_argument on a null policy.
 Tree build_policy_tree(const net::Topology& topo, net::NodeId root,
                        double max_dist_from_root, ParentPolicy* policy);
 

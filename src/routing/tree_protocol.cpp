@@ -10,7 +10,7 @@ namespace essat::routing {
 
 TreeSetupProtocol::TreeSetupProtocol(sim::Simulator& sim, const net::Topology& topo,
                                      net::NodeId root, TreeSetupParams params,
-                                     util::Rng&& rng, ParentPolicy* policy)
+                                     util::Rng&& rng, ParentPolicy& policy)
     : sim_{sim},
       topo_{topo},
       root_{root},
@@ -64,25 +64,11 @@ void TreeSetupProtocol::handle_packet(net::NodeId self, const net::Packet& p) {
     case net::PacketType::kSetup: {
       if (self == root_ || !st.participates) return;
       const int offered_level = p.setup().level + 1;
-      if (policy_ == nullptr) {
-        // Legacy hardwired rule: lowest advertised level wins, first heard
-        // keeps ties.
-        if (st.level == -1 || offered_level < st.level) {
-          ESSAT_TRACE(sim_, obs::TraceType::kParentChange, self, 0,
-                      static_cast<std::uint64_t>(st.parent),
-                      static_cast<std::uint64_t>(p.link_src));
-          st.level = offered_level;
-          st.cost = offered_level;
-          st.parent = p.link_src;
-          schedule_rebroadcast_(self);
-        }
-        return;
-      }
-      // Policy rule: the sender advertises its path cost; adopt when the
-      // resulting cost strictly beats the current one (min-hop costs make
-      // this the exact legacy comparison).
+      // The sender advertises its path cost; adopt when the resulting cost
+      // strictly beats the current one, so the first sender heard keeps
+      // ties (min-hop costs make this "lowest level wins").
       const double offered_cost =
-          p.setup().cost + policy_->link_cost(self, p.link_src);
+          p.setup().cost + policy_.link_cost(self, p.link_src);
       if (st.parent == net::kNoNode || offered_cost < st.cost) {
         ESSAT_TRACE(sim_, obs::TraceType::kParentChange, self, 0,
                     static_cast<std::uint64_t>(st.parent),
@@ -133,7 +119,7 @@ Tree TreeSetupProtocol::assemble_() const {
     const int lb = nodes_[static_cast<std::size_t>(b)].level;
     return la != lb ? la < lb : a < b;
   });
-  // Under the legacy/min-hop rules levels only ever decrease, so one pass
+  // Under the min-hop rule levels only ever decrease, so one pass
   // in level order inserts every member. A cost-based policy can adopt a
   // *higher*-level parent, leaving stale child levels that break the
   // parent-first ordering — keep sweeping until a fixpoint. With positive

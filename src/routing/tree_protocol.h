@@ -9,13 +9,12 @@
 // to a cap). "Best" comes from the pluggable ParentPolicy: each SETUP
 // advertises the sender's path cost, a node adopts when
 // advertised + link_cost beats its current cost (min-hop costs reproduce
-// the paper's lowest-level rule exactly; a null policy runs the original
-// hardwired comparison). Nodes farther than the configured distance from
-// the root do not participate (the paper's 300 m tree span). Each member
-// then unicasts a JOIN to its parent so parents learn their children. At
-// `finalize_after` the converged parent choices are assembled into a Tree
-// and ranks are computed — the paper likewise completes setup "before the
-// start of the experiments".
+// the paper's lowest-level rule exactly). Nodes farther than the configured
+// distance from the root do not participate (the paper's 300 m tree span).
+// Each member then unicasts a JOIN to its parent so parents learn their
+// children. At `finalize_after` the converged parent choices are assembled
+// into a Tree and ranks are computed — the paper likewise completes setup
+// "before the start of the experiments".
 #pragma once
 
 #include <cstdint>
@@ -47,11 +46,10 @@ struct TreeSetupParams {
 
 class TreeSetupProtocol {
  public:
-  // `policy` selects parents (non-owning, may outlive setup); nullptr runs
-  // the legacy lowest-level comparison.
+  // `policy` selects parents (non-owning, must outlive setup).
   TreeSetupProtocol(sim::Simulator& sim, const net::Topology& topo,
                     net::NodeId root, TreeSetupParams params, util::Rng&& rng,
-                    ParentPolicy* policy = nullptr);
+                    ParentPolicy& policy = default_policy());
 
   // All node MACs must be attached before start().
   void attach_mac(net::NodeId node, mac::CsmaMac* mac);
@@ -80,7 +78,7 @@ class TreeSetupProtocol {
   struct NodeState {
     net::NodeId parent = net::kNoNode;
     int level = -1;
-    // Path cost under the active policy (== level for min-hop/legacy).
+    // Path cost under the active policy (== level for min-hop).
     double cost = std::numeric_limits<double>::infinity();
     int rebroadcasts = 0;
     bool participates = true;
@@ -95,7 +93,7 @@ class TreeSetupProtocol {
   net::NodeId root_;
   TreeSetupParams params_;
   util::Rng rng_;
-  ParentPolicy* policy_;
+  ParentPolicy& policy_;
   std::vector<NodeState> nodes_;
   std::vector<mac::CsmaMac*> macs_;
   std::uint64_t joins_received_ = 0;

@@ -106,7 +106,6 @@ net::ChannelModelSpec load_channel_model(Deserializer& in) {
 void save_channel_params(Serializer& out, const net::ChannelParams& p) {
   out.time(p.propagation_delay);
   out.f64(p.capture_distance_ratio);
-  out.boolean(p.batch_arrivals);
   out.u64(p.dense_link_stats_below);
   out.boolean(p.sinr.enabled);
   out.f64(p.sinr.tx_power_dbm);
@@ -121,7 +120,6 @@ net::ChannelParams load_channel_params(Deserializer& in) {
   net::ChannelParams p;
   p.propagation_delay = in.time();
   p.capture_distance_ratio = in.f64();
-  p.batch_arrivals = in.boolean();
   p.dense_link_stats_below = static_cast<std::size_t>(in.u64());
   p.sinr.enabled = in.boolean();
   p.sinr.tx_power_dbm = in.f64();
@@ -312,11 +310,6 @@ void save_scenario_config(Serializer& out, const harness::ScenarioConfig& c) {
   save_mac_params(out, c.mac_params);
   out.boolean(c.use_distributed_setup);
   out.boolean(c.enable_maintenance);
-  out.u64(c.failures.size());
-  for (const auto& [node, when] : c.failures) {
-    out.i32(node);
-    out.time(when);
-  }
   save_trace(out, c.trace);
   save_faults(out, c.faults);
   out.u64(c.seed);
@@ -345,11 +338,6 @@ harness::ScenarioConfig load_scenario_config(Deserializer& in) {
   c.mac_params = load_mac_params(in);
   c.use_distributed_setup = in.boolean();
   c.enable_maintenance = in.boolean();
-  c.failures.resize(static_cast<std::size_t>(in.u64()));
-  for (auto& [node, when] : c.failures) {
-    node = in.i32();
-    when = in.time();
-  }
   c.trace = load_trace(in);
   c.faults = load_faults(in);
   c.seed = in.u64();

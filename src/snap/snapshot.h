@@ -22,7 +22,7 @@
 
 namespace essat::snap {
 
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 enum class SnapshotKind : std::uint32_t {
   kTrial = 1,    // full mid-run simulator state + scenario config

@@ -1,6 +1,6 @@
 // Acceptance checks for the fault-injection axis (src/fault):
 //  * scheduled churn kills and restarts nodes, with downtime and death
-//    counts surfacing in RunMetrics;
+//    counts surfacing in RunMetrics, and rejects out-of-range node ids;
 //  * stochastic churn, battery depletion and clock drift are deterministic
 //    (same config -> bit-identical RunMetrics) and respect the root
 //    exemption;
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,24 @@ TEST(FaultChurn, RootEntriesAreIgnored) {
   const harness::RunMetrics m = harness::run_scenario(c);
   EXPECT_EQ(m.node_deaths, 11u);
   EXPECT_DOUBLE_EQ(m.downtime_s, 44.0);
+}
+
+TEST(FaultChurn, OutOfRangeScheduledNodeIsRejected) {
+  for (const net::NodeId bad : {net::kNoNode, net::NodeId{12}}) {
+    harness::ScenarioConfig c = small_base();
+    c.faults.churn.scheduled.push_back(
+        {net::NodeId{3}, Time::from_milliseconds(500), Time::zero()});
+    c.faults.churn.scheduled.push_back(
+        {bad, Time::from_milliseconds(500), Time::zero()});
+    try {
+      (void)harness::run_scenario(c);
+      FAIL() << "expected std::invalid_argument for node " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("churn.scheduled[1]"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::to_string(bad)), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(FaultChurn, StochasticChurnIsDeterministicAndSparesRoot) {

@@ -122,8 +122,9 @@ TEST(Integration, MaintenanceRecoversFromMidRunFailure) {
   auto c = paper_config(Protocol::kDtsSs);
   c.enable_maintenance = true;
   // Kill a handful of nodes early in the measurement window.
-  c.failures = {{5, Time::seconds(20)}, {11, Time::seconds(22)}};
+  c.faults.churn.scheduled = {{5, Time::seconds(20)}, {11, Time::seconds(22)}};
   const RunMetrics m = run_scenario(c);
+  EXPECT_EQ(m.node_deaths, 2u);
   // The network keeps running and delivers the bulk of readings.
   EXPECT_GT(m.delivery_ratio, 0.7);
   EXPECT_GT(m.epochs_measured, 50u);

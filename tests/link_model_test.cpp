@@ -201,19 +201,16 @@ TEST(LinkModel, GilbertElliottLossIsBursty) {
 
 TEST(ChannelModelSpec, KindNamesRoundTrip) {
   for (LinkModelKind k :
-       {LinkModelKind::kNone, LinkModelKind::kUnitDisc,
-        LinkModelKind::kLogNormalShadowing, LinkModelKind::kGilbertElliott}) {
+       {LinkModelKind::kUnitDisc, LinkModelKind::kLogNormalShadowing,
+        LinkModelKind::kGilbertElliott}) {
     EXPECT_EQ(link_model_kind_from_name(link_model_kind_name(k)), k);
   }
   EXPECT_THROW(link_model_kind_from_name("two-ray"), std::invalid_argument);
+  EXPECT_THROW(link_model_kind_from_name("none"), std::invalid_argument);
 }
 
 TEST(ChannelModelSpec, BuildsTheRequestedModel) {
   ChannelModelSpec spec;
-  spec.kind = LinkModelKind::kNone;
-  EXPECT_EQ(spec.build(125.0, util::Rng{1}), nullptr);
-
-  spec.kind = LinkModelKind::kUnitDisc;
   auto unit = spec.build(125.0, util::Rng{1});
   ASSERT_NE(unit, nullptr);
   EXPECT_STREQ(unit->name(), "unit-disc");
@@ -243,18 +240,6 @@ TEST(ChannelModelSpec, PrrScaleZeroDropsEverything) {
   send_frames(sim, ch, 20);
   EXPECT_EQ(ch.delivered(), 0u);
   EXPECT_EQ(ch.dropped_by_model(), 20u);
-}
-
-TEST(ChannelModelSpec, NoneWithThinningStillThins) {
-  // "none@0.5" must mean what its label says: the legacy-path escape only
-  // applies when there is truly nothing to model.
-  ChannelModelSpec spec;
-  spec.kind = LinkModelKind::kNone;
-  EXPECT_EQ(spec.build(125.0, util::Rng{3}), nullptr);
-  spec.prr_scale = 0.0;
-  auto model = spec.build(125.0, util::Rng{3});
-  ASSERT_NE(model, nullptr);
-  EXPECT_FALSE(model->deliver(0, 1, 50.0));
 }
 
 TEST(ChannelModelSpec, LabelIsKindPlusThinning) {

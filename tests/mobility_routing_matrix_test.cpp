@@ -1,9 +1,6 @@
 // Acceptance checks for the time-varying-topology / routing-policy
 // redesign:
-//  * Static mobility + the min-hop policy are byte-identical to the legacy
-//    hardwired code paths (the "legacy" RoutingSpec sentinel) across a full
-//    protocol x topology x rate grid — the same pattern as the PR 3
-//    UnitDisc channel equivalence test.
+//  * An explicit static mobility model changes nothing.
 //  * Random-waypoint runs are bit-identical for any worker count.
 //  * ETX parent selection measurably improves delivery over min-hop on a
 //    gray-zone shadowing channel.
@@ -52,49 +49,6 @@ void expect_runs_identical(const harness::RunMetrics& a,
   EXPECT_EQ(a.phase_updates, b.phase_updates);
   EXPECT_EQ(a.tree_members, b.tree_members);
   EXPECT_EQ(a.max_rank, b.max_rank);
-}
-
-// The redesign's backward-compatibility contract: the default config
-// (static mobility, min-hop policy, every selection site on the new
-// policy/grid code) reproduces the legacy hardwired paths bit for bit.
-TEST(MobilityRoutingMatrix, StaticMinHopIdenticalToLegacyOnFullGrid) {
-  auto run_grid = [](const std::string& policy) {
-    harness::ScenarioConfig base = small_base();
-    base.routing.policy = policy;
-    SweepSpec spec(base);
-    spec.runs(1)
-        .axis_protocol({harness::Protocol::kDtsSs, harness::Protocol::kPsm})
-        .axis_topology({net::TopologyKind::kUniform, net::TopologyKind::kGrid,
-                        net::TopologyKind::kClustered,
-                        net::TopologyKind::kCorridor})
-        .axis_rate({1.0, 2.0});
-    SweepRunner::Options opts;
-    opts.jobs = 4;
-    return SweepRunner(opts).run(spec);
-  };
-  const auto legacy = run_grid("legacy");
-  const auto min_hop = run_grid("min-hop");
-  ASSERT_EQ(legacy.size(), 16u);
-  ASSERT_EQ(min_hop.size(), 16u);
-  for (std::size_t p = 0; p < legacy.size(); ++p) {
-    SCOPED_TRACE(legacy[p].point.labels[0] + " / " + legacy[p].point.labels[1] +
-                 " / " + legacy[p].point.labels[2]);
-    expect_runs_identical(legacy[p].metrics.last_run,
-                          min_hop[p].metrics.last_run);
-  }
-}
-
-// Same contract through the distributed setup protocol (the flood now
-// advertises costs and consults the policy).
-TEST(MobilityRoutingMatrix, StaticMinHopIdenticalToLegacyDistributedSetup) {
-  auto run = [](const std::string& policy) {
-    harness::ScenarioConfig c = small_base();
-    c.use_distributed_setup = true;
-    c.setup_duration = Time::seconds(4);
-    c.routing.policy = policy;
-    return harness::run_scenario(c);
-  };
-  expect_runs_identical(run("legacy"), run("min-hop"));
 }
 
 // Installing an explicit StaticMobility model — epoch ticks, position

@@ -46,6 +46,15 @@ TEST(ParentPolicyRegistry, DuplicateRegistrationThrows) {
                std::invalid_argument);
 }
 
+TEST(ParentPolicyRegistry, FactoryBuildingNothingThrows) {
+  auto& reg = ParentPolicyRegistry::instance();
+  reg.add("builds-nothing", [](const PolicyContext&) {
+    return std::unique_ptr<ParentPolicy>{};
+  });
+  EXPECT_THROW(reg.create("builds-nothing", PolicyContext{}),
+               std::invalid_argument);
+}
+
 TEST(ParentPolicyRegistry, EtxRequiresEstimator) {
   EXPECT_THROW(ParentPolicyRegistry::instance().create("etx", PolicyContext{}),
                std::invalid_argument);
@@ -58,8 +67,17 @@ TEST(RoutingSpec, BuildsPolicyOrLegacySentinel) {
   ASSERT_NE(min_hop, nullptr);
   EXPECT_STREQ(min_hop->name(), "min-hop");
 
+  // "legacy" names no policy: it fails like any unknown key.
   spec.policy = "legacy";
-  EXPECT_EQ(spec.build(PolicyContext{}), nullptr);
+  try {
+    (void)spec.build(PolicyContext{});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("legacy"), std::string::npos);
+    EXPECT_NE(msg.find("min-hop"), std::string::npos);
+    EXPECT_NE(msg.find("etx"), std::string::npos);
+  }
 }
 
 // -------------------------------------------- central build equivalence
@@ -82,14 +100,10 @@ TEST(PolicyTree, MinHopIdenticalToBfsOnRandomTopologies) {
       EXPECT_EQ(policy.children(n), bfs.children(n)) << "node " << n;
     }
   }
-}
-
-TEST(PolicyTree, NullPolicyDelegatesToBfs) {
-  const net::Topology topo = net::Topology::line(5, 100.0, 125.0);
-  const Tree a = build_policy_tree(topo, 0, 10000.0, nullptr);
-  const Tree b = build_bfs_tree(topo, 0, 10000.0);
-  EXPECT_EQ(a.member_count(), b.member_count());
-  for (net::NodeId n : b.members()) EXPECT_EQ(a.parent(n), b.parent(n));
+  // No silent BFS fallback: a null policy is an error.
+  const net::Topology line = net::Topology::line(5, 100.0, 125.0);
+  EXPECT_THROW(build_policy_tree(line, 0, 300.0, nullptr),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------- link estimator
@@ -258,7 +272,7 @@ TEST(EtxPolicy, RepairPrefersReliableParent) {
   tree.recompute_ranks();
 
   RepairService repair{w.topo, tree};
-  repair.set_policy(&etx);
+  repair.set_policy(etx);
   ASSERT_TRUE(repair.reparent(2, nullptr));
   EXPECT_EQ(tree.parent(2), 1);  // not the gray-zone root link
   EXPECT_EQ(tree.level(2), 2);
@@ -272,11 +286,10 @@ TEST(EtxPolicy, RepairWithoutPolicyKeepsLegacyLowestLevel) {
   tree.add_node(2, 0);
   tree.recompute_ranks();
 
-  RepairService repair{w.topo, tree};  // no policy installed
+  RepairService repair{w.topo, tree};  // default MinHopPolicy
   ASSERT_TRUE(repair.reparent(2, nullptr));
-  // Legacy rule: lowest level wins; the only candidate excluding the old
-  // parent is node 1 either way — but level/limits go through the legacy
-  // comparison path.
+  // Lowest level wins; the only candidate excluding the old parent is
+  // node 1.
   EXPECT_EQ(tree.parent(2), 1);
 }
 

@@ -76,8 +76,10 @@ TEST(Scenario, FailureInjectionReducesMembership) {
   const RunMetrics healthy = run_scenario(c);
   // Kill three nodes mid-run (skip node ids that might be the root near
   // the centre by picking perimeter-biased low ids).
-  c.failures = {{1, Time::seconds(8)}, {2, Time::seconds(8)}, {3, Time::seconds(9)}};
+  c.faults.churn.scheduled = {
+      {1, Time::seconds(8)}, {2, Time::seconds(8)}, {3, Time::seconds(9)}};
   const RunMetrics m = run_scenario(c);
+  EXPECT_EQ(m.node_deaths, 3u);
   EXPECT_LE(m.delivery_ratio, healthy.delivery_ratio + 1e-9);
 }
 

@@ -53,8 +53,9 @@ std::vector<std::uint8_t> fingerprint(const harness::RunMetrics& m) {
   return run_metrics_to_bytes(m);
 }
 
-void expect_capture_and_resume_identical(const harness::ScenarioConfig& config,
-                                         const std::string& what) {
+// Returns the straight run's metrics.
+harness::RunMetrics expect_capture_and_resume_identical(
+    const harness::ScenarioConfig& config, const std::string& what) {
   SCOPED_TRACE(what);
   const harness::RunMetrics straight = harness::run_scenario(config);
   const TrialCapture cap = capture_trial(config);
@@ -63,6 +64,7 @@ void expect_capture_and_resume_identical(const harness::ScenarioConfig& config,
       << what << ": capturing perturbed the run";
   EXPECT_EQ(fingerprint(straight), fingerprint(resumed))
       << what << ": resumed run diverged from the straight run";
+  return straight;
 }
 
 TEST(SnapTrial, ProtocolGridBitIdentical) {
@@ -110,8 +112,10 @@ TEST(SnapTrial, MobilityMaintenanceFailuresBitIdentical) {
   c.mobility.kind = net::MobilityKind::kRandomWaypoint;
   c.mobility.epoch_s = 1.0;
   c.enable_maintenance = true;
-  c.failures.push_back({net::NodeId{3}, Time::seconds(2)});
-  expect_capture_and_resume_identical(c, "waypoint + maintenance + failure");
+  c.faults.churn.scheduled.push_back({net::NodeId{3}, Time::seconds(2)});
+  const harness::RunMetrics m = expect_capture_and_resume_identical(
+      c, "waypoint + maintenance + failure");
+  EXPECT_EQ(m.node_deaths, 1u);
 }
 
 TEST(SnapTrial, ExtraQueriesAndStsDeadlineBitIdentical) {
@@ -184,7 +188,7 @@ TEST(SnapTrial, ConfigCodecRoundTrip) {
   c.sts_deadline = Time::from_milliseconds(750);
   c.use_distributed_setup = true;
   c.enable_maintenance = true;
-  c.failures.push_back({net::NodeId{5}, Time::seconds(1)});
+  c.faults.churn.scheduled.push_back({net::NodeId{5}, Time::seconds(1)});
   c.workload.extra_queries.push_back(
       query::Query{net::QueryId{9}, Time::seconds(3), Time::seconds(8), 2});
   c.trace.enabled = true;
@@ -206,6 +210,8 @@ TEST(SnapTrial, ConfigCodecRoundTrip) {
   ASSERT_TRUE(back.trace.only_seed.has_value());
   EXPECT_EQ(*back.trace.only_seed, 42u);
   EXPECT_EQ(back.trace.perfetto_path, "out-{seed}.json");
+  ASSERT_EQ(back.faults.churn.scheduled.size(), 1u);
+  EXPECT_EQ(back.faults.churn.scheduled[0].node, 5);
 }
 
 }  // namespace

@@ -98,19 +98,22 @@ TEST(SparseDenseEquivalence, IdenticalMetricsOnFullGrid) {
 
 // The default threshold (1024) must itself be equivalent to both forced
 // modes on a default-sized run — i.e. the threshold only selects storage,
-// never behavior. Uses maintenance + failures so dup-table state is also
-// read on the repair path.
+// never behavior. Uses maintenance + a node death so dup-table state is
+// also read on the repair path.
 TEST(SparseDenseEquivalence, DefaultThresholdMatchesForcedModes) {
   auto run_one = [](std::size_t threshold) {
     harness::ScenarioConfig c = lossy_etx_base();
     force_storage(c, threshold);
     c.enable_maintenance = true;
-    c.failures = {{3, Time::seconds(1)}};
+    c.faults.churn.scheduled = {{3, Time::seconds(1)}};
     return harness::run_scenario(c);
   };
   const harness::RunMetrics sparse = run_one(0);
   const harness::RunMetrics dflt = run_one(1024);
   const harness::RunMetrics dense = run_one(SIZE_MAX);
+  EXPECT_EQ(sparse.node_deaths, 1u);
+  EXPECT_EQ(dflt.node_deaths, 1u);
+  EXPECT_EQ(dense.node_deaths, 1u);
   expect_runs_identical(sparse, dflt);
   expect_runs_identical(dflt, dense);
 }

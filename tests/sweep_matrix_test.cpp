@@ -60,50 +60,6 @@ TEST(SweepMatrix, ProtocolTimesTopologyGridRunsEndToEnd) {
             results[1].metrics.last_run.avg_duty_cycle);
 }
 
-// Acceptance for the LinkModel layer: with the UnitDisc model installed
-// (hook layer active on every arrival) the full protocol x topology x rate
-// scenario-matrix grid is byte-identical to the legacy no-model channel.
-TEST(ChannelModelMatrix, UnitDiscIdenticalToLegacyChannelOnFullGrid) {
-  auto run_grid = [](net::LinkModelKind kind) {
-    harness::ScenarioConfig base = small_base();
-    base.channel_model.kind = kind;
-    SweepSpec spec(base);
-    spec.runs(1)
-        .axis_protocol({harness::Protocol::kDtsSs, harness::Protocol::kPsm})
-        .axis_topology({net::TopologyKind::kUniform, net::TopologyKind::kGrid,
-                        net::TopologyKind::kClustered,
-                        net::TopologyKind::kCorridor})
-        .axis_rate({1.0, 2.0});
-    SweepRunner::Options opts;
-    opts.jobs = 4;
-    return SweepRunner(opts).run(spec);
-  };
-  const auto legacy = run_grid(net::LinkModelKind::kNone);
-  const auto unit = run_grid(net::LinkModelKind::kUnitDisc);
-  ASSERT_EQ(legacy.size(), 16u);
-  ASSERT_EQ(unit.size(), 16u);
-  for (std::size_t p = 0; p < legacy.size(); ++p) {
-    SCOPED_TRACE(legacy[p].point.labels[0] + " / " + legacy[p].point.labels[1] +
-                 " / " + legacy[p].point.labels[2]);
-    const harness::RunMetrics& a = legacy[p].metrics.last_run;
-    const harness::RunMetrics& b = unit[p].metrics.last_run;
-    EXPECT_EQ(a.avg_duty_cycle, b.avg_duty_cycle);  // exact, not NEAR
-    EXPECT_EQ(a.avg_latency_s, b.avg_latency_s);
-    EXPECT_EQ(a.p95_latency_s, b.p95_latency_s);
-    EXPECT_EQ(a.max_latency_s, b.max_latency_s);
-    EXPECT_EQ(a.delivery_ratio, b.delivery_ratio);
-    EXPECT_EQ(a.epochs_measured, b.epochs_measured);
-    EXPECT_EQ(a.reports_sent, b.reports_sent);
-    EXPECT_EQ(a.mac_transmissions, b.mac_transmissions);
-    EXPECT_EQ(a.mac_send_failures, b.mac_send_failures);
-    EXPECT_EQ(a.channel_collisions, b.channel_collisions);
-    EXPECT_EQ(a.channel_delivered, b.channel_delivered);
-    EXPECT_EQ(a.phase_updates, b.phase_updates);
-    EXPECT_EQ(a.channel_dropped_by_model, 0u);
-    EXPECT_EQ(b.channel_dropped_by_model, 0u);
-  }
-}
-
 // Loss determinism: the same seed and LinkModel produce bit-identical
 // delivered()/dropped_by_model() whether the sweep runs on 1 worker or 8.
 TEST(ChannelModelMatrix, LossyChannelsDeterministicAcrossJobCounts) {

@@ -1,12 +1,8 @@
 #!/usr/bin/env python3
 """essat-tidy: project-specific determinism & hot-path lint checks.
 
-This is the portable implementation of the essat-tidy check suite — the
-same four checks the clang-tidy plugin in this directory implements on the
-AST are implemented here on a tokenized line stream, so the lint gate runs
-on any machine with a Python interpreter (the plugin additionally needs
-clang-tidy development headers; see CMakeLists.txt in this directory).
-CI runs both when it can, and this one always.
+The essat-tidy check suite, implemented on a tokenized line stream so the
+lint gate runs on any machine with a Python interpreter and nothing else.
 
 Checks
 ------
