@@ -5,18 +5,7 @@
 namespace essat::exp {
 
 void Aggregator::add(harness::RunMetrics m) {
-  out_.duty_cycle.add(m.avg_duty_cycle);
-  out_.latency_s.add(m.avg_latency_s);
-  out_.p95_latency_s.add(m.p95_latency_s);
-  out_.delivery_ratio.add(m.delivery_ratio);
-  out_.phase_update_bits.add(m.phase_update_bits_per_report);
-  out_.mac_send_failures.add(static_cast<double>(m.mac_send_failures));
-  out_.channel_dropped.add(static_cast<double>(m.channel_dropped_by_model));
-  out_.retx_no_ack.add(static_cast<double>(m.mac_retx_no_ack));
-  out_.cca_busy_defers.add(static_cast<double>(m.mac_cca_busy_defers));
-  out_.node_deaths.add(static_cast<double>(m.node_deaths));
-  out_.downtime_s.add(m.downtime_s);
-  out_.delivery_during_fault.add(m.delivery_during_fault);
+  for (const MetricColumn& c : kMetricColumns) (out_.*c.stat).add(c.of_run(m));
   if (m.duty_by_rank.size() > out_.duty_by_rank.size()) {
     out_.duty_by_rank.resize(m.duty_by_rank.size());
   }

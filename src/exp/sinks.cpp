@@ -7,34 +7,21 @@
 #include <iostream>
 #include <stdexcept>
 
+#include "src/exp/aggregate.h"
+
 namespace essat::exp {
 namespace {
 
-// The metric columns every sink emits, in order.
-const char* const kMetricColumns[] = {
-    "runs",          "duty_mean",     "duty_ci90",     "latency_mean",
-    "latency_ci90",  "p95_latency",   "delivery_mean", "phase_bits_mean",
-    "send_failures", "model_drops",   "retx_no_ack",   "cca_busy_defers",
-    "node_deaths",   "downtime_s",    "delivery_during_fault",
-};
-
-std::vector<double> metric_values(const PointResult& r) {
-  const harness::AveragedMetrics& m = r.metrics;
-  return {static_cast<double>(m.duty_cycle.count()),
-          m.duty_cycle.mean(),
-          m.duty_ci90(),
-          m.latency_s.mean(),
-          m.latency_ci90(),
-          m.p95_latency_s.mean(),
-          m.delivery_ratio.mean(),
-          m.phase_update_bits.mean(),
-          m.mac_send_failures.mean(),
-          m.channel_dropped.mean(),
-          m.retx_no_ack.mean(),
-          m.cca_busy_defers.mean(),
-          m.node_deaths.mean(),
-          m.downtime_s.mean(),
-          m.delivery_during_fault.mean()};
+// Visits one point's metric columns in sink order: "runs", then each
+// kMetricColumns mean followed by its ci90 column where it has one.
+template <typename Fn>
+void for_each_metric(const harness::AveragedMetrics& m, Fn&& fn) {
+  fn("runs", static_cast<double>(m.duty_cycle.count()));
+  for (const MetricColumn& c : kMetricColumns) {
+    const util::RunningStat& s = m.*c.stat;
+    fn(c.name, s.mean());
+    if (c.ci90_name != nullptr) fn(c.ci90_name, s.ci_halfwidth(0.90));
+  }
 }
 
 std::string full_precision(double v) {
@@ -155,7 +142,7 @@ void CsvSink::begin(const std::vector<std::string>& axis_names) {
   if (resumed_mid_file()) return;  // the original run already wrote the header
   out() << "point";
   for (const auto& name : axis_names) out() << ',' << csv_escape(name);
-  for (const char* col : kMetricColumns) out() << ',' << col;
+  for_each_metric({}, [&](const char* name, double) { out() << ',' << name; });
   out() << '\n';
   out().flush();
 }
@@ -163,7 +150,9 @@ void CsvSink::begin(const std::vector<std::string>& axis_names) {
 void CsvSink::on_point(const PointResult& r) {
   out() << r.point.index;
   for (const auto& label : r.point.labels) out() << ',' << csv_escape(label);
-  for (double v : metric_values(r)) out() << ',' << full_precision(v);
+  for_each_metric(r.metrics, [&](const char*, double v) {
+    out() << ',' << full_precision(v);
+  });
   out() << '\n';
   out().flush();
 }
@@ -184,10 +173,9 @@ void JsonLinesSink::on_point(const PointResult& r) {
           << json_escape(r.point.labels[i]) << '"';
   }
   out() << '}';
-  const auto values = metric_values(r);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out() << ",\"" << kMetricColumns[i] << "\":" << full_precision(values[i]);
-  }
+  for_each_metric(r.metrics, [&](const char* name, double v) {
+    out() << ",\"" << name << "\":" << full_precision(v);
+  });
   out() << "}\n";
   out().flush();
 }

@@ -65,18 +65,4 @@ void LatencyCollector::save_state(snap::Serializer& out) const {
   }
 }
 
-void LatencyCollector::restore_state(snap::Deserializer& in) {
-  epochs_.clear();
-  const std::uint64_t n = in.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const net::QueryId query = in.i32();
-    const std::int64_t epoch = in.i64();
-    EpochRecord rec;
-    rec.epoch_start = in.time();
-    rec.last_arrival = in.time();
-    rec.contributions = in.i32();
-    epochs_.emplace(std::make_pair(query, epoch), rec);
-  }
-}
-
 }  // namespace essat::harness

@@ -13,7 +13,6 @@
 
 namespace essat::snap {
 class Serializer;
-class Deserializer;
 }  // namespace essat::snap
 
 namespace essat::harness {
@@ -119,10 +118,9 @@ class LatencyCollector {
                     int expected_contributions,
                     const std::function<bool(util::Time)>& epoch_filter) const;
 
-  // Snapshot hooks. epochs_ is an ordered map, so serialization order is
-  // deterministic and a restored collector summarizes identically.
+  // Snapshot hook (attestation only: restore replays). epochs_ is an
+  // ordered map, so serialization order is deterministic.
   void save_state(snap::Serializer& out) const;
-  void restore_state(snap::Deserializer& in);
 
  private:
   struct EpochRecord {

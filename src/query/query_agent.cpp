@@ -130,10 +130,14 @@ void QueryAgent::finalize_(QueryState& qs, std::int64_t k) {
 void QueryAgent::schedule_send_(QueryState& qs, std::int64_t k, EpochState& es,
                                 int contributions, util::Time ready) {
   const auto plan = shaper_.plan_send(qs.q, k, ready);
-  es.send.arm_at(plan.send_at, [this, &qs, k, contributions,
-                                update = plan.phase_update] {
-    submit_report_(qs, k, contributions, update);
-  });
+  // The send can already be overdue: a node opens epoch k + 1 only when its
+  // epoch-k report goes out. If that report waited past the start of k + 1
+  // for a crashed child until repair removed it, the node is now a leaf
+  // whose k + 1 reading was ready in the past. Send it now.
+  es.send.arm_at(std::max(plan.send_at, sim_.now()),
+                 [this, &qs, k, contributions, update = plan.phase_update] {
+                   submit_report_(qs, k, contributions, update);
+                 });
 }
 
 void QueryAgent::submit_report_(QueryState& qs, std::int64_t k, int contributions,

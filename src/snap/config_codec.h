@@ -1,8 +1,10 @@
 // Binary codec for harness::ScenarioConfig — the "recipe" half of a trial
 // snapshot (the other half is the replayed component state, see trial.h).
 //
-// Every field that influences the simulation is encoded, in declaration
-// order, inside one "SCFG" section. The sole exclusion is
+// Every field that influences the simulation is encoded inside one "SCFG"
+// section, in the order of each struct's field list in config_codec.cpp
+// (see field_codec.h). That order is not always declaration order:
+// ScenarioConfig lists `trace` before `faults`. The sole exclusion is
 // TraceSpec::sink, a process-local std::function; a restored config
 // therefore reproduces the exact event stream but not in-process trace
 // consumers. The encoding is versioned by snap::kFormatVersion: any

@@ -1,121 +1,40 @@
 #include "src/snap/metrics_codec.h"
 
+#include "src/snap/field_codec.h"
+
 namespace essat::snap {
 
+// The sleep histogram keeps its own encoding (geometry, counts, raw tail).
+void fields(Writer& io, const util::Histogram& h) { h.save_state(io.out); }
+void fields(Reader& io, util::Histogram& h) { h.restore_state(io.in); }
+
+template <typename IO>
+void fields(IO& io, Field<IO, harness::RunMetrics::NodeDiag>& d) {
+  io(d.id, d.rank, d.level, d.leaf, d.duty_cycle, d.reports_sent,
+     d.send_failures, d.pass_through, d.child_timeouts, d.retx_no_ack,
+     d.cca_busy_defers, d.repair_attempts);
+}
+
+template <typename IO>
+void fields(IO& io, Field<IO, harness::RunMetrics>& m) {
+  io(m.avg_duty_cycle, m.duty_by_rank, m.avg_latency_s, m.p95_latency_s,
+     m.max_latency_s, m.delivery_ratio, m.epochs_measured, m.sleep_hist,
+     m.frac_sleep_below_2_5ms, m.sleep_intervals,
+     m.phase_update_bits_per_report, m.phase_updates, m.per_node,
+     m.reports_sent, m.mac_transmissions, m.mac_send_failures,
+     m.mac_retx_no_ack, m.mac_cca_busy_defers, m.channel_collisions,
+     m.channel_delivered, m.channel_dropped_by_model, m.pass_through_forwarded,
+     m.tree_members, m.max_rank, m.backbone_size, m.sim_events,
+     m.peak_pending_events, m.node_deaths, m.downtime_s,
+     m.delivery_during_fault);
+}
+
 void save_run_metrics(Serializer& out, const harness::RunMetrics& m) {
-  out.begin("RMET");
-  out.f64(m.avg_duty_cycle);
-  out.u64(m.duty_by_rank.size());
-  for (double d : m.duty_by_rank) out.f64(d);
-
-  out.f64(m.avg_latency_s);
-  out.f64(m.p95_latency_s);
-  out.f64(m.max_latency_s);
-  out.f64(m.delivery_ratio);
-  out.u64(m.epochs_measured);
-
-  m.sleep_hist.save_state(out);
-  out.f64(m.frac_sleep_below_2_5ms);
-  out.u64(m.sleep_intervals);
-
-  out.f64(m.phase_update_bits_per_report);
-  out.u64(m.phase_updates);
-
-  out.u64(m.per_node.size());
-  for (const auto& d : m.per_node) {
-    out.i32(d.id);
-    out.i32(d.rank);
-    out.i32(d.level);
-    out.boolean(d.leaf);
-    out.f64(d.duty_cycle);
-    out.u64(d.reports_sent);
-    out.u64(d.send_failures);
-    out.u64(d.pass_through);
-    out.u64(d.child_timeouts);
-    out.u64(d.retx_no_ack);
-    out.u64(d.cca_busy_defers);
-    out.u64(d.repair_attempts);
-  }
-
-  out.u64(m.reports_sent);
-  out.u64(m.mac_transmissions);
-  out.u64(m.mac_send_failures);
-  out.u64(m.mac_retx_no_ack);
-  out.u64(m.mac_cca_busy_defers);
-  out.u64(m.channel_collisions);
-  out.u64(m.channel_delivered);
-  out.u64(m.channel_dropped_by_model);
-  out.u64(m.pass_through_forwarded);
-  out.i32(m.tree_members);
-  out.i32(m.max_rank);
-  out.i32(m.backbone_size);
-
-  out.u64(m.sim_events);
-  out.u64(m.peak_pending_events);
-
-  out.u64(m.node_deaths);
-  out.f64(m.downtime_s);
-  out.f64(m.delivery_during_fault);
-  out.end();
+  write_section(out, "RMET", m);
 }
 
 harness::RunMetrics load_run_metrics(Deserializer& in) {
-  harness::RunMetrics m;
-  in.enter("RMET");
-  m.avg_duty_cycle = in.f64();
-  m.duty_by_rank.resize(static_cast<std::size_t>(in.u64()));
-  for (double& d : m.duty_by_rank) d = in.f64();
-
-  m.avg_latency_s = in.f64();
-  m.p95_latency_s = in.f64();
-  m.max_latency_s = in.f64();
-  m.delivery_ratio = in.f64();
-  m.epochs_measured = in.u64();
-
-  m.sleep_hist.restore_state(in);
-  m.frac_sleep_below_2_5ms = in.f64();
-  m.sleep_intervals = in.u64();
-
-  m.phase_update_bits_per_report = in.f64();
-  m.phase_updates = in.u64();
-
-  m.per_node.resize(static_cast<std::size_t>(in.u64()));
-  for (auto& d : m.per_node) {
-    d.id = in.i32();
-    d.rank = in.i32();
-    d.level = in.i32();
-    d.leaf = in.boolean();
-    d.duty_cycle = in.f64();
-    d.reports_sent = in.u64();
-    d.send_failures = in.u64();
-    d.pass_through = in.u64();
-    d.child_timeouts = in.u64();
-    d.retx_no_ack = in.u64();
-    d.cca_busy_defers = in.u64();
-    d.repair_attempts = in.u64();
-  }
-
-  m.reports_sent = in.u64();
-  m.mac_transmissions = in.u64();
-  m.mac_send_failures = in.u64();
-  m.mac_retx_no_ack = in.u64();
-  m.mac_cca_busy_defers = in.u64();
-  m.channel_collisions = in.u64();
-  m.channel_delivered = in.u64();
-  m.channel_dropped_by_model = in.u64();
-  m.pass_through_forwarded = in.u64();
-  m.tree_members = in.i32();
-  m.max_rank = in.i32();
-  m.backbone_size = in.i32();
-
-  m.sim_events = in.u64();
-  m.peak_pending_events = in.u64();
-
-  m.node_deaths = in.u64();
-  m.downtime_s = in.f64();
-  m.delivery_during_fault = in.f64();
-  in.finish();
-  return m;
+  return read_section<harness::RunMetrics>(in, "RMET");
 }
 
 std::vector<std::uint8_t> run_metrics_to_bytes(const harness::RunMetrics& m) {

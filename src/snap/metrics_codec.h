@@ -4,7 +4,8 @@
 // sweep (children ship finished metrics to the parent over a pipe), the
 // sweep checkpoint ledger (completed trials are replayed into the
 // aggregator on resume), and the restored-vs-straight-run conformance
-// tests (two RunMetrics are equal iff their encodings are equal).
+// tests (two RunMetrics are equal iff their encodings are equal). The
+// field lists in metrics_codec.cpp fix the wire order (see field_codec.h).
 #pragma once
 
 #include <cstdint>

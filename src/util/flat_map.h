@@ -70,12 +70,11 @@ class FlatMap {
     size_ = 0;
   }
 
-  // Snapshot hooks. The exact slot layout (capacity + occupied slot indices)
-  // is serialized, not just the key→value mapping, so a restored map
-  // reproduces iteration order, capacity, and capacity_bytes() bit-for-bit —
-  // for_each order feeds metric aggregation, so "same entries, different
-  // slots" would not be a faithful restore. `save_value`/`load_value` handle
-  // the Value payload; keys travel as u64.
+  // Snapshot hook (attestation only: restore replays). The exact slot
+  // layout (capacity + occupied slot indices) is serialized, not just the
+  // key→value mapping: for_each order feeds metric aggregation, so "same
+  // entries, different slots" is a divergence the attestation must catch.
+  // `save_value` handles the Value payload; keys travel as u64.
   template <typename Ser, typename SaveValue>
   void save_state(Ser& out, SaveValue&& save_value) const {
     out.u64(static_cast<std::uint64_t>(slots_.size()));
@@ -86,20 +85,6 @@ class FlatMap {
         out.u64(static_cast<std::uint64_t>(slots_[i].key));
         save_value(out, slots_[i].value);
       }
-    }
-  }
-
-  template <typename De, typename LoadValue>
-  void restore_state(De& in, LoadValue&& load_value) {
-    const auto cap = static_cast<std::size_t>(in.u64());
-    const auto n = static_cast<std::size_t>(in.u64());
-    slots_.assign(cap, Slot{});
-    size_ = n;
-    for (std::size_t k = 0; k < n; ++k) {
-      const auto i = static_cast<std::size_t>(in.u64());
-      assert(i < cap);
-      slots_[i].key = static_cast<Key>(in.u64());
-      load_value(in, slots_[i].value);
     }
   }
 

@@ -81,28 +81,16 @@ class RingQueue {
     while (size_ > 0) (void)pop_front();
   }
 
-  // Snapshot hooks. Capacity and the head offset are serialized alongside
-  // the live elements so a restored queue has identical wrap-around behavior
-  // and capacity_bytes() — future growth happens at the same push as in the
-  // original run. `save_elem`/`load_elem` handle the element payload.
+  // Snapshot hook (attestation only: restore replays). Capacity and the
+  // head offset are serialized alongside the live elements, so a replay
+  // whose wrap-around or growth diverged is caught. `save_elem` handles the
+  // element payload.
   template <typename Ser, typename SaveElem>
   void save_state(Ser& out, SaveElem&& save_elem) const {
     out.u64(static_cast<std::uint64_t>(cap_));
     out.u64(static_cast<std::uint64_t>(head_));
     out.u64(static_cast<std::uint64_t>(size_));
     for (std::size_t i = 0; i < size_; ++i) save_elem(out, (*this)[i]);
-  }
-
-  template <typename De, typename LoadElem>
-  void restore_state(De& in, LoadElem&& load_elem) {
-    cap_ = static_cast<std::size_t>(in.u64());
-    head_ = static_cast<std::size_t>(in.u64());
-    size_ = static_cast<std::size_t>(in.u64());
-    buf_ = cap_ > 0 ? std::unique_ptr<T[]>(new T[cap_]) : nullptr;
-    assert(cap_ == 0 || (size_ <= cap_ && head_ < cap_));
-    for (std::size_t i = 0; i < size_; ++i) {
-      load_elem(in, buf_[(head_ + i) & (cap_ - 1)]);
-    }
   }
 
  private:

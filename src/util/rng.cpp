@@ -1,6 +1,7 @@
 #include "src/util/rng.h"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "src/snap/serializer.h"
 
@@ -44,8 +45,15 @@ double Rng::exponential(double mean) {
 }
 
 double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> d{mean, stddev};
-  return d(gen_);
+  // std::normal_distribution requires stddev > 0, but a zero spread is a
+  // valid config (no shadowing, no clock skew, point-like clusters). Scaling
+  // a standard normal is libstdc++'s own last step, so draws and engine
+  // consumption match normal_distribution{mean, stddev} bit for bit.
+  if (!(stddev >= 0.0)) {
+    throw std::invalid_argument{"Rng::normal: stddev must be >= 0"};
+  }
+  std::normal_distribution<double> d{0.0, 1.0};
+  return d(gen_) * stddev + mean;
 }
 
 bool Rng::bernoulli(double p) {
@@ -58,13 +66,6 @@ void Rng::save_state(snap::Serializer& out) const {
   std::ostringstream ss;
   ss << gen_;
   out.str(ss.str());
-}
-
-void Rng::restore_state(snap::Deserializer& in) {
-  seed_ = in.u64();
-  std::istringstream ss{in.str()};
-  ss >> gen_;
-  if (!ss) throw snap::SnapError{"corrupt mt19937_64 engine state"};
 }
 
 }  // namespace essat::util

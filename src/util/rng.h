@@ -12,7 +12,6 @@
 
 namespace essat::snap {
 class Serializer;
-class Deserializer;
 }  // namespace essat::snap
 
 namespace essat::util {
@@ -42,17 +41,18 @@ class Rng {
   Time uniform_time(Time lo, Time hi);
   // Exponential with the given mean (> 0).
   double exponential(double mean);
-  // Gaussian with the given mean and standard deviation.
+  // Gaussian with the given mean and standard deviation (>= 0; zero
+  // returns `mean` after the same engine draws). Throws
+  // std::invalid_argument for a negative or NaN stddev.
   double normal(double mean, double stddev);
   bool bernoulli(double p);
 
   std::uint64_t seed() const { return seed_; }
 
-  // Snapshot hooks. std::mt19937_64's stream insertion/extraction round-trip
-  // is exact per the standard, and every distribution above is constructed
-  // fresh per call, so (seed_, engine state) is the complete stream state.
+  // Snapshot hook (attestation only: restore replays). Every distribution
+  // above is constructed fresh per call, so (seed_, engine state) is the
+  // complete stream state.
   void save_state(snap::Serializer& out) const;
-  void restore_state(snap::Deserializer& in);
 
  private:
   std::uint64_t seed_;

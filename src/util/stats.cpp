@@ -4,8 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "src/snap/serializer.h"
-
 namespace essat::util {
 
 void RunningStat::add(double x) {
@@ -74,22 +72,6 @@ double t_critical(std::size_t n, double level) {
   if (level >= 0.99) return t99[df - 1];
   if (level >= 0.95) return t95[df - 1];
   return t90[df - 1];
-}
-
-void RunningStat::save_state(snap::Serializer& out) const {
-  out.u64(n_);
-  out.f64(mean_);
-  out.f64(m2_);
-  out.f64(min_);
-  out.f64(max_);
-}
-
-void RunningStat::restore_state(snap::Deserializer& in) {
-  n_ = static_cast<std::size_t>(in.u64());
-  mean_ = in.f64();
-  m2_ = in.f64();
-  min_ = in.f64();
-  max_ = in.f64();
 }
 
 double percentile(std::vector<double> values, double p) {

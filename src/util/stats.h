@@ -4,11 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-namespace essat::snap {
-class Serializer;
-class Deserializer;
-}  // namespace essat::snap
-
 namespace essat::util {
 
 // Welford's online mean/variance. Numerically stable; O(1) space.
@@ -30,11 +25,6 @@ class RunningStat {
   // Half-width of the two-sided confidence interval at the given level
   // using the Student t distribution (level in {0.90, 0.95, 0.99}).
   double ci_halfwidth(double level = 0.90) const;
-
-  // Snapshot hooks: Welford accumulators by bit pattern, so merging after a
-  // restore folds in the same order with the same intermediate values.
-  void save_state(snap::Serializer& out) const;
-  void restore_state(snap::Deserializer& in);
 
  private:
   std::size_t n_ = 0;

@@ -10,6 +10,7 @@
 #include "src/exp/sweep_runner.h"
 #include "src/net/link_model.h"
 #include "src/net/mobility.h"
+#include "src/snap/metrics_codec.h"
 
 namespace essat::exp {
 namespace {
@@ -31,38 +32,23 @@ harness::ScenarioConfig small_base() {
   return c;
 }
 
-void expect_runs_identical(const harness::RunMetrics& a,
-                           const harness::RunMetrics& b) {
-  EXPECT_EQ(a.avg_duty_cycle, b.avg_duty_cycle);  // exact, not NEAR
-  EXPECT_EQ(a.avg_latency_s, b.avg_latency_s);
-  EXPECT_EQ(a.p95_latency_s, b.p95_latency_s);
-  EXPECT_EQ(a.max_latency_s, b.max_latency_s);
-  EXPECT_EQ(a.delivery_ratio, b.delivery_ratio);
-  EXPECT_EQ(a.epochs_measured, b.epochs_measured);
-  EXPECT_EQ(a.reports_sent, b.reports_sent);
-  EXPECT_EQ(a.mac_transmissions, b.mac_transmissions);
-  EXPECT_EQ(a.mac_send_failures, b.mac_send_failures);
-  EXPECT_EQ(a.mac_retx_no_ack, b.mac_retx_no_ack);
-  EXPECT_EQ(a.mac_cca_busy_defers, b.mac_cca_busy_defers);
-  EXPECT_EQ(a.channel_collisions, b.channel_collisions);
-  EXPECT_EQ(a.channel_delivered, b.channel_delivered);
-  EXPECT_EQ(a.phase_updates, b.phase_updates);
-  EXPECT_EQ(a.tree_members, b.tree_members);
-  EXPECT_EQ(a.max_rank, b.max_rank);
-}
-
 // Installing an explicit StaticMobility model — epoch ticks, position
 // re-sampling, grid neighbor rebuilds and all — must change nothing either.
 TEST(MobilityRoutingMatrix, ExplicitStaticModelIdenticalToNoModel) {
   harness::ScenarioConfig c = small_base();
-  const harness::RunMetrics baseline = harness::run_scenario(c);
+  harness::RunMetrics baseline = harness::run_scenario(c);
 
   // kWaypoints with no traces: every node holds its initial position, but
   // the whole time-varying machinery runs (ticks, rebuilds).
   c.mobility.kind = net::MobilityKind::kWaypoints;
   c.mobility.epoch_s = 1.0;
-  const harness::RunMetrics ticked = harness::run_scenario(c);
-  expect_runs_identical(baseline, ticked);
+  harness::RunMetrics ticked = harness::run_scenario(c);
+  // Epoch ticks are events of their own, so the two event-core counters
+  // legitimately differ; everything the protocols produced must not.
+  baseline.sim_events = ticked.sim_events = 0;
+  baseline.peak_pending_events = ticked.peak_pending_events = 0;
+  EXPECT_EQ(snap::run_metrics_to_bytes(baseline),
+            snap::run_metrics_to_bytes(ticked));
 }
 
 // Determinism: random-waypoint mobility + shadowing loss + maintenance,
@@ -98,8 +84,8 @@ TEST(MobilityRoutingMatrix, RandomWaypointDeterministicAcrossJobCounts) {
   EXPECT_EQ(serial[1].point.labels, (std::vector<std::string>{"DTS-SS", "etx"}));
   for (std::size_t p = 0; p < serial.size(); ++p) {
     SCOPED_TRACE(serial[p].point.labels[0] + " / " + serial[p].point.labels[1]);
-    expect_runs_identical(serial[p].metrics.last_run,
-                          parallel[p].metrics.last_run);
+    EXPECT_EQ(snap::run_metrics_to_bytes(serial[p].metrics.last_run),
+              snap::run_metrics_to_bytes(parallel[p].metrics.last_run));
     EXPECT_EQ(serial[p].metrics.delivery_ratio.mean(),
               parallel[p].metrics.delivery_ratio.mean());
     // The run actually exercised the lossy mobile world.

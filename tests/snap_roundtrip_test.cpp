@@ -1,157 +1,24 @@
-// Round-trip property tests for snapshot state hooks: util containers
-// (FlatMap/RingQueue preserve iteration order, capacity, capacity_bytes),
-// Rng engine state, Histogram/RunningStat accumulators, and the RunMetrics
-// codec. The invariant throughout: restore then re-serialize must reproduce
-// the original bytes exactly, and post-restore behavior must be
-// indistinguishable from the original object's.
+// Round-trip property tests for the two loaders the snapshot layer has: the
+// RunMetrics codec (fork pipes and the sweep ledger decode finished metrics)
+// and the Histogram it embeds. Simulation components have save_state hooks
+// only, because restore replays from t = 0 and byte-compares the state. The
+// invariant: decode then re-encode reproduces the original bytes exactly,
+// and the decoded object answers every query like the original.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <utility>
-#include <vector>
+#include <cstddef>
 
 #include "src/harness/metrics.h"
-#include "src/query/query.h"
 #include "src/snap/metrics_codec.h"
 #include "src/snap/serializer.h"
-#include "src/util/flat_map.h"
 #include "src/util/histogram.h"
-#include "src/util/ring_queue.h"
 #include "src/util/rng.h"
-#include "src/util/stats.h"
 
 namespace essat {
 namespace {
 
 using snap::Deserializer;
 using snap::Serializer;
-
-void save_u64(Serializer& out, std::uint64_t v) { out.u64(v); }
-void load_u64(Deserializer& in, std::uint64_t& v) { v = in.u64(); }
-
-template <typename Map>
-std::vector<std::pair<std::uint64_t, std::uint64_t>> entries(const Map& m) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  m.for_each([&](std::uint64_t k, std::uint64_t v) { out.emplace_back(k, v); });
-  return out;
-}
-
-TEST(FlatMapRoundTrip, PreservesLayoutCapacityAndIterationOrder) {
-  util::Rng rng{20250807};
-  for (int trial = 0; trial < 20; ++trial) {
-    util::FlatMap<std::uint64_t, std::uint64_t> m;
-    const int n = static_cast<int>(rng.uniform_int(0, 300));
-    for (int i = 0; i < n; ++i) {
-      m[static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20))] =
-          static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
-    }
-
-    Serializer out;
-    m.save_state(out, save_u64);
-    const auto bytes = out.take();
-
-    util::FlatMap<std::uint64_t, std::uint64_t> back;
-    Deserializer in{bytes};
-    back.restore_state(in, load_u64);
-    ASSERT_TRUE(in.at_end());
-
-    EXPECT_EQ(back.size(), m.size());
-    EXPECT_EQ(back.capacity_bytes(), m.capacity_bytes());
-    EXPECT_EQ(entries(back), entries(m));  // identical for_each order
-
-    // Re-serializing the restored map reproduces the bytes exactly.
-    Serializer again;
-    back.save_state(again, save_u64);
-    EXPECT_EQ(again.data(), bytes);
-
-    // Post-restore behavior matches: the same further inserts leave the two
-    // maps indistinguishable (probe layout and growth included).
-    for (int i = 0; i < 50; ++i) {
-      const auto k = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
-      const auto v = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
-      m[k] = v;
-      back[k] = v;
-    }
-    EXPECT_EQ(back.capacity_bytes(), m.capacity_bytes());
-    EXPECT_EQ(entries(back), entries(m));
-  }
-}
-
-TEST(RingQueueRoundTrip, PreservesHeadOffsetCapacityAndContents) {
-  util::Rng rng{777};
-  for (int trial = 0; trial < 20; ++trial) {
-    util::RingQueue<std::uint64_t> q;
-    // Random push/pop churn so head_ lands at an arbitrary wrap offset.
-    std::uint64_t next = 1;
-    const int ops = static_cast<int>(rng.uniform_int(0, 200));
-    for (int i = 0; i < ops; ++i) {
-      if (!q.empty() && rng.bernoulli(0.45)) {
-        (void)q.pop_front();
-      } else {
-        q.push_back(next++);
-      }
-    }
-
-    Serializer out;
-    q.save_state(out, save_u64);
-    const auto bytes = out.take();
-
-    util::RingQueue<std::uint64_t> back;
-    Deserializer in{bytes};
-    back.restore_state(in, load_u64);
-    ASSERT_TRUE(in.at_end());
-
-    EXPECT_EQ(back.size(), q.size());
-    EXPECT_EQ(back.capacity(), q.capacity());
-    EXPECT_EQ(back.capacity_bytes(), q.capacity_bytes());
-    for (std::size_t i = 0; i < q.size(); ++i) EXPECT_EQ(back[i], q[i]);
-
-    Serializer again;
-    back.save_state(again, save_u64);
-    EXPECT_EQ(again.data(), bytes);  // includes the head offset
-
-    // The same further ops (growth, wrap-around, mid-queue take_at) keep the
-    // two queues in lockstep.
-    for (int i = 0; i < 60; ++i) {
-      if (!q.empty() && rng.bernoulli(0.3)) {
-        const auto at = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(q.size()) - 1));
-        EXPECT_EQ(q.take_at(at), back.take_at(at));
-      } else {
-        q.push_back(next);
-        back.push_back(next);
-        ++next;
-      }
-    }
-    EXPECT_EQ(back.capacity(), q.capacity());
-    for (std::size_t i = 0; i < q.size(); ++i) EXPECT_EQ(back[i], q[i]);
-  }
-}
-
-TEST(RngRoundTrip, RestoredStreamContinuesIdentically) {
-  util::Rng original{42};
-  // Burn an arbitrary prefix so the engine is mid-sequence.
-  for (int i = 0; i < 1000; ++i) (void)original.uniform(0.0, 1.0);
-
-  Serializer out;
-  original.save_state(out);
-  const auto bytes = out.take();
-
-  util::Rng restored{0};  // seed overwritten by restore
-  Deserializer in{bytes};
-  restored.restore_state(in);
-  EXPECT_EQ(restored.seed(), original.seed());
-
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(original.uniform(0.0, 1.0), restored.uniform(0.0, 1.0));
-    EXPECT_EQ(original.uniform_int(0, 1 << 20), restored.uniform_int(0, 1 << 20));
-    EXPECT_EQ(original.exponential(2.0), restored.exponential(2.0));
-    EXPECT_EQ(original.normal(0.0, 1.0), restored.normal(0.0, 1.0));
-    EXPECT_EQ(original.bernoulli(0.3), restored.bernoulli(0.3));
-  }
-  // Forked streams derive from seed_, so they match too.
-  EXPECT_EQ(original.fork(9).uniform(0.0, 1.0), restored.fork(9).uniform(0.0, 1.0));
-}
 
 TEST(HistogramRoundTrip, CountsRawTailAndGeometry) {
   util::Histogram h{0.0, 0.025, 8};
@@ -179,36 +46,6 @@ TEST(HistogramRoundTrip, CountsRawTailAndGeometry) {
   Serializer again;
   back.save_state(again);
   EXPECT_EQ(again.data(), bytes);
-}
-
-TEST(RunningStatRoundTrip, WelfordStateBitExact) {
-  util::RunningStat s;
-  util::Rng rng{99};
-  for (int i = 0; i < 300; ++i) s.add(rng.normal(5.0, 2.0));
-
-  Serializer out;
-  s.save_state(out);
-  const auto bytes = out.take();
-
-  util::RunningStat back;
-  Deserializer in{bytes};
-  back.restore_state(in);
-
-  EXPECT_EQ(back.count(), s.count());
-  EXPECT_EQ(back.mean(), s.mean());
-  EXPECT_EQ(back.variance(), s.variance());
-  EXPECT_EQ(back.min(), s.min());
-  EXPECT_EQ(back.max(), s.max());
-
-  // Folding the same samples into both afterwards keeps them bit-equal
-  // (this is what lets a resumed sweep re-feed ledger metrics in order).
-  for (int i = 0; i < 100; ++i) {
-    const double x = rng.normal(5.0, 2.0);
-    s.add(x);
-    back.add(x);
-  }
-  EXPECT_EQ(back.mean(), s.mean());
-  EXPECT_EQ(back.variance(), s.variance());
 }
 
 harness::RunMetrics sample_metrics() {
@@ -268,47 +105,6 @@ TEST(RunMetricsCodec, RoundTripReproducesBytesExactly) {
   EXPECT_EQ(back.per_node.size(), m.per_node.size());
   EXPECT_EQ(back.sleep_hist.total(), m.sleep_hist.total());
   EXPECT_EQ(back.sim_events, m.sim_events);
-}
-
-TEST(LatencyCollectorRoundTrip, SummaryIdenticalAfterRestore) {
-  query::Query q;
-  q.id = 3;
-  q.period = util::Time::seconds(5);
-  q.phase = util::Time::seconds(10);
-
-  harness::LatencyCollector c;
-  util::Rng rng{31};
-  for (int epoch = 0; epoch < 30; ++epoch) {
-    for (int n = 0; n < 4; ++n) {
-      c.on_root_arrival(q, epoch,
-                        q.epoch_start(epoch) +
-                            util::Time::milliseconds(rng.uniform_int(1, 4000)),
-                        1);
-    }
-  }
-
-  Serializer out;
-  c.save_state(out);
-  const auto bytes = out.take();
-
-  harness::LatencyCollector back;
-  Deserializer in{bytes};
-  back.restore_state(in);
-
-  const auto begin = util::Time::seconds(10);
-  const auto end = util::Time::seconds(160);
-  const auto grace = util::Time::seconds(5);
-  const auto a = c.summarize(begin, end, grace, 4);
-  const auto b = back.summarize(begin, end, grace, 4);
-  EXPECT_EQ(a.avg_s, b.avg_s);
-  EXPECT_EQ(a.p95_s, b.p95_s);
-  EXPECT_EQ(a.max_s, b.max_s);
-  EXPECT_EQ(a.delivery_ratio, b.delivery_ratio);
-  EXPECT_EQ(a.epochs, b.epochs);
-
-  Serializer again;
-  back.save_state(again);
-  EXPECT_EQ(again.data(), bytes);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Acceptance checks for the city-scale sparse-state refactor: the sparse
 // per-link statistics (open-addressed (src,dst) map in the channel) and
 // the sparse MAC duplicate table must be *bit-identical* in behavior to
-// the legacy dense arrays — same RunMetrics, field for field, on every
-// point of a protocol x topology x rate grid. Both storage thresholds are
+// the legacy dense arrays — byte-identical RunMetrics encodings (every
+// field, per-node rows and the sleep histogram included) on every point of
+// a protocol x topology x rate grid. Both storage thresholds are
 // forced per run: 0 = always sparse, SIZE_MAX = always dense.
 //
 // The grid deliberately runs ETX routing over a shadowing channel: ETX
@@ -19,6 +20,7 @@
 #include "src/exp/sweep.h"
 #include "src/exp/sweep_runner.h"
 #include "src/net/link_model.h"
+#include "src/snap/metrics_codec.h"
 
 namespace essat::exp {
 namespace {
@@ -49,26 +51,6 @@ void force_storage(harness::ScenarioConfig& c, std::size_t threshold) {
   c.mac_params.dense_dup_table_below = threshold;
 }
 
-void expect_runs_identical(const harness::RunMetrics& a,
-                           const harness::RunMetrics& b) {
-  EXPECT_EQ(a.avg_duty_cycle, b.avg_duty_cycle);  // exact, not NEAR
-  EXPECT_EQ(a.avg_latency_s, b.avg_latency_s);
-  EXPECT_EQ(a.p95_latency_s, b.p95_latency_s);
-  EXPECT_EQ(a.max_latency_s, b.max_latency_s);
-  EXPECT_EQ(a.delivery_ratio, b.delivery_ratio);
-  EXPECT_EQ(a.epochs_measured, b.epochs_measured);
-  EXPECT_EQ(a.reports_sent, b.reports_sent);
-  EXPECT_EQ(a.mac_transmissions, b.mac_transmissions);
-  EXPECT_EQ(a.mac_send_failures, b.mac_send_failures);
-  EXPECT_EQ(a.mac_retx_no_ack, b.mac_retx_no_ack);
-  EXPECT_EQ(a.mac_cca_busy_defers, b.mac_cca_busy_defers);
-  EXPECT_EQ(a.channel_collisions, b.channel_collisions);
-  EXPECT_EQ(a.channel_delivered, b.channel_delivered);
-  EXPECT_EQ(a.phase_updates, b.phase_updates);
-  EXPECT_EQ(a.tree_members, b.tree_members);
-  EXPECT_EQ(a.max_rank, b.max_rank);
-}
-
 TEST(SparseDenseEquivalence, IdenticalMetricsOnFullGrid) {
   auto run_grid = [](std::size_t threshold) {
     harness::ScenarioConfig base = lossy_etx_base();
@@ -91,8 +73,8 @@ TEST(SparseDenseEquivalence, IdenticalMetricsOnFullGrid) {
   for (std::size_t p = 0; p < sparse.size(); ++p) {
     SCOPED_TRACE(sparse[p].point.labels[0] + " / " + sparse[p].point.labels[1] +
                  " / " + sparse[p].point.labels[2]);
-    expect_runs_identical(sparse[p].metrics.last_run,
-                          dense[p].metrics.last_run);
+    EXPECT_EQ(snap::run_metrics_to_bytes(sparse[p].metrics.last_run),
+              snap::run_metrics_to_bytes(dense[p].metrics.last_run));
   }
 }
 
@@ -114,8 +96,10 @@ TEST(SparseDenseEquivalence, DefaultThresholdMatchesForcedModes) {
   EXPECT_EQ(sparse.node_deaths, 1u);
   EXPECT_EQ(dflt.node_deaths, 1u);
   EXPECT_EQ(dense.node_deaths, 1u);
-  expect_runs_identical(sparse, dflt);
-  expect_runs_identical(dflt, dense);
+  EXPECT_EQ(snap::run_metrics_to_bytes(sparse),
+            snap::run_metrics_to_bytes(dflt));
+  EXPECT_EQ(snap::run_metrics_to_bytes(dflt),
+            snap::run_metrics_to_bytes(dense));
 }
 
 }  // namespace

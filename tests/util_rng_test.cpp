@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "src/util/rng.h"
 
@@ -85,6 +87,28 @@ TEST(Rng, ExponentialMean) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += r.exponential(2.0);
   EXPECT_NEAR(sum / n, 2.0, 0.1);
+}
+
+// A zero spread is reachable from config (shadowing_sigma_db = 0,
+// skew_sigma_ppm = 0 with drift on, cluster_sigma_m = 0), but
+// std::normal_distribution requires stddev > 0.
+TEST(Rng, NormalZeroStddevReturnsMeanWithSameEngineDraws) {
+  Rng zero{21};
+  Rng spread{21};
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(zero.normal(3.5, 0.0), 3.5);
+    (void)spread.normal(3.5, 2.0);
+  }
+  // Both consumed the engine identically, so the streams stay in lockstep.
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(zero.uniform_int(0, 1 << 30), spread.uniform_int(0, 1 << 30));
+  }
+}
+
+TEST(Rng, NormalRejectsNegativeOrNanStddev) {
+  Rng r{5};
+  EXPECT_THROW(r.normal(0.0, -1.0), std::invalid_argument);
+  EXPECT_THROW(r.normal(0.0, std::nan("")), std::invalid_argument);
 }
 
 TEST(Rng, BernoulliProbability) {
