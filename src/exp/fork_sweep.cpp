@@ -2,10 +2,8 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "src/exp/thread_pool.h"
-#include "src/snap/hook.h"
 #include "src/snap/metrics_codec.h"
 #include "src/snap/snapshot.h"
 #include "src/snap/trial.h"
@@ -20,21 +18,6 @@
 #endif
 
 namespace essat::exp {
-namespace {
-
-void check_variants(const harness::ScenarioConfig& base,
-                    const std::vector<harness::WorkloadSpec>& workloads) {
-  for (const harness::WorkloadSpec& w : workloads) {
-    if (w.query_start_window != base.workload.query_start_window) {
-      throw std::invalid_argument{
-          "run_fork_sweep: variant query_start_window differs from the "
-          "base's; the measurement schedule is fixed before the fork "
-          "barrier, so this field cannot vary across variants"};
-    }
-  }
-}
-
-}  // namespace
 
 #if defined(ESSAT_FORK_SWEEP)
 
@@ -76,91 +59,101 @@ struct PendingChild {
   std::size_t variant = 0;
 };
 
+// Child: adopt the variant's workload, run the trial out, and ship its
+// metrics as a CRC-framed kMetrics snapshot. Never returns: _exit skips the
+// atexit handlers and static destructors the process shares with the
+// parent, and an exception must not unwind into the parent's caller.
+[[noreturn]] void run_child(harness::Trial& trial,
+                            const harness::WorkloadSpec& workload, int fd) {
+  try {
+    trial.set_workload(workload);
+    snap::Snapshot snap;
+    snap.kind = snap::SnapshotKind::kMetrics;
+    snap.payload = snap::run_metrics_to_bytes(trial.finish());
+    const std::vector<std::uint8_t> wire = snap.to_bytes();
+    write_all(fd, wire.data(), wire.size());
+  } catch (...) {
+    ::_exit(1);
+  }
+  ::_exit(0);
+}
+
+// Collects every pending child's metrics and reaps it, even after a
+// failure. Returns the first failure ("" if none).
+std::string drain(std::vector<PendingChild>& pending,
+                  std::vector<harness::RunMetrics>& results) {
+  std::string failure;
+  for (const PendingChild& c : pending) {
+    std::string error;
+    try {
+      // The child writes only after its run completes, so this read is
+      // also the wait for the slowest child in the batch.
+      const std::vector<std::uint8_t> wire = read_until_eof(c.read_fd);
+      results[c.variant] = snap::run_metrics_from_bytes(
+          snap::Snapshot::from_bytes(wire.data(), wire.size()).payload);
+    } catch (const std::exception& e) {
+      error = std::string{" sent a malformed result: "} + e.what();
+    }
+    ::close(c.read_fd);
+    int status = 0;
+    while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      error = " exited abnormally";
+    }
+    if (failure.empty() && !error.empty()) {
+      failure = "run_fork_sweep: child for variant " +
+                std::to_string(c.variant) + error;
+    }
+  }
+  pending.clear();
+  return failure;
+}
+
 }  // namespace
 
 std::vector<harness::RunMetrics> run_fork_sweep(
     const harness::ScenarioConfig& base,
     const std::vector<harness::WorkloadSpec>& workloads, int max_parallel) {
-  check_variants(base, workloads);
   if (workloads.empty()) return {};
   const std::size_t batch =
       static_cast<std::size_t>(max_parallel > 0 ? max_parallel : default_jobs());
 
+  // The shared prefix, simulated once; every child inherits it paused.
+  // set_workload rejects a changed query_start_window, so trying every
+  // variant here fails the sweep before any fork.
+  harness::Trial prefix{base};
+  for (const harness::WorkloadSpec& w : workloads) prefix.set_workload(w);
+  prefix.advance_to(snap::capture_barrier(base));
+
   std::vector<harness::RunMetrics> results(workloads.size());
-  // Set in a child between the hook and run_scenario returning; the child
-  // then ships its metrics and never reaches the parent-only code below.
-  int child_write_fd = -1;
-
-  snap::TrialHookSpec spec;
-  spec.enabled = true;
-  spec.at = snap::capture_barrier(base);
-  spec.hook = [&](snap::TrialCheckpoint& cp) {
-    std::vector<PendingChild> pending;
-    auto drain = [&] {
-      for (const PendingChild& c : pending) {
-        // The child writes only after its run completes, so this read is
-        // also the wait for the slowest child in the batch.
-        const std::vector<std::uint8_t> wire = read_until_eof(c.read_fd);
-        ::close(c.read_fd);
-        int status = 0;
-        while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-          throw std::runtime_error{
-              "run_fork_sweep: child for variant " +
-              std::to_string(c.variant) + " exited abnormally"};
-        }
-        const snap::Snapshot snap =
-            snap::Snapshot::from_bytes(wire.data(), wire.size());
-        results[c.variant] = snap::run_metrics_from_bytes(snap.payload);
-      }
-      pending.clear();
-    };
-
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-      if (pending.size() >= batch) drain();
-      int fds[2];
-      if (::pipe(fds) != 0) {
-        throw std::runtime_error{std::string{"run_fork_sweep: pipe: "} +
-                                 std::strerror(errno)};
-      }
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        throw std::runtime_error{std::string{"run_fork_sweep: fork: "} +
-                                 std::strerror(errno)};
-      }
-      if (pid == 0) {
-        // Child: adopt variant i's workload (the window is pinned — see
-        // check_variants) and let the run continue from the shared prefix.
-        ::close(fds[0]);
-        child_write_fd = fds[1];
-        harness::WorkloadSpec w = workloads[i];
-        w.query_start_window = cp.config.workload.query_start_window;
-        cp.config.workload = std::move(w);
-        return;
-      }
-      ::close(fds[1]);
-      pending.push_back(PendingChild{pid, fds[0], i});
+  std::vector<PendingChild> pending;
+  std::string failure;
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    if (pending.size() >= batch) failure = drain(pending, results);
+    if (!failure.empty()) break;
+    int fds[2];
+    if (::pipe(fds) != 0) {
+      failure = std::string{"run_fork_sweep: pipe: "} + std::strerror(errno);
+      break;
     }
-    drain();
-    cp.stop = true;  // parent: all variants delegated, abandon this run
-  };
-
-  const harness::RunMetrics own = harness::run_scenario(base, spec);
-  if (child_write_fd >= 0) {
-    // Child: `own` is the completed variant run. Frame it (CRC included)
-    // and exit without running atexit handlers or static destructors — the
-    // process shares them with the parent.
-    snap::Snapshot snap;
-    snap.kind = snap::SnapshotKind::kMetrics;
-    snap.payload = snap::run_metrics_to_bytes(own);
-    const std::vector<std::uint8_t> wire = snap.to_bytes();
-    write_all(child_write_fd, wire.data(), wire.size());
-    ::close(child_write_fd);
-    ::_exit(0);
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      failure = std::string{"run_fork_sweep: fork: "} + std::strerror(errno);
+      ::close(fds[0]);
+      ::close(fds[1]);
+      break;
+    }
+    if (pid == 0) {
+      ::close(fds[0]);
+      run_child(prefix, workloads[i], fds[1]);
+    }
+    ::close(fds[1]);
+    pending.push_back(PendingChild{pid, fds[0], i});
   }
+  const std::string last = drain(pending, results);
+  if (failure.empty()) failure = last;
+  if (!failure.empty()) throw std::runtime_error{failure};
   return results;
 }
 
@@ -172,13 +165,12 @@ bool fork_sweep_available() { return false; }
 std::vector<harness::RunMetrics> run_fork_sweep(
     const harness::ScenarioConfig& base,
     const std::vector<harness::WorkloadSpec>& workloads, int /*max_parallel*/) {
-  check_variants(base, workloads);
   std::vector<harness::RunMetrics> results;
   results.reserve(workloads.size());
   for (const harness::WorkloadSpec& w : workloads) {
-    harness::ScenarioConfig config = base;
-    config.workload = w;
-    results.push_back(harness::run_scenario(config));
+    harness::Trial trial{base};
+    trial.set_workload(w);
+    results.push_back(trial.finish());
   }
   return results;
 }

@@ -3,11 +3,11 @@
 // Sweep variants that differ only in workload (report rate, queries per
 // class, extra queries) share everything that happens before the setup
 // slot ends: placement, neighbor-list construction, tree building, setup
-// traffic, per-node stack allocation. run_fork_sweep simulates that prefix
-// ONCE, pauses at the snapshot barrier (snap::capture_barrier), and
-// fork(2)s one child per variant; each child applies its workload to the
-// not-yet-materialized config fields and runs the remainder, shipping its
-// RunMetrics back over a pipe as a CRC-framed kMetrics snapshot.
+// traffic, per-node stack allocation. run_fork_sweep advances one
+// harness::Trial through that prefix to the snapshot barrier
+// (snap::capture_barrier) and fork(2)s one child per variant; each child
+// calls Trial::set_workload and Trial::finish, shipping its RunMetrics back
+// over a pipe as a CRC-framed kMetrics snapshot, and _exits on every path.
 //
 // Equivalence is exact, not approximate: the workload is drawn lazily at
 // the setup boundary from a private RNG stream, so a forked child is
@@ -15,7 +15,8 @@
 // test diffs the RunMetrics encodings byte for byte). query_start_window
 // is baked into the measurement schedule before the barrier and must be
 // identical across variants; run_fork_sweep throws std::invalid_argument
-// otherwise.
+// otherwise. When a child fails, no further child is forked, every running
+// child is reaped, and std::runtime_error names the first failed variant.
 //
 // On non-POSIX builds the same API falls back to sequential from-scratch
 // runs — identical results, none of the speedup.

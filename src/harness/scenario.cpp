@@ -69,46 +69,372 @@ std::string substitute_seed(std::string path, std::uint64_t seed) {
   return path;
 }
 
-}  // namespace
-
-RunMetrics run_scenario(const ScenarioConfig& config) {
-  return run_scenario(config, snap::TrialHookSpec{});
-}
-
-RunMetrics run_scenario(const ScenarioConfig& config_in,
-                        const snap::TrialHookSpec& hook) {
-  // The run's private mutable copy: a checkpoint hook may adjust the
-  // lazily-materialized workload fields mid-run (forked sweep variants).
-  ScenarioConfig config = config_in;
-
-  util::Rng master{config.seed};
-  util::Rng placement_rng = master.fork(1);
-  util::Rng workload_rng = master.fork(2);
-  util::Rng policy_rng = master.fork(3);
-  util::Rng setup_rng = master.fork(4);
-
+// Placement plus its position source. The mobility model (like the loss
+// model) draws from its own forked stream, so installing it never perturbs
+// placement/workload/MAC randomness — and a static spec installs nothing.
+net::Topology build_topology(const ScenarioConfig& config,
+                             util::Rng& placement_rng, const util::Rng& master) {
   net::Topology topo = config.deployment.build(placement_rng);
-  // The mobility model (like the loss model below) draws from its own
-  // forked stream, so installing it never perturbs placement/workload/MAC
-  // randomness — and a static spec installs nothing at all.
   if (auto mobility_model = config.mobility.build(
           topo.positions(), config.deployment.extent().x,
           config.deployment.extent().y, master.fork(6))) {
     topo.set_mobility_model(std::move(mobility_model), config.mobility.epoch());
   }
-  const net::NodeId root = topo.nearest(config.deployment.centre());
+  return topo;
+}
 
+}  // namespace
+
+// Every component of the trial, declared in construction order, so RNG
+// forks, event pushes and destruction happen in one fixed order. Callbacks
+// capture `this` (and a node id), so an Impl is never copied or moved.
+struct Trial::Impl {
+  explicit Impl(const ScenarioConfig& config_in);
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
+
+  ScenarioConfig config;  // private copy: set_workload edits its workload
+  util::Rng master{config.seed};
+  util::Rng placement_rng = master.fork(1);
+  util::Rng workload_rng = master.fork(2);
+  util::Rng policy_rng = master.fork(3);
+  util::Rng setup_rng = master.fork(4);
+  net::Topology topo = build_topology(config, placement_rng, master);
+  const net::NodeId root = topo.nearest(config.deployment.centre());
   sim::Simulator sim;
-  // Per-run log context: lines emitted during this run carry the sim time.
-  util::ScopedLogClock log_clock{[&sim] { return sim.now().ns(); }};
+  std::unique_ptr<obs::Tracer> tracer;
+  std::unique_ptr<obs::NodeSampler> sampler;
+  net::Channel channel{sim, topo, config.channel_params};
+  // Link-quality feedback for parent selection: the estimator reads the
+  // channel's loss statistics (and the loss model's own curve as a prior),
+  // the policy ranks candidate parents by it.
+  const routing::LinkEstimator link_estimator{channel, topo, config.routing.etx};
+  std::unique_ptr<routing::ParentPolicy> parent_policy = config.routing.build(
+      routing::PolicyContext{&topo, &link_estimator, config.routing.etx});
+  const std::size_t n = topo.num_nodes();
+  std::vector<NodeStack> nodes = std::vector<NodeStack>(n);
+  routing::Tree tree{n};
+  std::unique_ptr<routing::TreeSetupProtocol> setup_protocol;
+  // Phasing: the setup slot, then query starts over the start window, then
+  // the measurement window (after all queries have started).
+  const util::Time setup_end = config.setup_duration;
+  const util::Time measure_start = setup_end + util::Time::seconds(1) +
+                                   config.workload.query_start_window +
+                                   util::Time::seconds(1);
+  const util::Time measure_end = measure_start + config.measure_duration;
+  std::unique_ptr<fault::FaultEngine> fault_engine;
+  // Declared after `nodes` so the policy (and everything it owns, e.g.
+  // SafeSleep instances referencing the radios/MACs) is destroyed first.
+  std::unique_ptr<PowerManager> policy;
+  const StackContext stack_ctx{sim,    topo,      tree,      root,
+                               config, setup_end, policy_rng};
+  LatencyCollector latency;
+  // The active SafeSleep per node (nullptr for policies without one); a
+  // crash deactivates it, a restart replaces it.
+  std::vector<core::SafeSleep*> sleepers = std::vector<core::SafeSleep*>(n);
+  // The materialized workload, kept for restarts: a revived node re-registers
+  // every query with the epoch chain resuming after its outage.
+  std::vector<query::Query> active_queries;
+  bool workload_drawn = false;
+  routing::RepairService repair{topo, tree, {}};
+  std::unique_ptr<core::MaintenanceService> maintenance;
+  // Churn and battery faults imply maintenance: without detection, a dead
+  // interior node would silently black-hole its subtree forever.
+  const bool maintenance_on = config.enable_maintenance ||
+                              config.faults.churn.enabled() ||
+                              config.faults.battery.enabled();
+  std::vector<char> awaiting_rejoin = std::vector<char>(n, 0);
+
+  NodeStack& stack(net::NodeId id) { return nodes[static_cast<std::size_t>(id)]; }
+  bool alive(net::NodeId id) { return !stack(id).radio->failed(); }
+
+  void build_one_stack(net::NodeId id) {
+    NodeStack& node = stack(id);
+    const NodeHandles handles{id, *node.radio, *node.mac};
+    node.shaper = policy->make_shaper(stack_ctx, handles);
+    core::SafeSleep* sleeper = policy->attach_node(stack_ctx, handles);
+    sleepers[static_cast<std::size_t>(id)] = sleeper;
+    if (sleeper != nullptr && fault_engine && fault_engine->has_drift()) {
+      sleeper->set_wake_adjust(
+          [this, id](util::Time t) { return fault_engine->adjust_wake(id, t); });
+    }
+    node.shaper->set_context(query::ShaperContext{&tree, id, sleeper});
+    node.agent = std::make_unique<query::QueryAgent>(
+        sim, *node.mac, tree, id, *node.shaper,
+        query::QueryAgentParams{.t_comp = config.t_comp});
+    if (id == root) {
+      node.agent->set_root_arrival_hook(
+          [this](const query::Query& q, std::int64_t k, util::Time t, int c) {
+            latency.on_root_arrival(q, k, t, c);
+          });
+    }
+  }
+
+  // Builds every tree member's stack on the finished tree, then wires
+  // maintenance over them.
+  void build_stacks() {
+    policy->on_tree_ready(stack_ctx);
+    for (net::NodeId id : tree.members()) build_one_stack(id);
+    if (!maintenance_on) return;
+    maintenance = std::make_unique<core::MaintenanceService>(
+        repair, core::MaintenanceParams{});
+    maintenance->set_alive_predicate([this](net::NodeId m) { return alive(m); });
+    for (net::NodeId id : tree.members()) {
+      maintenance->attach_agent(id, stack(id).agent.get());
+    }
+    repair.set_hooks(maintenance->make_repair_hooks());
+  }
+
+  // The setup boundary draws the workload. workload_rng is a private forked
+  // stream consumed nowhere else, so drawing here instead of at
+  // construction is bit-identical, and set_workload can still replace the
+  // workload before this fires (forked sweep variants diverge there).
+  void register_queries() {
+    workload_drawn = true;
+    query::WorkloadParams wl;
+    wl.base_rate_hz = config.workload.base_rate_hz;
+    wl.queries_per_class = config.workload.queries_per_class;
+    wl.start_window_begin = setup_end + util::Time::seconds(1);
+    wl.start_window_length = config.workload.query_start_window;
+    active_queries = query::make_workload(wl, workload_rng);
+    for (query::Query q : config.workload.extra_queries) {
+      q.id = static_cast<net::QueryId>(active_queries.size());
+      active_queries.push_back(q);
+    }
+    for (net::NodeId id : tree.members()) {
+      NodeStack& node = stack(id);
+      if (!node.agent) continue;  // crashed before the workload started
+      for (const auto& q : active_queries) node.agent->register_query(q);
+    }
+  }
+
+  // Receive demultiplexing: core packet types go to their substrate
+  // handlers; everything else is the policy's private control traffic.
+  void receive(net::NodeId id, const net::Packet& p) {
+    const util::ScopedNodeContext log_node{id};
+    NodeStack& node = stack(id);
+    switch (p.type) {
+      case net::PacketType::kData:
+      case net::PacketType::kPhaseRequest:
+        if (node.agent) node.agent->handle_packet(p);
+        break;
+      case net::PacketType::kSetup:
+      case net::PacketType::kJoin:
+      case net::PacketType::kRankReport:
+        if (setup_protocol) setup_protocol->handle_packet(id, p);
+        break;
+      default:
+        policy->handle_packet(id, p);
+        break;
+    }
+  }
+
+  // Crash: tear the node's stack down in dependency order — the MAC first
+  // (cancels its timers and drops the queue without firing callbacks), then
+  // the radio (fail + clear the activity latches), then the policy sleeper
+  // and the query agent. Maintenance forgets the node's counters; neighbors
+  // detect the death organically via child misses / send failures (§4.3).
+  void teardown_node(net::NodeId id) {
+    const auto i = static_cast<std::size_t>(id);
+    NodeStack& node = nodes[i];
+    node.mac->crash_reset();
+    node.radio->crash();
+    if (sleepers[i] != nullptr) {
+      sleepers[i]->deactivate();
+      sleepers[i] = nullptr;
+    }
+    if (node.agent) node.agent->halt();
+    if (maintenance) maintenance->detach_agent(id);
+    node.agent.reset();
+    node.shaper.reset();
+  }
+
+  // A restarted node treats the epochs it was dead for as finalized: each
+  // query resumes at its first epoch starting strictly after now.
+  void complete_restart(net::NodeId id) {
+    build_one_stack(id);
+    const util::Time now = sim.now();
+    for (const query::Query& q : active_queries) {
+      const std::int64_t next =
+          now < q.phase ? 0 : (now - q.phase).ns() / q.period.ns() + 1;
+      stack(id).agent->register_query_from(q, next);
+    }
+    if (maintenance) maintenance->attach_agent(id, stack(id).agent.get());
+  }
+
+  void restart_node(net::NodeId id) {
+    stack(id).radio->restore();
+    stack(id).radio->turn_on();
+    if (tree.is_member(id)) {
+      // The outage was short enough that maintenance never removed the
+      // node; its stack resumes on the existing tree position.
+      complete_restart(id);
+    } else {
+      awaiting_rejoin[static_cast<std::size_t>(id)] = 1;
+      repair.request_rejoin(id);
+    }
+  }
+
+  void on_rejoin(net::NodeId id) {
+    if (!awaiting_rejoin[static_cast<std::size_t>(id)]) return;
+    awaiting_rejoin[static_cast<std::size_t>(id)] = 0;
+    complete_restart(id);
+  }
+
+  // Mobility epoch ticks: re-sample the position source and rebuild the
+  // neighbor sets once per epoch. Link PRRs then drift through geometry;
+  // broken parent links surface as MAC send failures, which maintenance
+  // (when enabled) turns into policy-driven reparenting.
+  void mobility_tick() {
+    topo.advance_to(sim.now());
+    sim.schedule_in(topo.mobility_epoch(), [this] { mobility_tick(); });
+  }
+
+  void save_state(snap::Serializer& out) const {
+    out.begin("TRST");
+    sim.save_state(out);
+    out.begin("RNGS");
+    master.save_state(out);
+    placement_rng.save_state(out);
+    workload_rng.save_state(out);
+    policy_rng.save_state(out);
+    out.end();
+    topo.save_state(out);
+    channel.save_state(out);
+    tree.save_state(out);
+    out.boolean(setup_protocol != nullptr);
+    if (setup_protocol) setup_protocol->save_state(out);
+    link_estimator.save_state(out);
+    out.u64(n);
+    for (const NodeStack& node : nodes) {
+      node.radio->save_state(out);
+      node.mac->save_state(out);
+      out.boolean(node.shaper != nullptr);
+      if (node.shaper) node.shaper->save_state(out);
+      out.boolean(node.agent != nullptr);
+      if (node.agent) node.agent->save_state(out);
+    }
+    policy->save_state(out);
+    latency.save_state(out);
+    out.boolean(fault_engine != nullptr);
+    if (fault_engine) fault_engine->save_state(out);
+    out.end();
+  }
+
+  void export_traces() {
+    if (!tracer) return;
+    for (const std::string* configured :
+         {&config.trace.perfetto_path, &config.trace.jsonl_path}) {
+      if (configured->empty()) continue;
+      const std::string path = substitute_seed(*configured, config.seed);
+      std::ofstream f{path};
+      if (!f) {
+        ESSAT_WARN("trace export: cannot open %s", path.c_str());
+      } else if (configured == &config.trace.perfetto_path) {
+        obs::export_perfetto_json(*tracer, sampler.get(), f);
+      } else {
+        obs::export_jsonl(*tracer, f);
+      }
+    }
+    if (config.trace.sink) config.trace.sink(*tracer);
+    sim.set_tracer(nullptr);  // teardown events stay out of the snapshot
+  }
+
+  RunMetrics collect() const {
+    RunMetrics out;
+    const auto members = tree.members();
+    out.tree_members = static_cast<int>(members.size());
+    out.max_rank = tree.max_rank();
+    out.backbone_size = policy->backbone_size();
+
+    std::vector<const energy::Radio*> radios;
+    std::vector<int> rank_of;
+    for (net::NodeId id : members) {
+      const NodeStack& node = nodes[static_cast<std::size_t>(id)];
+      if (node.radio->failed()) continue;
+      radios.push_back(node.radio.get());
+      rank_of.push_back(tree.rank(id));
+    }
+    const int live_members = static_cast<int>(radios.size());
+    out.avg_duty_cycle = energy::summarize_duty_cycles(radios).average;
+    out.duty_by_rank =
+        energy::duty_cycle_by_group(radios, rank_of, tree.max_rank() + 1);
+
+    const auto lat = latency.summarize(measure_start, measure_end,
+                                       config.latency_grace, live_members - 1);
+    out.avg_latency_s = lat.avg_s;
+    out.p95_latency_s = lat.p95_s;
+    out.max_latency_s = lat.max_s;
+    out.delivery_ratio = lat.delivery_ratio;
+    out.epochs_measured = lat.epochs;
+
+    for (const energy::Radio* r : radios) {
+      for (double s : r->sleep_intervals_s()) {
+        out.sleep_hist.add(s);
+        ++out.sleep_intervals;
+      }
+    }
+    out.frac_sleep_below_2_5ms = out.sleep_hist.fraction_below(0.0025);
+
+    std::uint64_t phase_updates = 0;
+    for (net::NodeId id : members) {
+      const NodeStack& node = nodes[static_cast<std::size_t>(id)];
+      RunMetrics::NodeDiag diag;
+      diag.id = id;
+      diag.rank = tree.rank(id);
+      diag.level = tree.level(id);
+      diag.leaf = tree.is_leaf(id);
+      diag.duty_cycle = node.radio->duty_cycle();
+      if (node.agent) {
+        const auto& stats = node.agent->stats();
+        diag.reports_sent = stats.reports_sent;
+        diag.send_failures = stats.send_failures;
+        diag.pass_through = stats.pass_through_forwarded;
+        diag.child_timeouts = stats.child_timeouts;
+        out.reports_sent += stats.reports_sent;
+        out.mac_send_failures += stats.send_failures;
+        out.pass_through_forwarded += stats.pass_through_forwarded;
+      }
+      if (node.shaper) phase_updates += node.shaper->phase_updates_sent();
+      diag.retx_no_ack = node.mac->stats().retries;
+      diag.cca_busy_defers = node.mac->stats().cca_busy_defers;
+      diag.repair_attempts = repair.repair_attempts(id);
+      out.mac_retx_no_ack += diag.retx_no_ack;
+      out.mac_cca_busy_defers += diag.cca_busy_defers;
+      out.per_node.push_back(diag);
+    }
+    out.phase_updates = phase_updates;
+    if (out.reports_sent > 0) {
+      // A phase update is a 16-bit time offset field.
+      out.phase_update_bits_per_report =
+          static_cast<double>(phase_updates) * 16.0 /
+          static_cast<double>(out.reports_sent);
+    }
+    out.mac_transmissions = channel.transmissions();
+    out.channel_collisions = channel.collisions();
+    out.channel_delivered = channel.delivered();
+    out.channel_dropped_by_model = channel.dropped_by_model();
+    out.sim_events = sim.executed_events();
+    out.peak_pending_events = sim.peak_pending_events();
+
+    if (fault_engine) {
+      out.node_deaths = fault_engine->node_deaths();
+      out.downtime_s = fault_engine->downtime_s();
+      const auto fault_lat = latency.summarize(
+          measure_start, measure_end, config.latency_grace, live_members - 1,
+          [this](util::Time t) { return fault_engine->any_down_at(t); });
+      out.delivery_during_fault = fault_lat.delivery_ratio;
+    }
+    return out;
+  }
+};
+
+Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
   // Pre-size the event queue for the expected concurrently-live event
   // population (a handful of timers and in-flight frames per node), so
   // steady-state scheduling never reallocates slot/heap storage mid-run.
-  sim.reserve_events(topo.num_nodes() * 8 + 64);
+  sim.reserve_events(n * 8 + 64);
 
-  // --- Observability -------------------------------------------------------
-  std::unique_ptr<obs::Tracer> tracer;
-  std::unique_ptr<obs::NodeSampler> sampler;
   if (config.trace.active_for(config.seed)) {
     if (!obs::kTracingCompiledIn) {
       ESSAT_WARN(
@@ -119,18 +445,9 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
       sim.set_tracer(tracer.get());
     }
   }
-  net::Channel channel{sim, topo, config.channel_params};
   // The loss model draws from its own forked stream, so installing (or
   // changing) it never perturbs placement/workload/MAC randomness.
   channel.set_link_model(config.channel_model.build(topo.range(), master.fork(5)));
-
-  // Link-quality feedback for parent selection: the estimator reads the
-  // channel's loss statistics (and the loss model's own curve as a prior),
-  // the policy ranks candidate parents by it.
-  const routing::LinkEstimator link_estimator{channel, topo,
-                                              config.routing.etx};
-  std::unique_ptr<routing::ParentPolicy> parent_policy = config.routing.build(
-      routing::PolicyContext{&topo, &link_estimator, config.routing.etx});
   // Per-link frame statistics only cost something when a policy reads them.
   channel.set_link_stats_enabled(parent_policy->uses_link_estimator());
 
@@ -138,15 +455,14 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   energy::RadioParams radio_params;
   radio_params.t_off_on = config.t_be / 2;
   radio_params.t_on_off = config.t_be / 2;
-
-  const std::size_t n = topo.num_nodes();
-  std::vector<NodeStack> nodes(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<net::NodeId>(i);
     nodes[i].radio = std::make_unique<energy::Radio>(sim, radio_params);
     nodes[i].radio->set_trace_id(id);
     nodes[i].mac = std::make_unique<mac::CsmaMac>(
         sim, channel, *nodes[i].radio, id, config.mac_params, master.fork(100 + i));
+    nodes[i].mac->set_rx_handler(
+        [this, id](const net::Packet& p) { receive(id, p); });
   }
 
   // Per-node time-series sampling (duty cycle, send-queue depth, radio
@@ -156,27 +472,25 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   // stream.
   if (tracer && config.trace.sample_period > util::Time::zero()) {
     sampler = std::make_unique<obs::NodeSampler>(config.trace.series_cap);
-    sampler->add_channel("pending_events", -1,
-                         [&sim] { return static_cast<double>(sim.pending_events()); });
+    sampler->add_channel("pending_events", -1, [this] {
+      return static_cast<double>(sim.pending_events());
+    });
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<std::int32_t>(i);
-      energy::Radio* radio = nodes[i].radio.get();
-      mac::CsmaMac* mac = nodes[i].mac.get();
       sampler->add_channel("duty_cycle", id,
-                           [radio] { return radio->duty_cycle(); });
-      sampler->add_channel("queue_depth", id, [mac] {
-        return static_cast<double>(mac->queue_depth());
+                           [this, i] { return nodes[i].radio->duty_cycle(); });
+      sampler->add_channel("queue_depth", id, [this, i] {
+        return static_cast<double>(nodes[i].mac->queue_depth());
       });
-      sampler->add_channel("radio_state", id, [radio] {
-        return static_cast<double>(static_cast<int>(radio->state()));
+      sampler->add_channel("radio_state", id, [this, i] {
+        return static_cast<double>(static_cast<int>(nodes[i].radio->state()));
       });
     }
     sampler->start(sim, config.trace.sample_period);
   }
 
-  // --- Routing tree -------------------------------------------------------
-  routing::Tree tree{n};
-  std::unique_ptr<routing::TreeSetupProtocol> setup_protocol;
+  // Routing tree: central BFS-style construction, or the distributed
+  // setup protocol running through the setup slot.
   if (config.use_distributed_setup) {
     setup_protocol = std::make_unique<routing::TreeSetupProtocol>(
         sim, topo, root,
@@ -193,20 +507,10 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
                                       parent_policy.get());
   }
 
-  // --- Phasing constants ---------------------------------------------------
-  const util::Time setup_end = config.setup_duration;
-  // Measurement window: after all queries have started.
-  const util::Time measure_start =
-      setup_end + util::Time::seconds(1) + config.workload.query_start_window +
-      util::Time::seconds(1);
-  const util::Time measure_end = measure_start + config.measure_duration;
-
-  // --- Fault engine --------------------------------------------------------
   // Constructed (and its RNG stream forked) only when faults are configured:
   // Rng::fork is pure, so the conditional fork leaves every other stream's
   // draws untouched and a disabled FaultSpec reproduces the legacy run byte
   // for byte.
-  std::unique_ptr<fault::FaultEngine> fault_engine;
   if (config.faults.enabled()) {
     fault_engine = std::make_unique<fault::FaultEngine>(
         sim,
@@ -214,401 +518,97 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
                                  measure_start, measure_end},
         master.fork(7));
   }
+  policy = StackRegistry::instance().create(config.protocol.name, config);
 
-  // --- Power-management policy -------------------------------------------
-  // Declared after `nodes` so the policy (and everything it owns, e.g.
-  // SafeSleep instances referencing the radios/MACs) is destroyed first.
-  std::unique_ptr<PowerManager> policy =
-      StackRegistry::instance().create(config.protocol.name, config);
-  const StackContext stack_ctx{sim,    topo,      tree,      root,
-                               config, setup_end, policy_rng};
-
-  LatencyCollector latency;
-  // The active SafeSleep per node (nullptr for policies without one); a
-  // crash deactivates it, a restart replaces it.
-  std::vector<core::SafeSleep*> sleepers(n, nullptr);
-  // The materialized workload, kept for restarts: a revived node re-registers
-  // every query with the epoch chain resuming after its outage.
-  std::vector<query::Query> active_queries;
-
-  auto build_one_stack = [&](net::NodeId id) {
-    auto& node = nodes[static_cast<std::size_t>(id)];
-    const NodeHandles handles{id, *node.radio, *node.mac};
-
-    node.shaper = policy->make_shaper(stack_ctx, handles);
-    core::SafeSleep* sleeper = policy->attach_node(stack_ctx, handles);
-    sleepers[static_cast<std::size_t>(id)] = sleeper;
-    if (sleeper != nullptr && fault_engine && fault_engine->has_drift()) {
-      sleeper->set_wake_adjust([engine = fault_engine.get(), id](util::Time t) {
-        return engine->adjust_wake(id, t);
-      });
-    }
-
-    node.shaper->set_context(query::ShaperContext{&tree, id, sleeper});
-    node.agent = std::make_unique<query::QueryAgent>(
-        sim, *node.mac, tree, id, *node.shaper,
-        query::QueryAgentParams{.t_comp = config.t_comp});
-    if (id == root) {
-      node.agent->set_root_arrival_hook(
-          [&latency](const query::Query& q, std::int64_t k, util::Time t, int c) {
-            latency.on_root_arrival(q, k, t, c);
-          });
-    }
-  };
-
-  auto build_stacks = [&] {
-    policy->on_tree_ready(stack_ctx);
-    for (net::NodeId id : tree.members()) build_one_stack(id);
-  };
-
-  // Receive demultiplexing: core packet types go to their substrate
-  // handlers; everything else is the policy's private control traffic.
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<net::NodeId>(i);
-    nodes[i].mac->set_rx_handler(
-        [&nodes, &setup_protocol, policy = policy.get(), id](const net::Packet& p) {
-          const util::ScopedNodeContext log_node{id};
-          auto& node = nodes[static_cast<std::size_t>(id)];
-          switch (p.type) {
-            case net::PacketType::kData:
-            case net::PacketType::kPhaseRequest:
-              if (node.agent) node.agent->handle_packet(p);
-              break;
-            case net::PacketType::kSetup:
-            case net::PacketType::kJoin:
-            case net::PacketType::kRankReport:
-              if (setup_protocol) setup_protocol->handle_packet(id, p);
-              break;
-            default:
-              policy->handle_packet(id, p);
-              break;
-          }
-        });
-  }
-
-  // --- Maintenance / repair ----------------------------------------------
-  routing::RepairService repair{topo, tree, {}};
   repair.set_policy(*parent_policy);
   repair.set_tracer(&sim);
-  std::unique_ptr<core::MaintenanceService> maintenance;
-  // Churn and battery faults imply maintenance: without detection, a dead
-  // interior node would silently black-hole its subtree forever.
-  const bool maintenance_on = config.enable_maintenance ||
-                              config.faults.churn.enabled() ||
-                              config.faults.battery.enabled();
-  auto wire_maintenance = [&] {
-    if (!maintenance_on) return;
-    maintenance = std::make_unique<core::MaintenanceService>(repair,
-                                                             core::MaintenanceParams{});
-    maintenance->set_alive_predicate([&nodes](net::NodeId m) {
-      return !nodes[static_cast<std::size_t>(m)].radio->failed();
-    });
-    for (net::NodeId id : tree.members()) {
-      maintenance->attach_agent(id, nodes[static_cast<std::size_t>(id)].agent.get());
-    }
-    repair.set_hooks(maintenance->make_repair_hooks());
-  };
-
-  // --- Workload ------------------------------------------------------------
-  // Materialized lazily, when the setup-boundary event fires: a checkpoint
-  // hook pausing just before setup_end may still change base_rate_hz /
-  // queries_per_class / extra_queries (forked sweep variants draw their own
-  // workloads from the shared prefix). workload_rng is a private forked
-  // stream consumed nowhere else, so drawing from it here instead of at
-  // construction is bit-identical. query_start_window is the exception:
-  // the measurement schedule below bakes it in, so hooks must not touch it.
-  auto register_queries = [&] {
-    query::WorkloadParams wl;
-    wl.base_rate_hz = config.workload.base_rate_hz;
-    wl.queries_per_class = config.workload.queries_per_class;
-    wl.start_window_begin = setup_end + util::Time::seconds(1);
-    wl.start_window_length = config.workload.query_start_window;
-    active_queries = query::make_workload(wl, workload_rng);
-    for (query::Query q : config.workload.extra_queries) {
-      q.id = static_cast<net::QueryId>(active_queries.size());
-      active_queries.push_back(q);
-    }
-    for (net::NodeId id : tree.members()) {
-      auto& node = nodes[static_cast<std::size_t>(id)];
-      if (!node.agent) continue;  // crashed before the workload started
-      for (const auto& q : active_queries) node.agent->register_query(q);
-    }
-  };
-
-  // --- Fault mechanics -----------------------------------------------------
-  // Crash: tear the node's stack down in dependency order — the MAC first
-  // (cancels its timers and drops the queue without firing callbacks), then
-  // the radio (fail + clear the activity latches), then the policy sleeper
-  // and the query agent. Maintenance forgets the node's counters; neighbors
-  // detect the death organically via child misses / send failures (§4.3).
-  std::vector<char> awaiting_rejoin(n, 0);
-  auto teardown_node = [&](net::NodeId id) {
-    const auto i = static_cast<std::size_t>(id);
-    auto& node = nodes[i];
-    node.mac->crash_reset();
-    node.radio->crash();
-    if (sleepers[i] != nullptr) {
-      sleepers[i]->deactivate();
-      sleepers[i] = nullptr;
-    }
-    if (node.agent) node.agent->halt();
-    if (maintenance) maintenance->detach_agent(id);
-    node.agent.reset();
-    node.shaper.reset();
-  };
-  // First epoch of q starting strictly after `now` — a restarted node treats
-  // the epochs it was dead for as already finalized.
-  auto first_epoch_after = [](const query::Query& q, util::Time now) {
-    if (now < q.phase) return std::int64_t{0};
-    return (now - q.phase).ns() / q.period.ns() + 1;
-  };
-  auto complete_restart = [&](net::NodeId id) {
-    auto& node = nodes[static_cast<std::size_t>(id)];
-    build_one_stack(id);
-    for (const query::Query& q : active_queries) {
-      node.agent->register_query_from(q, first_epoch_after(q, sim.now()));
-    }
-    if (maintenance) maintenance->attach_agent(id, node.agent.get());
-  };
-  auto restart_node = [&](net::NodeId id) {
-    auto& node = nodes[static_cast<std::size_t>(id)];
-    node.radio->restore();
-    node.radio->turn_on();
-    if (tree.is_member(id)) {
-      // The outage was short enough that maintenance never removed the
-      // node; its stack resumes on the existing tree position.
-      complete_restart(id);
-    } else {
-      awaiting_rejoin[static_cast<std::size_t>(id)] = 1;
-      repair.request_rejoin(id);
-    }
-  };
   if (fault_engine) {
-    fault_engine->set_crash_callback(teardown_node);
-    fault_engine->set_restart_callback(restart_node);
-    fault_engine->set_energy_probe([&nodes](net::NodeId id) {
-      return nodes[static_cast<std::size_t>(id)].radio->lifetime_energy_mj();
+    fault_engine->set_crash_callback([this](net::NodeId id) { teardown_node(id); });
+    fault_engine->set_restart_callback([this](net::NodeId id) { restart_node(id); });
+    fault_engine->set_energy_probe([this](net::NodeId id) {
+      return stack(id).radio->lifetime_energy_mj();
     });
     // Rejoin retries ride a bounded exponential backoff with deterministic
     // jitter from stream 8 (forked only here — see the engine note above).
-    repair.enable_retries(
-        sim, master.fork(8), routing::RepairService::RetryParams{},
-        [&nodes](net::NodeId m) {
-          return !nodes[static_cast<std::size_t>(m)].radio->failed();
-        });
-    repair.set_rejoin_callback([&](net::NodeId id) {
-      if (!awaiting_rejoin[static_cast<std::size_t>(id)]) return;
-      awaiting_rejoin[static_cast<std::size_t>(id)] = 0;
-      complete_restart(id);
-    });
+    repair.enable_retries(sim, master.fork(8),
+                          routing::RepairService::RetryParams{},
+                          [this](net::NodeId m) { return alive(m); });
+    repair.set_rejoin_callback([this](net::NodeId id) { on_rejoin(id); });
   }
 
-  // --- Snapshot hook --------------------------------------------------------
-  // Serializes every live component into one "TRST" section — the byte
-  // layout the capture and restore-attestation paths diff. Pure reads.
-  auto serialize_components = [&]() -> std::vector<std::uint8_t> {
-    snap::Serializer out;
-    out.begin("TRST");
-    sim.save_state(out);
-    out.begin("RNGS");
-    master.save_state(out);
-    placement_rng.save_state(out);
-    workload_rng.save_state(out);
-    policy_rng.save_state(out);
-    out.end();
-    topo.save_state(out);
-    channel.save_state(out);
-    tree.save_state(out);
-    out.boolean(setup_protocol != nullptr);
-    if (setup_protocol) setup_protocol->save_state(out);
-    link_estimator.save_state(out);
-    out.u64(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      nodes[i].radio->save_state(out);
-      nodes[i].mac->save_state(out);
-      out.boolean(nodes[i].shaper != nullptr);
-      if (nodes[i].shaper) nodes[i].shaper->save_state(out);
-      out.boolean(nodes[i].agent != nullptr);
-      if (nodes[i].agent) nodes[i].agent->save_state(out);
-    }
-    policy->save_state(out);
-    latency.save_state(out);
-    out.boolean(fault_engine != nullptr);
-    if (fault_engine) fault_engine->save_state(out);
-    out.end();
-    return out.take();
-  };
-
-  // --- Phase plan -----------------------------------------------------------
+  // Phase plan. With distributed setup, the stacks are built on the tree
+  // the protocol finalized, at the setup boundary.
   if (config.use_distributed_setup) {
-    setup_protocol->start([&](routing::Tree built) {
+    setup_protocol->start([this](routing::Tree built) {
       tree = std::move(built);
       tree.recompute_ranks();
     });
-    sim.schedule_at(setup_end, [&] {
+    sim.schedule_at(setup_end, [this] {
       build_stacks();
-      wire_maintenance();
       register_queries();
     });
   } else {
     build_stacks();
-    wire_maintenance();
-    sim.schedule_at(setup_end, [&] { register_queries(); });
+    sim.schedule_at(setup_end, [this] { register_queries(); });
   }
-
-  // Mobility epoch ticks: re-sample the position source and rebuild the
-  // neighbor sets once per epoch. Link PRRs then drift through geometry;
-  // broken parent links surface as MAC send failures, which maintenance
-  // (when enabled) turns into policy-driven reparenting.
-  std::function<void()> mobility_tick;
   if (topo.time_varying()) {
-    mobility_tick = [&] {
-      topo.advance_to(sim.now());
-      sim.schedule_in(topo.mobility_epoch(), mobility_tick);
-    };
-    sim.schedule_in(topo.mobility_epoch(), mobility_tick);
+    sim.schedule_in(topo.mobility_epoch(), [this] { mobility_tick(); });
   }
-
-  sim.schedule_at(measure_start, [&] {
-    for (auto& node : nodes) node.radio->begin_measurement();
+  sim.schedule_at(measure_start, [this] {
+    for (NodeStack& node : nodes) node.radio->begin_measurement();
   });
-
   // Fault schedule: started last, so a same-time churn event (offset zero)
   // fires after the setup-boundary stack build it tears down.
   if (fault_engine) fault_engine->start();
+}
 
+Trial::Trial(const ScenarioConfig& config)
+    : impl_{std::make_unique<Impl>(config)} {}
+
+Trial::~Trial() = default;
+
+util::Time Trial::measure_end() const { return impl_->measure_end; }
+
+void Trial::advance_to(util::Time t) {
+  if (t > impl_->measure_end) {
+    throw std::invalid_argument{"Trial::advance_to: past the measurement window"};
+  }
+  // Log lines emitted while the trial runs carry its sim time.
+  const util::ScopedLogClock log_clock{[this] { return impl_->sim.now().ns(); }};
+  impl_->sim.run_until(t);
+}
+
+void Trial::set_workload(WorkloadSpec workload) {
+  if (impl_->workload_drawn) {
+    throw std::logic_error{"Trial::set_workload: the workload is drawn"};
+  }
+  if (workload.query_start_window != impl_->config.workload.query_start_window) {
+    throw std::invalid_argument{"Trial::set_workload: query_start_window changed"};
+  }
+  impl_->config.workload = std::move(workload);
+}
+
+void Trial::save_state(snap::Serializer& out) const { impl_->save_state(out); }
+
+RunMetrics Trial::finish() {
+  const util::ScopedLogClock log_clock{[this] { return impl_->sim.now().ns(); }};
+  impl_->sim.run_until(impl_->measure_end);
+  impl_->export_traces();
+  return impl_->collect();
+}
+
+RunMetrics run_scenario(const ScenarioConfig& config) {
+  return Trial{config}.finish();
+}
+
+RunMetrics run_scenario(const ScenarioConfig& config,
+                        const snap::TrialHookSpec& hook) {
+  Trial trial{config};
   if (hook.enabled) {
-    // Split run: execute every event with time <= hook.at, pause (no event
-    // is injected, so the stream is identical to the unhooked run), hand
-    // control to the hook, then run out the remainder.
-    sim.run_until(hook.at);
-    snap::TrialCheckpoint cp{sim, config, serialize_components};
-    hook.hook(cp);
-    if (cp.stop) return RunMetrics{};
-    sim.run_until(measure_end);
-  } else {
-    sim.run_until(measure_end);
+    trial.advance_to(hook.at);
+    hook.hook(trial);
   }
-
-  // --- Export traces -------------------------------------------------------
-  if (tracer) {
-    if (!config.trace.perfetto_path.empty()) {
-      const std::string path =
-          substitute_seed(config.trace.perfetto_path, config.seed);
-      std::ofstream f{path};
-      if (f) {
-        obs::export_perfetto_json(*tracer, sampler.get(), f);
-      } else {
-        ESSAT_WARN("trace export: cannot open %s", path.c_str());
-      }
-    }
-    if (!config.trace.jsonl_path.empty()) {
-      const std::string path =
-          substitute_seed(config.trace.jsonl_path, config.seed);
-      std::ofstream f{path};
-      if (f) {
-        obs::export_jsonl(*tracer, f);
-      } else {
-        ESSAT_WARN("trace export: cannot open %s", path.c_str());
-      }
-    }
-    if (config.trace.sink) config.trace.sink(*tracer);
-    sim.set_tracer(nullptr);  // teardown events stay out of the snapshot
-  }
-
-  // --- Collect metrics -------------------------------------------------------
-  RunMetrics out;
-  const auto members = tree.members();
-  out.tree_members = static_cast<int>(members.size());
-  out.max_rank = tree.max_rank();
-  out.backbone_size = policy->backbone_size();
-
-  std::vector<const energy::Radio*> radios;
-  std::vector<int> rank_of;
-  int live_members = 0;
-  for (net::NodeId id : members) {
-    const auto& node = nodes[static_cast<std::size_t>(id)];
-    if (node.radio->failed()) continue;
-    radios.push_back(node.radio.get());
-    rank_of.push_back(tree.rank(id));
-    ++live_members;
-  }
-  const auto duty = energy::summarize_duty_cycles(radios);
-  out.avg_duty_cycle = duty.average;
-  out.duty_by_rank =
-      energy::duty_cycle_by_group(radios, rank_of, tree.max_rank() + 1);
-
-  const auto lat = latency.summarize(measure_start, measure_end,
-                                     config.latency_grace, live_members - 1);
-  out.avg_latency_s = lat.avg_s;
-  out.p95_latency_s = lat.p95_s;
-  out.max_latency_s = lat.max_s;
-  out.delivery_ratio = lat.delivery_ratio;
-  out.epochs_measured = lat.epochs;
-
-  for (const energy::Radio* r : radios) {
-    for (double s : r->sleep_intervals_s()) {
-      out.sleep_hist.add(s);
-      ++out.sleep_intervals;
-    }
-  }
-  out.frac_sleep_below_2_5ms = out.sleep_hist.fraction_below(0.0025);
-
-  for (net::NodeId id : members) {
-    const auto& node = nodes[static_cast<std::size_t>(id)];
-    RunMetrics::NodeDiag diag;
-    diag.id = id;
-    diag.rank = tree.rank(id);
-    diag.level = tree.level(id);
-    diag.leaf = tree.is_leaf(id);
-    diag.duty_cycle = node.radio->duty_cycle();
-    if (node.agent) {
-      diag.reports_sent = node.agent->stats().reports_sent;
-      diag.send_failures = node.agent->stats().send_failures;
-      diag.pass_through = node.agent->stats().pass_through_forwarded;
-      diag.child_timeouts = node.agent->stats().child_timeouts;
-    }
-    diag.retx_no_ack = node.mac->stats().retries;
-    diag.cca_busy_defers = node.mac->stats().cca_busy_defers;
-    diag.repair_attempts = repair.repair_attempts(id);
-    out.mac_retx_no_ack += diag.retx_no_ack;
-    out.mac_cca_busy_defers += diag.cca_busy_defers;
-    out.per_node.push_back(diag);
-  }
-
-  std::uint64_t phase_updates = 0;
-  for (net::NodeId id : members) {
-    const auto& node = nodes[static_cast<std::size_t>(id)];
-    if (node.shaper) phase_updates += node.shaper->phase_updates_sent();
-    if (node.agent) {
-      out.reports_sent += node.agent->stats().reports_sent;
-      out.mac_send_failures += node.agent->stats().send_failures;
-      out.pass_through_forwarded += node.agent->stats().pass_through_forwarded;
-    }
-  }
-  out.phase_updates = phase_updates;
-  if (out.reports_sent > 0) {
-    // A phase update is a 16-bit time offset field.
-    out.phase_update_bits_per_report =
-        static_cast<double>(phase_updates) * 16.0 /
-        static_cast<double>(out.reports_sent);
-  }
-  out.mac_transmissions = channel.transmissions();
-  out.channel_collisions = channel.collisions();
-  out.channel_delivered = channel.delivered();
-  out.channel_dropped_by_model = channel.dropped_by_model();
-  out.sim_events = sim.executed_events();
-  out.peak_pending_events = sim.peak_pending_events();
-
-  if (fault_engine) {
-    out.node_deaths = fault_engine->node_deaths();
-    out.downtime_s = fault_engine->downtime_s();
-    const auto fault_lat = latency.summarize(
-        measure_start, measure_end, config.latency_grace, live_members - 1,
-        [&](util::Time t) { return fault_engine->any_down_at(t); });
-    out.delivery_during_fault = fault_lat.delivery_ratio;
-  }
-  return out;
+  return trial.finish();
 }
 
 }  // namespace essat::harness

@@ -1,7 +1,7 @@
 // Scenario: assembles the full per-node stack (radio, CSMA MAC, routing
 // tree, query agent, and the power-management policy looked up in the
 // StackRegistry) from a declarative config, runs the paper's experimental
-// phasing (§5), and returns the measured metrics.
+// phasing (§5) as a Trial, and returns the measured metrics.
 //
 // Defaults reproduce the paper: 80 nodes uniform in 500x500 m^2, 125 m
 // range, 1 Mbps 802.11-style MAC, 52-byte reports, root nearest the centre,
@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -32,6 +33,7 @@
 #include "src/util/time.h"
 
 namespace essat::snap {
+class Serializer;
 struct TrialHookSpec;
 }  // namespace essat::snap
 
@@ -159,14 +161,44 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
 };
 
+// One trial of the paper's phased experiment. The constructor is the build
+// phase (placement, channel, per-node stacks, routing tree or distributed
+// setup, fault schedule, phase plan); the workload is drawn when the setup
+// slot ends, and measurement runs to measure_end().
+class Trial {
+ public:
+  explicit Trial(const ScenarioConfig& config);
+  ~Trial();
+
+  util::Time measure_end() const;
+
+  // Runs every event with time <= t. An earlier t is a no-op; a t past
+  // measure_end() throws std::invalid_argument.
+  void advance_to(util::Time t);
+
+  // Replaces the workload before it is drawn, as if the trial had started
+  // with it. Throws std::logic_error once it is drawn, and
+  // std::invalid_argument for a different query_start_window (the
+  // measurement schedule is built with it).
+  void set_workload(WorkloadSpec workload);
+
+  // Writes every component into one "TRST" section: the bytes a snapshot
+  // captures and a resume attests. Pure reads.
+  void save_state(snap::Serializer& out) const;
+
+  // Runs to measure_end(), exports traces and collects the metrics. Once.
+  RunMetrics finish();
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+// A straight run: Trial{config}.finish().
 RunMetrics run_scenario(const ScenarioConfig& config);
 
-// Checkpoint-hooked variant (src/snap): runs the identical event stream,
-// pausing the event loop at hook.at to let the hook serialize the trial,
-// mutate the not-yet-materialized workload fields, or abandon the run (the
-// hook sets TrialCheckpoint::stop; the returned RunMetrics is then a
-// discardable default). With hook.enabled == false this IS run_scenario —
-// the single-run_until path and the split path execute the same events.
+// perfbench's set-up timer (src/snap/hook.h): hook.hook sees the trial
+// paused at hook.at.
 RunMetrics run_scenario(const ScenarioConfig& config,
                         const snap::TrialHookSpec& hook);
 

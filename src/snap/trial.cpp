@@ -1,29 +1,14 @@
 #include "src/snap/trial.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
 
 #include "src/snap/config_codec.h"
-#include "src/snap/hook.h"
 #include "src/snap/serializer.h"
 
 namespace essat::snap {
-namespace {
-
-// Where the re-serialized state first diverges from the snapshot — the one
-// number that turns "attestation failed" into a debuggable report (section
-// tags are plain text in the stream, so the offset locates the component).
-std::size_t first_divergence(const std::vector<std::uint8_t>& a,
-                             const std::vector<std::uint8_t>& b) {
-  const std::size_t n = a.size() < b.size() ? a.size() : b.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] != b[i]) return i;
-  }
-  return n;
-}
-
-}  // namespace
 
 util::Time capture_barrier(const harness::ScenarioConfig& config) {
   return config.setup_duration - util::Time::nanoseconds(1);
@@ -35,22 +20,18 @@ TrialCapture capture_trial(const harness::ScenarioConfig& config) {
 
 TrialCapture capture_trial(const harness::ScenarioConfig& config,
                            util::Time barrier) {
+  harness::Trial trial{config};
+  trial.advance_to(barrier);
+  Serializer out;
+  out.begin("TRIL");
+  save_scenario_config(out, config);
+  out.time(barrier);
+  trial.save_state(out);
+  out.end();
   TrialCapture result;
-  TrialHookSpec spec;
-  spec.enabled = true;
-  spec.at = barrier;
-  spec.hook = [&result, barrier](TrialCheckpoint& cp) {
-    Serializer out;
-    out.begin("TRIL");
-    save_scenario_config(out, cp.config);
-    out.time(barrier);
-    const std::vector<std::uint8_t> state = cp.serialize();
-    out.bytes(state.data(), state.size());  // "TRST": self-framing
-    out.end();
-    result.snapshot.kind = SnapshotKind::kTrial;
-    result.snapshot.payload = out.take();
-  };
-  result.metrics = harness::run_scenario(config, spec);
+  result.snapshot.kind = SnapshotKind::kTrial;
+  result.snapshot.payload = out.take();
+  result.metrics = trial.finish();
   return result;
 }
 
@@ -78,23 +59,26 @@ TrialImage decode_trial(const Snapshot& snapshot) {
 }
 
 harness::RunMetrics resume_trial(const TrialImage& image) {
-  TrialHookSpec spec;
-  spec.enabled = true;
-  spec.at = image.barrier;
-  spec.hook = [&image](TrialCheckpoint& cp) {
-    const std::vector<std::uint8_t> replayed = cp.serialize();
-    if (replayed != image.state) {
-      throw SnapError{
-          "resume attestation failed: replayed state diverges from the "
-          "snapshot at byte " +
-          std::to_string(first_divergence(replayed, image.state)) + " of " +
-          std::to_string(image.state.size()) + " (replayed " +
-          std::to_string(replayed.size()) +
-          " bytes); the snapshot was taken by a different build or the "
-          "replay is nondeterministic"};
-    }
-  };
-  return harness::run_scenario(image.config, spec);
+  harness::Trial trial{image.config};
+  trial.advance_to(image.barrier);
+  Serializer out;
+  trial.save_state(out);
+  const std::vector<std::uint8_t> replayed = out.take();
+  if (replayed != image.state) {
+    // The first differing byte locates the component: section tags are
+    // plain text in the stream.
+    const auto diverged = std::mismatch(replayed.begin(), replayed.end(),
+                                        image.state.begin(), image.state.end());
+    throw SnapError{
+        "resume attestation failed: replayed state diverges from the "
+        "snapshot at byte " +
+        std::to_string(diverged.first - replayed.begin()) + " of " +
+        std::to_string(image.state.size()) + " (replayed " +
+        std::to_string(replayed.size()) +
+        " bytes); the snapshot was taken by a different build or the "
+        "replay is nondeterministic"};
+  }
+  return trial.finish();
 }
 
 harness::RunMetrics resume_trial(const Snapshot& snapshot) {

@@ -3,11 +3,12 @@
 // A trial snapshot is a kTrial Snapshot whose payload is one "TRIL"
 // section: the scenario config ("SCFG"), the barrier time the event loop
 // was paused at, and the serialized state of every live component
-// ("TRST"). Restore is deterministic replay plus byte attestation: the
-// trial is rebuilt from the config and run to the barrier (the identical
-// event stream — the hook pauses between two run_until calls, injecting
-// nothing), every component is re-serialized and byte-compared against the
-// snapshot, and only then does the run continue. A restored run therefore
+// ("TRST"). Capture and restore drive a harness::Trial: advance_to the
+// barrier, save_state, finish. Pausing injects no event, so a captured run
+// is the straight run's event stream. Restore is deterministic replay plus
+// byte attestation: the trial is rebuilt from the config and advanced to
+// the barrier, every component is re-serialized and byte-compared against
+// the snapshot, and only then does the run continue. A restored run therefore
 // produces RunMetrics bit-identical to the straight run's, and any drift —
 // version skew, nondeterminism, corruption — is caught at the barrier
 // instead of surfacing as silently wrong results.
@@ -35,9 +36,9 @@ struct TrialCapture {
 };
 
 // Runs the scenario, snapshotting at `barrier` (default: capture_barrier)
-// and continuing to completion. The hooked run executes the exact event
-// stream of a plain run_scenario call, so `metrics` is bit-identical to an
-// uncaptured run's.
+// and continuing to completion; `metrics` is bit-identical to a plain
+// run_scenario call's. A barrier past the measurement window throws
+// std::invalid_argument (Trial::advance_to).
 TrialCapture capture_trial(const harness::ScenarioConfig& config);
 TrialCapture capture_trial(const harness::ScenarioConfig& config,
                            util::Time barrier);
@@ -58,7 +59,8 @@ TrialImage decode_trial(const Snapshot& snapshot);
 
 // Replays `image.config` to the barrier, attests the rebuilt component
 // state byte-for-byte against `image.state` (throws SnapError at the first
-// divergence), then runs to completion and returns the metrics.
+// divergence), then runs to completion and returns the metrics. A barrier
+// past the measurement window throws std::invalid_argument.
 harness::RunMetrics resume_trial(const TrialImage& image);
 harness::RunMetrics resume_trial(const Snapshot& snapshot);
 

@@ -3,7 +3,10 @@
 // whole point of materializing the workload lazily at the setup boundary.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/exp/fork_sweep.h"
@@ -86,6 +89,33 @@ TEST(ForkSweep, RejectsChangedStartWindow) {
   harness::WorkloadSpec w = base.workload;
   w.query_start_window = Time::seconds(3);
   EXPECT_THROW((void)run_fork_sweep(base, {w}), std::invalid_argument);
+}
+
+// A zero rate has no query period, so variant 0's run throws at the setup
+// boundary inside its child. The sweep must fail in the parent, naming the
+// variant; a child that unwound into this test would run it a second time.
+TEST(ForkSweep, ThrowingVariantFailsInParentOnly) {
+  int marker[2];
+  ASSERT_EQ(::pipe(marker), 0);
+  const pid_t parent = ::getpid();
+  const harness::ScenarioConfig base = small_base();
+  harness::WorkloadSpec broken = base.workload;
+  broken.base_rate_hz = 0.0;
+  std::string error;
+  try {
+    (void)run_fork_sweep(base, {broken, base.workload}, 1);
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  if (::getpid() != parent) {
+    (void)!::write(marker[1], "x", 1);
+    ::_exit(0);
+  }
+  ::close(marker[1]);
+  char byte = 0;
+  EXPECT_EQ(::read(marker[0], &byte, 1), 0) << "a child returned to the caller";
+  ::close(marker[0]);
+  EXPECT_NE(error.find("variant 0"), std::string::npos) << error;
 }
 
 }  // namespace

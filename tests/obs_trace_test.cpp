@@ -317,6 +317,8 @@ TEST(TracedRun, SamplerAndExportersProduceOutput) {
   const std::string dir = ::testing::TempDir();
   config.trace.perfetto_path = dir + "/obs_trace_{seed}.perfetto.json";
   config.trace.jsonl_path = dir + "/obs_trace_{seed}.jsonl";
+  // One crash and restart: fault records export under their own category.
+  config.faults.churn.scheduled = {{3, Time::seconds(1), Time::seconds(1)}};
   harness::run_scenario(config);
 
   std::ifstream perfetto(dir + "/obs_trace_7.perfetto.json");
@@ -328,6 +330,10 @@ TEST(TracedRun, SamplerAndExportersProduceOutput) {
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos) << "no counter rows";
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos) << "no radio slices";
+  EXPECT_NE(json.find("\"name\":\"fault_down\",\"cat\":\"fault\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"fault_up\",\"cat\":\"fault\""),
+            std::string::npos);
 
   std::ifstream jsonl(dir + "/obs_trace_7.jsonl");
   ASSERT_TRUE(jsonl.good());

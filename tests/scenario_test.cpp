@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "src/harness/runner.h"
 #include "src/harness/scenario.h"
 #include "src/harness/table.h"
+#include "src/snap/metrics_codec.h"
 
 namespace essat::harness {
 namespace {
@@ -92,6 +97,52 @@ TEST(Scenario, ExtraQueriesAreRegistered) {
   const RunMetrics with_surge = run_scenario(c);
   const RunMetrics without = run_scenario(small_config(Protocol::kDtsSs));
   EXPECT_GT(with_surge.reports_sent, without.reports_sent);
+}
+
+// The RunMetrics encoding covers every field, so byte equality is
+// bit-identity of the runs.
+std::vector<std::uint8_t> bytes_of(const RunMetrics& m) {
+  return snap::run_metrics_to_bytes(m);
+}
+
+TEST(Trial, SteppedAdvanceMatchesStraightRun) {
+  ScenarioConfig churn = small_config(Protocol::kDtsSs);
+  churn.use_distributed_setup = true;
+  churn.faults.churn.scheduled = {{4, Time::seconds(2), Time::seconds(3)},
+                                  {9, Time::seconds(6)}};
+  for (const ScenarioConfig& c : {small_config(Protocol::kNtsSs), churn}) {
+    SCOPED_TRACE(c.use_distributed_setup ? "distributed + churn" : "central");
+    Trial trial{c};
+    const Time setup_end = c.setup_duration;
+    const Time measure_end = trial.measure_end();
+    for (const Time t : {Time::zero(), setup_end - Time::nanoseconds(1),
+                         setup_end, measure_end - c.measure_duration / 2,
+                         measure_end}) {
+      trial.advance_to(t);
+    }
+    EXPECT_EQ(bytes_of(trial.finish()), bytes_of(run_scenario(c)));
+  }
+}
+
+TEST(Trial, SetWorkloadPreconditions) {
+  const ScenarioConfig c = small_config(Protocol::kDtsSs);
+  WorkloadSpec faster = c.workload;
+  faster.base_rate_hz = 2.0;
+
+  Trial drawn{c};
+  drawn.advance_to(c.setup_duration);
+  EXPECT_THROW(drawn.set_workload(faster), std::logic_error);
+
+  Trial trial{c};
+  WorkloadSpec moved = c.workload;
+  moved.query_start_window += Time::seconds(1);
+  EXPECT_THROW(trial.set_workload(moved), std::invalid_argument);
+
+  trial.advance_to(c.setup_duration - Time::nanoseconds(1));
+  trial.set_workload(faster);
+  ScenarioConfig straight = c;
+  straight.workload = faster;
+  EXPECT_EQ(bytes_of(trial.finish()), bytes_of(run_scenario(straight)));
 }
 
 TEST(Runner, AveragesAcrossSeeds) {

@@ -1,6 +1,6 @@
 // Acceptance checks for whole-trial snapshot capture/restore (src/snap):
-//  * A hooked (capturing) run is bit-identical to a plain run_scenario
-//    call — the split-run_until barrier injects nothing.
+//  * A capturing run is bit-identical to a plain run_scenario call —
+//    pausing a Trial at the barrier injects nothing.
 //  * resume_trial replays to the barrier, attests the rebuilt state
 //    byte-for-byte, and finishes with RunMetrics bit-identical to the
 //    straight run — across a protocol x topology x rate grid including
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -125,6 +126,24 @@ TEST(SnapTrial, ExtraQueriesAndStsDeadlineBitIdentical) {
   c.workload.extra_queries.push_back(query::Query{
       net::kNoQuery, Time::seconds(2), Time::seconds(4), 1});
   expect_capture_and_resume_identical(c, "extra queries + sts deadline");
+}
+
+// The barrier comes from the .snap file, so it is outside input. Running
+// past the measurement window would change the metrics the trial collects.
+TEST(SnapTrial, BarrierPastWindowRejected) {
+  const harness::ScenarioConfig c = small_base();
+  const Time measure_end = harness::Trial{c}.measure_end();
+  EXPECT_THROW((void)capture_trial(c, measure_end + Time::seconds(1)),
+               std::invalid_argument);
+
+  TrialImage image = decode_trial(capture_trial(c).snapshot);
+  image.barrier = measure_end + Time::seconds(1);
+  EXPECT_THROW((void)resume_trial(image), std::invalid_argument);
+
+  const TrialCapture at_end = capture_trial(c, measure_end);
+  EXPECT_EQ(fingerprint(at_end.metrics), fingerprint(harness::run_scenario(c)));
+  EXPECT_EQ(fingerprint(resume_trial(at_end.snapshot)),
+            fingerprint(at_end.metrics));
 }
 
 // Snapshot bytes are a pure function of the config: two captures (and their

@@ -24,6 +24,7 @@
 #include "src/snap/metrics_codec.h"
 #include "src/snap/serializer.h"
 #include "src/snap/snapshot.h"
+#include "src/snap/trial.h"
 
 namespace essat {
 namespace {
@@ -220,6 +221,56 @@ TEST(WireFormat, RunMetricsBytesPinned) {
   EXPECT_EQ(crc(bytes), 3168660761u);
   EXPECT_EQ(snap::run_metrics_to_bytes(snap::run_metrics_from_bytes(bytes)),
             bytes);
+}
+
+// A traced trial with distributed setup, ETX parents, scheduled churn and
+// battery death. Unit-disc links, static placement and no stochastic churn
+// keep libm out of its bytes.
+harness::ScenarioConfig pinned_trial_config() {
+  harness::ScenarioConfig c;
+  c.deployment.num_nodes = 30;
+  c.deployment.area_m = 300.0;
+  c.seed = 5;
+  c.setup_duration = Time::seconds(2);
+  c.workload.query_start_window = Time::seconds(1);
+  c.measure_duration = Time::seconds(6);
+  c.use_distributed_setup = true;
+  c.routing.policy = "etx";
+  c.faults.churn.scheduled = {{4, Time::seconds(1), Time::seconds(2)},
+                              {9, Time::seconds(3)}};
+  c.faults.battery.budget_mj = 5000.0;
+  c.faults.battery.jitter_frac = 0.1;
+  c.trace.enabled = true;
+  c.trace.sample_period = Time::milliseconds(100);
+  c.workload.extra_queries.push_back(
+      query::Query{net::kNoQuery, Time::seconds(2), Time::seconds(4), 1});
+  return c;
+}
+
+// Capture and resume serialize through the same code, so a reordered or
+// dropped component passes every round trip; these pins catch it. A framed
+// snapshot ends in its payload's CRC, which makes the CRC of the framed
+// bytes depend on the header and length only, so the payload CRC is pinned
+// as well.
+TEST(WireFormat, TrialSnapshotBytesPinned) {
+  ASSERT_EQ(snap::kFormatVersion, 3u) << "re-record the constants below";
+  const harness::ScenarioConfig c = pinned_trial_config();
+
+  const snap::TrialCapture at_zero = snap::capture_trial(c, Time::zero());
+  const auto zero_bytes = at_zero.snapshot.to_bytes();
+  EXPECT_EQ(zero_bytes.size(), 240762u);
+  EXPECT_EQ(crc(zero_bytes), 2686621858u);
+  EXPECT_EQ(crc(at_zero.snapshot.payload), 1268075296u);
+
+  const snap::TrialCapture cap = snap::capture_trial(c);
+  const auto cap_bytes = cap.snapshot.to_bytes();
+  EXPECT_EQ(cap_bytes.size(), 240755u);
+  EXPECT_EQ(crc(cap_bytes), 481186341u);
+  EXPECT_EQ(crc(cap.snapshot.payload), 2427452262u);
+
+  const auto metrics = snap::run_metrics_to_bytes(cap.metrics);
+  EXPECT_EQ(metrics.size(), 5940u);
+  EXPECT_EQ(crc(metrics), 1905569914u);
 }
 
 // Two runs whose every aggregated metric differs, so a swapped column or a

@@ -11,8 +11,10 @@
 //                                    state section with its size
 //   replay --trace OUT.json SNAPSHOT resume with tracing enabled and a
 //                                    Perfetto export at OUT.json — rerun any
-//                                    captured trial under the microscope
-//                                    without re-simulating its prefix
+//                                    captured trial under the microscope;
+//                                    like every resume it re-simulates
+//                                    from t = 0, so the export covers the
+//                                    whole run
 //   replay --verify SNAPSHOT         resume AND run the scenario straight
 //                                    from its config; exit nonzero unless
 //                                    the two RunMetrics are bit-identical
