@@ -1,10 +1,13 @@
 // Microbenchmarks of the hot paths: event queue operations, broadcast
 // packet delivery through zero-copy shared frames, channel broadcast
-// scheduling, topology neighbor rebuilds, listener dispatch, Safe Sleep
-// bookkeeping, shaper updates, and a full small-scenario run.
+// scheduling, topology neighbor rebuilds and mobility epochs, listener
+// dispatch, Safe Sleep bookkeeping, shaper updates, and a full
+// small-scenario run.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <functional>
+#include <memory>
 
 #include "src/essat.h"
 
@@ -195,6 +198,32 @@ void BM_NeighborRebuildGrid(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_NeighborRebuildGrid)->Arg(80)->Arg(1000)->Arg(4000);
+
+// One mobility epoch, Topology::advance_to, at the same fixed density under
+// the dynamic workload's random waypoint (0.5-2 m/s, 20 s pauses, 0.1 s
+// epochs): re-sample the model, then re-filter the Verlet candidates or,
+// once nodes have moved far enough, rebuild them. Items are nodes.
+void BM_MobilityEpoch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double side = 500.0 * std::sqrt(static_cast<double>(n) / 80.0);
+  const std::vector<net::Position> pos = scaled_positions(n);
+  net::Topology topo{pos, 125.0};
+  net::RandomWaypointParams params;
+  params.speed_min_mps = 0.5;
+  params.speed_max_mps = 2.0;
+  params.pause_s = 20.0;
+  const Time epoch = Time::milliseconds(100);
+  topo.set_mobility_model(
+      std::make_shared<net::RandomWaypointMobility>(pos, side, side, params, util::Rng{8}),
+      epoch);
+  std::int64_t k = 0;
+  for (auto _ : state) {
+    topo.advance_to(epoch * ++k);
+    benchmark::DoNotOptimize(topo.neighbors(0).size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_MobilityEpoch)->Arg(120)->Arg(4000)->ArgNames({"nodes"});
 
 // Per-arrival listener dispatch: the loop replays the channel's per-arrival
 // sequence (activity notification + cached listening check + delivery)

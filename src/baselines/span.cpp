@@ -28,7 +28,7 @@ bool pair_connected(const net::Topology& topo, const std::vector<bool>& coord,
 
 bool neighbors_covered(const net::Topology& topo, const std::vector<bool>& coordinator,
                        net::NodeId node, int max_hops) {
-  const auto& nbrs = topo.neighbors(node);
+  const net::Topology::NeighborView nbrs = topo.neighbors(node);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
       if (!pair_connected(topo, coordinator, nbrs[i], nbrs[j], max_hops)) {

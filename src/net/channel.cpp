@@ -139,29 +139,19 @@ void Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
 
   // One event pair per transmission: every in-range receiver shares the
   // same begin/end timestamps, so both events visit the receivers in
-  // neighbor-list order inside a single callback.
+  // neighbor-list order inside a single callback. The frame pins the
+  // topology's current list generation until its end event, so an epoch
+  // tick while it is on the air cannot change its receiver set — a begin
+  // without its end would corrupt the carrier-sense counts.
+  const std::uint32_t gen = topo_.pin_generation();
   const util::Time arrive = sim_.now() + params_.propagation_delay;
-  if (topo_.time_varying()) {
-    // Mobile topology: an epoch tick may rebuild the neighbor lists while
-    // this frame is on the air, so both events must share the receiver set
-    // frozen at transmit time — otherwise a begin without its end corrupts
-    // the carrier-sense counts. The topology's lists are copy-on-rebuild,
-    // so freezing is a refcount bump, not a vector copy.
-    auto nbrs = topo_.neighbors_handle(sender);
-    sim_.schedule_at(arrive, [this, nbrs, frame] {
-      for (NodeId m : *nbrs) begin_arrival_(m, frame);
-    });
-    sim_.schedule_at(arrive + duration, [this, nbrs, frame] {
-      for (NodeId m : *nbrs) end_arrival_(m, frame);
-    });
-  } else {
-    sim_.schedule_at(arrive, [this, sender, frame] {
-      for (NodeId m : topo_.neighbors(sender)) begin_arrival_(m, frame);
-    });
-    sim_.schedule_at(arrive + duration, [this, sender, frame] {
-      for (NodeId m : topo_.neighbors(sender)) end_arrival_(m, frame);
-    });
-  }
+  sim_.schedule_at(arrive, [this, sender, gen, frame] {
+    for (NodeId m : topo_.neighbors(sender, gen)) begin_arrival_(m, frame);
+  });
+  sim_.schedule_at(arrive + duration, [this, sender, gen, frame] {
+    for (NodeId m : topo_.neighbors(sender, gen)) end_arrival_(m, frame);
+    topo_.unpin_generation(gen);
+  });
   sim_.schedule_at(sim_.now() + duration, [this, sender] {
     auto& node = node_(sender);
     node.transmitting = false;

@@ -20,7 +20,11 @@
 // state hold 16-byte PacketRefs into that slot, so broadcast delivery copies
 // no Packet and — once the pool is warm — allocates nothing. Arrival
 // processing visits only the sender's interference neighborhood from the
-// topology's grid index (O(neighbors) per transmission, never O(n)).
+// topology's grid index (O(neighbors) per transmission, never O(n)). Each
+// transmission pins the topology's current neighbor-list generation at
+// start_tx and unpins it after its end event, so both events read the same
+// receivers even if a mobility epoch refreshes the lists mid-frame; static
+// and mobile topologies share this one path.
 // Receivers are reached through a devirtualization-friendly ChannelListener
 // pointer plus a channel-side cached `listening` flag, so the per-arrival
 // "can this node hear?" check is one flag load with no indirect call at

@@ -1,7 +1,9 @@
 #include "src/net/topology.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -10,10 +12,27 @@
 
 namespace essat::net {
 
+namespace {
+
+// Verlet skin as a share of the range (range / 12.5: 10 m at 125 m). A
+// larger skin re-filters more candidates per epoch; a smaller one rebuilds
+// them more often.
+constexpr double kSkinPerRange = 0.08;
+
+// Grid-cell budget: the cell side doubles until the grid holds at most
+// this many cells, so a sparse deployment over a huge extent cannot blow
+// up memory.
+std::size_t max_grid_cells(std::size_t n) { return std::max<std::size_t>(64, 4 * n); }
+
+}  // namespace
+
 Topology::Topology(std::vector<Position> positions, double range_m)
-    : positions_{std::move(positions)}, range_m_{range_m} {
+    : positions_{std::move(positions)}, range_m_{range_m}, buffers_(1) {
   if (range_m_ <= 0.0) throw std::invalid_argument{"Topology: range must be positive"};
-  build_neighbor_lists_();
+  // A local scratch: a static topology keeps nothing but its one buffer.
+  GridScratch grid;
+  fill_within_(range_m_, buffers_[0].lists, grid);
+  ++rebuilds_;
 }
 
 Topology Topology::uniform_random(std::size_t num_nodes, double area_m,
@@ -114,6 +133,10 @@ void Topology::set_mobility_model(std::shared_ptr<MobilityModel> model,
   mobility_ = std::move(model);
   epoch_ = epoch;
   epoch_index_ = 0;  // positions_ already hold the t = 0 snapshot
+  // The first epoch builds the candidates. The cell array is sized for the
+  // largest grid up front, so a changing bounding box never regrows it.
+  anchors_.clear();
+  if (mobility_) grid_.cell_start.reserve(max_grid_cells(positions_.size()) + 2);
 }
 
 void Topology::advance_to(util::Time t) {
@@ -128,24 +151,78 @@ void Topology::advance_to(util::Time t) {
     // model for a different node count must not silently resize the world.
     throw std::logic_error{"Topology::advance_to: mobility model node count mismatch"};
   }
-  build_neighbor_lists_();
+  ++rebuilds_;
+  if (candidates_stale_()) {
+    fill_within_(range_m_ * (1.0 + kSkinPerRange), candidates_, grid_);
+    anchors_ = positions_;
+  }
+  refilter_();
 }
 
-void Topology::build_neighbor_lists_() {
-  const auto n = positions_.size();
-  std::vector<std::vector<NodeId>> lists(n);
-  ++rebuilds_;
+bool Topology::candidates_stale_() const {
+  if (anchors_.size() != positions_.size()) return true;  // never built
+  // A pair outside the candidates was more than range + skin apart at the
+  // anchors, so it is still out of range while the two largest
+  // displacements sum to less than the skin. Rebuilding at half the skin
+  // leaves a margin far above any rounding in the distance test.
+  double first = 0.0, second = 0.0;  // two largest squared displacements
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    const double dx = positions_[i].x - anchors_[i].x;
+    const double dy = positions_[i].y - anchors_[i].y;
+    const double d2 = dx * dx + dy * dy;
+    if (d2 > first) {
+      second = first;
+      first = d2;
+    } else if (d2 > second) {
+      second = d2;
+    }
+  }
+  return std::sqrt(first) + std::sqrt(second) >= 0.5 * kSkinPerRange * range_m_;
+}
+
+void Topology::refilter_() {
+  // Frames in flight pin the buffers they read; write into a free one.
+  std::size_t b = 0;
+  while (b < buffers_.size() && buffers_[b].pins != 0) ++b;
+  if (b == buffers_.size()) buffers_.emplace_back();
+  Csr& out = buffers_[b].lists;
+  const std::size_t n = positions_.size();
+  out.offsets.resize(n + 1);
+  // Grow with the candidates' capacity, so a buffer regrows only when the
+  // candidates did.
+  out.ids.reserve(candidates_.ids.capacity());
+  out.ids.resize(candidates_.ids.size());
+  // The same range test as the grid pass, written branch-free like its
+  // scan; candidate lists are sorted, so the filtered lists are too.
+  std::uint32_t w = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.offsets[i] = w;
+    const Position& p = positions_[i];
+    for (std::uint32_t k = candidates_.offsets[i]; k < candidates_.offsets[i + 1]; ++k) {
+      const NodeId j = candidates_.ids[k];
+      out.ids[w] = j;
+      w += distance(p, positions_[static_cast<std::size_t>(j)]) <= range_m_ ? 1 : 0;
+    }
+  }
+  out.offsets[n] = w;
+  out.ids.resize(w);
+  current_ = static_cast<std::uint32_t>(b);
+}
+
+void Topology::fill_within_(double radius, Csr& out, GridScratch& grid) const {
+  const std::size_t n = positions_.size();
+  out.offsets.resize(n + 1);
+  out.offsets[0] = 0;
   if (n == 0) {
-    neighbors_.clear();
+    out.ids.clear();
     return;
   }
 
-  // Uniform-grid spatial index: bucket nodes into range-sized cells and
+  // Uniform-grid spatial index: bucket nodes into radius-sized cells and
   // test only the 3x3 block around each node's cell — expected O(n) at
-  // bounded density, against the seed's O(n^2) all-pairs scan (which made
-  // per-epoch mobility rebuilds unaffordable). The exact distance test plus
-  // the final sort keep every list byte-identical to the all-pairs build
-  // (ascending node ids).
+  // bounded density, against an O(n^2) all-pairs scan. The exact distance
+  // test plus the sorting transpose keep every list identical to the
+  // all-pairs build (ascending node ids).
   double min_x = positions_[0].x, max_x = min_x;
   double min_y = positions_[0].y, max_y = min_y;
   for (const Position& p : positions_) {
@@ -154,12 +231,11 @@ void Topology::build_neighbor_lists_() {
     min_y = std::min(min_y, p.y);
     max_y = std::max(max_y, p.y);
   }
-  // Cell size starts at the radio range (3x3 block then provably covers
-  // every in-range pair) and doubles until the grid holds O(n) cells, so a
-  // sparse deployment over a huge extent cannot blow up memory — larger
-  // cells only widen buckets, never miss a neighbor.
-  const std::size_t max_cells = std::max<std::size_t>(64, 4 * n);
-  double cell = range_m_;
+  // Cell size starts at the radius (the 3x3 block then provably covers
+  // every pair within it) and doubles until the grid fits the cell budget;
+  // larger cells only widen buckets, never miss a neighbor.
+  const std::size_t max_cells = max_grid_cells(n);
+  double cell = radius;
   std::size_t cols = 0, rows = 0;
   const auto dim = [max_cells](double extent, double c) {
     const double f = extent / c;  // compare as double: the cast is UB out of range
@@ -181,35 +257,68 @@ void Topology::build_neighbor_lists_() {
     return c >= rows ? rows - 1 : c;
   };
 
-  std::vector<std::vector<std::uint32_t>> buckets(cols * rows);
+  // Counting sort by cell: cell c's count goes to start[c + 2]; after the
+  // prefix sum start[c + 1] is c's first slot, and placing advances it to
+  // c's end, which leaves cell c at [start[c], start[c + 1]). Placing in
+  // ascending id order keeps each cell ascending.
+  std::vector<std::uint32_t>& start = grid.cell_start;
+  start.assign(cols * rows + 2, 0);
+  grid.cell_ids.resize(n);
+  for (const Position& p : positions_) ++start[cell_y(p) * cols + cell_x(p) + 2];
+  for (std::size_t c = 2; c < start.size(); ++c) start[c] += start[c - 1];
   for (std::size_t i = 0; i < n; ++i) {
-    buckets[cell_y(positions_[i]) * cols + cell_x(positions_[i])].push_back(
-        static_cast<std::uint32_t>(i));
+    const Position& p = positions_[i];
+    grid.cell_ids[start[cell_y(p) * cols + cell_x(p) + 1]++] = static_cast<std::uint32_t>(i);
   }
 
+  // Scan: node i's block, unsorted, into found[offsets[i], offsets[i + 1]).
+  // The block's cells in one grid row are adjacent in cell order, so each
+  // row of the block is one contiguous run of cell_ids. Every block node
+  // is written and only those within the radius are kept, so the scan has
+  // no unpredictable branch.
+  std::vector<NodeId>& found = grid.found;
+  std::size_t w = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cx = cell_x(positions_[i]);
-    const std::size_t cy = cell_y(positions_[i]);
-    auto& out = lists[i];
-    for (std::size_t by = cy > 0 ? cy - 1 : 0; by <= std::min(cy + 1, rows - 1); ++by) {
-      for (std::size_t bx = cx > 0 ? cx - 1 : 0; bx <= std::min(cx + 1, cols - 1); ++bx) {
-        for (std::uint32_t j : buckets[by * cols + bx]) {
-          if (j == i) continue;
-          if (distance(positions_[i], positions_[j]) <= range_m_) {
-            out.push_back(static_cast<NodeId>(j));
-          }
-        }
+    const Position& p = positions_[i];
+    const std::size_t cx = cell_x(p);
+    const std::size_t cy = cell_y(p);
+    const std::size_t x0 = cx > 0 ? cx - 1 : 0;
+    const std::size_t x1 = std::min(cx + 1, cols - 1);
+    const std::size_t y0 = cy > 0 ? cy - 1 : 0;
+    const std::size_t y1 = std::min(cy + 1, rows - 1);
+    std::size_t block = 0;
+    for (std::size_t by = y0; by <= y1; ++by) {
+      block += start[by * cols + x1 + 1] - start[by * cols + x0];
+    }
+    if (found.size() < w + block) found.resize(w + block);
+    for (std::size_t by = y0; by <= y1; ++by) {
+      for (std::uint32_t k = start[by * cols + x0]; k < start[by * cols + x1 + 1]; ++k) {
+        const std::uint32_t j = grid.cell_ids[k];
+        found[w] = static_cast<NodeId>(j);
+        w += j != i && distance(p, positions_[j]) <= radius ? 1 : 0;
       }
     }
-    std::sort(out.begin(), out.end());
+    if (w > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error{"Topology: too many neighbor pairs"};
+    }
+    out.offsets[i + 1] = static_cast<std::uint32_t>(w);
   }
 
-  // Publish copy-on-rebuild: fresh immutable lists every epoch, so handles
-  // taken before the rebuild stay valid and unchanged.
-  neighbors_.resize(n);
+  // Transpose: scatter each i into the lists of its neighbors, in
+  // ascending i, which leaves every list sorted without a sort. The
+  // relation is symmetric (the same distance both ways, the same block
+  // both ways), so list j holds exactly as many entries as j's scan found
+  // and `out` keeps the scan's offsets. cell_ids is free again, and serves
+  // as the write cursors.
+  std::vector<std::uint32_t>& cursor = grid.cell_ids;
+  std::copy(out.offsets.begin(), out.offsets.end() - 1, cursor.begin());
+  out.ids.resize(w);  // from the old size: a reused buffer grows geometrically
   for (std::size_t i = 0; i < n; ++i) {
-    neighbors_[i] =
-        std::make_shared<const std::vector<NodeId>>(std::move(lists[i]));
+    for (std::uint32_t k = out.offsets[i]; k < out.offsets[i + 1]; ++k) {
+      const auto j = static_cast<std::size_t>(found[k]);
+      assert(cursor[j] < out.offsets[j + 1]);
+      out.ids[cursor[j]++] = static_cast<NodeId>(i);
+    }
   }
 }
 
@@ -319,10 +428,11 @@ void Topology::save_state(snap::Serializer& out) const {
     out.f64(p.x);
     out.f64(p.y);
   }
-  out.u64(neighbors_.size());
-  for (const auto& list : neighbors_) {
-    out.u64(list->size());
-    for (NodeId n : *list) out.i32(n);
+  out.u64(positions_.size());
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    const NeighborView list = neighbors(static_cast<NodeId>(i));
+    out.u64(list.size());
+    for (NodeId n : list) out.i32(n);
   }
   out.boolean(mobility_ != nullptr);
   out.time(epoch_);

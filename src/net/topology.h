@@ -6,18 +6,37 @@
 // corridor) open the deployment axis the paper left fixed.
 //
 // Positions are a snapshot, optionally backed by a MobilityModel
-// (net/mobility.h): advance_to(t) re-samples the model and rebuilds the
-// neighbor sets once per epoch, so consumers (channel, tree construction,
+// (net/mobility.h): advance_to(t) re-samples the model and refreshes the
+// neighbor lists once per epoch, so consumers (channel, tree construction,
 // repair) keep reading through the same accessors while the geometry — and
 // with it every link — drifts over time. Without a model the topology is
-// frozen, exactly the seed's behavior. Neighbor sets are built with a
-// uniform-grid spatial index (expected O(n)), so the per-epoch rebuild
-// stays affordable at thousands of nodes.
+// frozen, exactly the seed's behavior.
+//
+// Storage: the lists live in flat CSR buffers (one offsets array plus one
+// ids array per buffer), filled by a uniform-grid pass (expected O(n)) into
+// reused arrays, so a mobility epoch allocates nothing once warm. A static
+// topology runs that pass once, at the radio range, and keeps nothing else.
+// A mobile one keeps Verlet candidate lists (L. Verlet, Phys. Rev. 159, 98,
+// 1967): every pair within range + skin at the last candidate build. Each
+// epoch only re-filters the candidates with the exact range test; the
+// candidates are rebuilt once the two largest displacements since that
+// build sum to half the skin, before any pair outside them could reach
+// range. Every list is in ascending id order and equal to an all-pairs
+// scan.
+//
+// Views and pinning: neighbors(n) is a pointer pair into the current
+// buffer, valid until the next advance_to that enters a new epoch. A
+// consumer that must keep one list across epochs — the channel, for the
+// receivers of a frame in flight — pins the current generation, reads it
+// through neighbors(n, generation), and unpins it when done. A rebuild
+// only writes into an unpinned buffer and adds a buffer only when every
+// buffer is pinned, so any epoch/frame ratio is safe.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -67,16 +86,42 @@ class Topology {
   double range() const { return range_m_; }
 
   bool in_range(NodeId a, NodeId b) const;
-  const std::vector<NodeId>& neighbors(NodeId n) const {
-    return *neighbors_.at(static_cast<std::size_t>(n));
+
+  // Read-only view of one neighbor list, in ascending id order. It points
+  // into the topology's buffers: valid until the next advance_to that
+  // enters a new epoch (copy it to keep it longer).
+  class NeighborView {
+   public:
+    NeighborView(const NodeId* begin, const NodeId* end) : begin_{begin}, end_{end} {}
+    const NodeId* begin() const { return begin_; }
+    const NodeId* end() const { return end_; }
+    std::size_t size() const { return static_cast<std::size_t>(end_ - begin_); }
+    bool empty() const { return begin_ == end_; }
+    NodeId operator[](std::size_t i) const { return begin_[i]; }
+
+   private:
+    const NodeId* begin_;
+    const NodeId* end_;
+  };
+
+  // Node n's current neighbors.
+  NeighborView neighbors(NodeId n) const { return neighbors(n, current_); }
+
+  // Generation pinning: pin_generation() holds the current lists unchanged
+  // across later epochs until the matching unpin_generation(g); between
+  // the two, neighbors(n, g) reads them. Const because a pin is a reader's
+  // lease: it never changes what neighbors(n) returns.
+  std::uint32_t pin_generation() const {
+    ++buffers_[current_].pins;
+    return current_;
   }
-  // Refcounted handle on a node's current neighbor list. Each epoch rebuild
-  // replaces the lists instead of mutating them (copy-on-rebuild), so a
-  // consumer that must keep one frame's receiver set stable across a
-  // rebuild — the channel, for in-flight transmissions — holds a handle
-  // instead of copying the vector.
-  std::shared_ptr<const std::vector<NodeId>> neighbors_handle(NodeId n) const {
-    return neighbors_.at(static_cast<std::size_t>(n));
+  void unpin_generation(std::uint32_t g) const { --buffers_[g].pins; }
+  NeighborView neighbors(NodeId n, std::uint32_t g) const {
+    const Csr& lists = buffers_[g].lists;
+    const auto i = static_cast<std::size_t>(n);
+    if (i >= num_nodes()) throw std::out_of_range{"Topology::neighbors: no such node"};
+    return NeighborView{lists.ids.data() + lists.offsets[i],
+                        lists.ids.data() + lists.offsets[i + 1]};
   }
 
   // Node closest to the given point (the paper roots the tree at the node
@@ -94,25 +139,55 @@ class Topology {
                           util::Time epoch);
   bool time_varying() const { return mobility_ != nullptr; }
   util::Time mobility_epoch() const { return epoch_; }
-  // Re-samples positions from the mobility model and rebuilds the neighbor
-  // sets when `t` has entered a new epoch since the last call. No-op for a
-  // static topology. `t` must be non-decreasing across calls.
+  // Re-samples positions from the mobility model and refreshes the
+  // neighbor lists when `t` has entered a new epoch since the last call.
+  // No-op for a static topology. `t` must be non-decreasing across calls.
   void advance_to(util::Time t);
-  // Neighbor-set builds so far (1 after construction); introspection for
-  // the epoch-tick tests.
+  // Neighbor-list refreshes so far: 1 after construction, plus one per
+  // epoch entered, whether it rebuilt the candidates or only re-filtered
+  // them.
   std::uint64_t neighbor_rebuilds() const { return rebuilds_; }
 
   // Snapshot hook: positions, neighbor lists, and the mobility epoch
-  // cursor, plus the installed model's state.
+  // cursor, plus the installed model's state. Buffers, pins and Verlet
+  // candidates are storage, not state: the bytes do not depend on them.
   void save_state(snap::Serializer& out) const;
 
  private:
-  void build_neighbor_lists_();
+  // Flat adjacency: node i's ids are ids[offsets[i], offsets[i + 1]).
+  struct Csr {
+    std::vector<std::uint32_t> offsets;
+    std::vector<NodeId> ids;
+  };
+  struct ListBuffer {
+    Csr lists;
+    mutable std::uint32_t pins = 0;  // frames in flight reading `lists`
+  };
+  // Reused arrays of the grid pass. Counting-sort buckets: the nodes of
+  // cell c are cell_ids[cell_start[c], cell_start[c + 1]), in ascending id
+  // order. `found` holds the unsorted lists before the transpose.
+  struct GridScratch {
+    std::vector<std::uint32_t> cell_start;
+    std::vector<std::uint32_t> cell_ids;
+    std::vector<NodeId> found;
+  };
+
+  // Fills `out` with every pair within `radius`, each list sorted.
+  void fill_within_(double radius, Csr& out, GridScratch& grid) const;
+  // True once the candidates may miss a pair now within range.
+  bool candidates_stale_() const;
+  // Writes the in-range subset of the candidates into an unpinned buffer
+  // and makes it current.
+  void refilter_();
 
   std::vector<Position> positions_;
   double range_m_;
-  // Immutable per-node lists, replaced wholesale on every rebuild.
-  std::vector<std::shared_ptr<const std::vector<NodeId>>> neighbors_;
+  std::vector<ListBuffer> buffers_;  // one, unless frames pinned others
+  std::uint32_t current_ = 0;
+  // Mobile topologies only; empty (no heap) for a static one.
+  Csr candidates_;                 // pairs within range + skin at anchors_
+  std::vector<Position> anchors_;  // positions at the last candidate build
+  GridScratch grid_;
   std::shared_ptr<MobilityModel> mobility_;
   util::Time epoch_ = util::Time::seconds(5);
   std::int64_t epoch_index_ = 0;

@@ -152,10 +152,8 @@ Tree build_bfs_tree(const net::Topology& topo, net::NodeId root,
   while (!frontier.empty()) {
     const net::NodeId u = frontier.front();
     frontier.pop();
-    // Deterministic child order: ascending node id.
-    std::vector<net::NodeId> nbrs = topo.neighbors(u);
-    std::sort(nbrs.begin(), nbrs.end());
-    for (net::NodeId v : nbrs) {
+    // Deterministic child order: ascending node id (the topology's order).
+    for (net::NodeId v : topo.neighbors(u)) {
       if (tree.is_member(v)) continue;
       if (net::distance(topo.position(v), root_pos) > max_dist_from_root) continue;
       tree.add_node(v, u);
@@ -197,9 +195,7 @@ Tree build_policy_tree(const net::Topology& topo, net::NodeId root,
     done = 1;
     if (u != root) settle_order.push_back(u);
 
-    std::vector<net::NodeId> nbrs = topo.neighbors(u);
-    std::sort(nbrs.begin(), nbrs.end());
-    for (net::NodeId v : nbrs) {
+    for (net::NodeId v : topo.neighbors(u)) {
       if (settled[static_cast<std::size_t>(v)]) continue;
       if (net::distance(topo.position(v), root_pos) > max_dist_from_root) continue;
       const double offer = c + policy->link_cost(v, u);

@@ -5,6 +5,9 @@
 // of the numbers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+
 #include "bench/alloc_hook.h"
 #include "src/essat.h"
 
@@ -220,6 +223,66 @@ TEST(SteadyStateAlloc, MacQueueChurnIsAllocationFree) {
     EXPECT_EQ(scope.count(), 0u) << "queue fill/drain allocated after warm-up";
   }
   EXPECT_GT(received, before);
+}
+
+// Mobility epochs at the dynamic workload's shape: 120 random-waypoint
+// nodes at the paper's density (80 per 500 m x 500 m), 0.5-2 m/s with 20 s
+// pauses, 0.1 s epochs, and one broadcast per epoch that starts 1 ms before
+// the tick and so spans the rebuild. Once the Verlet candidates, the list
+// buffers and the event and packet pools are warm, an epoch — re-sample,
+// re-filter or rebuild the candidates, deliver — allocates nothing.
+TEST(SteadyStateAlloc, MobilityEpochIsAllocationFree) {
+  const double side = 500.0 * std::sqrt(120.0 / 80.0);
+  util::Rng placement{1};
+  net::Topology topo = net::Topology::uniform_random(120, side, 125.0, placement);
+  net::RandomWaypointParams params;
+  params.speed_min_mps = 0.5;
+  params.speed_max_mps = 2.0;
+  params.pause_s = 20.0;
+  const Time epoch = Time::milliseconds(100);
+  topo.set_mobility_model(std::make_shared<net::RandomWaypointMobility>(
+                              topo.positions(), side, side, params, util::Rng{2}),
+                          epoch);
+  sim::Simulator sim;
+  sim.reserve_events(1024);
+  net::Channel ch{sim, topo};
+  struct Counting : net::ChannelListener {
+    int delivered = 0;
+    void on_rx_complete(const net::Packet&, bool ok) override {
+      if (ok) ++delivered;
+    }
+    void on_channel_activity() override {}
+  } listener;
+  for (net::NodeId n = 0; n < 120; ++n) {
+    ch.attach(n, &listener);
+    ch.set_listening(n, true);
+  }
+  int next = 1;  // the next epoch to enter
+  auto run_epochs = [&](int count) {
+    for (int i = 0; i < count; ++i, ++next) {
+      const Time tick = epoch * next;
+      const auto sender = static_cast<net::NodeId>(next % 120);
+      sim.schedule_at(tick - Time::milliseconds(1), [&ch, sender] {
+        ch.start_tx(sender, net::make_data_packet(sender, net::kNoNode, {}),
+                    Time::milliseconds(3));
+      });
+      sim.schedule_at(tick, [&topo, tick] { topo.advance_to(tick); });
+    }
+    sim.run();
+  };
+  // Warm-up: 100 s, long enough for the nodes to leave the uniform start
+  // for the waypoint model's centre-heavy spread, where the pair count and
+  // with it the candidate and buffer capacity settle; plus the pools.
+  run_epochs(1000);
+  const int before = listener.delivered;
+  const std::uint64_t rebuilds = topo.neighbor_rebuilds();
+  {
+    CountScope scope;
+    run_epochs(200);
+    EXPECT_EQ(scope.count(), 0u) << "mobility epochs allocated after warm-up";
+  }
+  EXPECT_EQ(topo.neighbor_rebuilds(), rebuilds + 200);
+  EXPECT_GT(listener.delivered, before);
 }
 
 // The packet pool recycles its control blocks: a long tx sequence keeps a

@@ -84,6 +84,7 @@ WALLCLOCK_ALLOWLIST = (
 HOT_PATH_PREFIXES = (
     "src/sim/",
     "src/net/channel.",
+    "src/net/topology.",
     "src/mac/csma.",
 )
 
