@@ -4,9 +4,10 @@
 // Include this header in exactly ONE translation unit of a binary (it
 // defines the replaceable global operators); read `essat::bench_alloc::
 // allocations()` or use `AllocationCounter` to measure a scoped region.
-// Shared by bench/perf_report.cpp (allocs/event trajectory metric) and
-// tests/perf_alloc_test.cpp (zero-alloc hot-path assertions) so the
-// overload set — including the aligned forms — stays complete in both.
+// Shared by perfbench, bench/fig12_city_scale.cpp (per-node memory
+// budget) and the allocation tests (zero-alloc hot-path assertions and
+// the per-node and per-event budgets), so the overload set — including
+// the aligned forms — stays complete in all of them.
 #pragma once
 
 #include <atomic>

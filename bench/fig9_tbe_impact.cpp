@@ -2,7 +2,7 @@
 // rate swept with T_BE in {0, 2.5, 10, 40} ms (2.5/10 ms: MICA2 average and
 // worst case; 40 ms: ZebraNet). The paper's caption says STS-SS while its
 // body text says DTS-SS (DTS is "the most sensitive to break-even-times"),
-// so both protocols are emitted here; see EXPERIMENTS.md.
+// so both protocols are emitted here.
 #include "bench_common.h"
 
 int main() {

@@ -13,13 +13,6 @@ void Aggregator::add(harness::RunMetrics m) {
     out_.duty_by_rank[r].add(m.duty_by_rank[r]);
   }
   out_.last_run = std::move(m);
-  ++runs_;
-}
-
-harness::AveragedMetrics aggregate_runs(std::vector<harness::RunMetrics> runs) {
-  Aggregator agg;
-  for (auto& m : runs) agg.add(std::move(m));
-  return agg.take();
 }
 
 }  // namespace essat::exp

@@ -2,11 +2,9 @@
 //
 // Runs MUST be folded in ascending repetition order: RunningStat's Welford
 // update is order-sensitive at the bit level, and the engine's determinism
-// guarantee (parallel output identical to serial) rests on aggregation
-// happening in a fixed order after all trials of a point have completed.
+// guarantee (parallel output identical to serial) rests on every point
+// folding its runs in that fixed order, whatever order they finish in.
 #pragma once
-
-#include <vector>
 
 #include "src/harness/metrics.h"
 #include "src/harness/runner.h"
@@ -64,7 +62,6 @@ class Aggregator {
   // Folds one run; call in repetition order (seed base, base+1, ...).
   void add(harness::RunMetrics m);
 
-  std::size_t runs() const { return runs_; }
   // The aggregate so far. `last_run` holds the most recently added run's
   // histograms and per-node diagnostics, matching harness::run_repeated.
   const harness::AveragedMetrics& result() const { return out_; }
@@ -72,10 +69,6 @@ class Aggregator {
 
  private:
   harness::AveragedMetrics out_;
-  std::size_t runs_ = 0;
 };
-
-// Convenience: fold a whole vector (index order == repetition order).
-harness::AveragedMetrics aggregate_runs(std::vector<harness::RunMetrics> runs);
 
 }  // namespace essat::exp

@@ -1,10 +1,11 @@
 // Pluggable result sinks for sweep output.
 //
 // A sink receives every aggregated grid point, in point (row-major grid)
-// order, after the whole sweep has run. Shipping sinks: an ASCII console
-// table (one row per point), CSV (full precision, machine-readable), and
-// JSON lines (one object per point). ProgressReporter is the live side
-// channel: it ticks per completed trial while the sweep is in flight.
+// order, as soon as that point and every earlier one have all their
+// repetitions. Shipping sinks: an ASCII console table (one row per point,
+// printed at finish), CSV (full precision, machine-readable), and JSON
+// lines (one object per point). ProgressReporter is the live side channel:
+// it ticks per completed trial while the sweep is in flight.
 #pragma once
 
 #include <cstddef>

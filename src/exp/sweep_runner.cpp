@@ -1,15 +1,43 @@
 #include "src/exp/sweep_runner.h"
 
+#include <algorithm>
 #include <exception>
 #include <filesystem>
-#include <memory>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "src/exp/checkpoint.h"
 #include "src/exp/thread_pool.h"
 
 namespace essat::exp {
+
+namespace {
+
+// One point's runs: repetitions [0, folded) are in `agg`, and a repetition
+// that finished ahead of an earlier one waits in `early` until it can fold.
+struct PointFold {
+  Aggregator agg;
+  int folded = 0;
+  std::map<int, harness::RunMetrics> early;
+
+  bool has(int rep) const { return rep < folded || early.count(rep) != 0; }
+
+  // Folds repetition `rep` and every waiting one it unblocks, keeping the
+  // Welford order; a repetition already held is ignored.
+  void add(int rep, harness::RunMetrics m) {
+    if (has(rep)) return;
+    early.emplace(rep, std::move(m));
+    while (!early.empty() && early.begin()->first == folded) {
+      agg.add(std::move(early.begin()->second));
+      early.erase(early.begin());
+      ++folded;
+    }
+  }
+};
+
+}  // namespace
 
 std::vector<PointResult> SweepRunner::run(const SweepSpec& spec,
                                           const std::vector<ResultSink*>& sinks) {
@@ -23,202 +51,88 @@ std::vector<PointResult> SweepRunner::run(const SweepSpec& spec,
                         return harness::run_scenario(c);
                       };
 
+  std::vector<PointFold> folds(points.size());
+  std::size_t emitted = 0;  // points fed to the sinks
+  std::optional<SweepLedger> ledger;
   if (!options_.checkpoint_dir.empty()) {
-    return run_checkpointed_(spec, sinks, points, runs, run_fn);
-  }
-
-  // Result slots are pre-assigned per (point, repetition) so completion
-  // order cannot influence anything downstream.
-  std::vector<std::vector<harness::RunMetrics>> results(points.size());
-  for (auto& slot : results) slot.resize(static_cast<std::size_t>(runs));
-  // Per-trial completion flags: on abort, points whose every repetition
-  // finished are still aggregated and flushed to the sinks.
-  std::vector<std::vector<char>> trial_ok(points.size());
-  for (auto& slot : trial_ok) slot.assign(static_cast<std::size_t>(runs), 0);
-
-  std::size_t done = 0;
-  std::mutex done_mu;  // guards `done` AND orders the progress callbacks
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  auto run_trial = [&](std::size_t p, int rep) {
-    try {
-      harness::ScenarioConfig config = points[p].config;
-      config.seed = config.seed + static_cast<std::uint64_t>(rep);
-      results[p][static_cast<std::size_t>(rep)] = run_fn(config);
-      trial_ok[p][static_cast<std::size_t>(rep)] = 1;
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(done_mu);
-    ++done;
-    if (options_.progress) options_.progress(done, total_trials);
-  };
-
-  int jobs = options_.jobs > 0 ? options_.jobs : default_jobs();
-  if (static_cast<std::size_t>(jobs) > total_trials) {
-    jobs = static_cast<int>(total_trials);  // don't spawn idle workers
-  }
-  if (jobs <= 1 || total_trials <= 1) {
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      for (int rep = 0; rep < runs; ++rep) run_trial(p, rep);
-    }
-  } else {
-    ThreadPool pool(jobs);
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      for (int rep = 0; rep < runs; ++rep) {
-        pool.submit([&run_trial, p, rep] { run_trial(p, rep); });
+    const std::filesystem::path dir{options_.checkpoint_dir};
+    std::filesystem::create_directories(dir);
+    ledger.emplace((dir / "sweep.ledger").string(),
+                   sweep_fingerprint(points, runs));
+    // Recorded trials fold like fresh ones and are not re-run, so a resumed
+    // sweep is bit-identical to an uninterrupted one.
+    for (const CompletedTrial& t : ledger->completed()) {
+      if (t.point < points.size() && t.rep >= 0 && t.rep < runs) {
+        folds[t.point].add(t.rep, t.metrics);
       }
     }
-    pool.wait_idle();
-  }
-  auto aggregate_point = [&](std::size_t p) {
-    Aggregator agg;
-    for (auto& m : results[p]) agg.add(std::move(m));
-    return PointResult{points[p], agg.take()};
-  };
-  auto emit = [&](const std::vector<PointResult>& out) {
-    for (ResultSink* sink : sinks) sink->begin(spec.axis_names());
-    for (const PointResult& r : out) {
-      for (ResultSink* sink : sinks) sink->on_point(r);
-    }
-    for (ResultSink* sink : sinks) sink->finish();
-  };
-
-  if (first_error) {
-    // Abort path: don't silently discard finished work. Every point whose
-    // repetitions all completed is aggregated and flushed to the sinks
-    // before the error propagates.
-    std::vector<PointResult> partial;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      bool complete = true;
-      for (char ok : trial_ok[p]) complete = complete && ok != 0;
-      if (complete) partial.push_back(aggregate_point(p));
-    }
-    if (!partial.empty()) emit(partial);
-    std::rethrow_exception(first_error);
-  }
-
-  std::vector<PointResult> out;
-  out.reserve(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) out.push_back(aggregate_point(p));
-  emit(out);
-  return out;
-}
-
-std::vector<PointResult> SweepRunner::run_checkpointed_(
-    const SweepSpec& spec, const std::vector<ResultSink*>& sinks,
-    const std::vector<SweepPoint>& points, int runs,
-    const std::function<harness::RunMetrics(const harness::ScenarioConfig&)>&
-        run_fn) {
-  const std::size_t total_trials = points.size() * static_cast<std::size_t>(runs);
-  std::filesystem::create_directories(options_.checkpoint_dir);
-  SweepLedger ledger{
-      (std::filesystem::path(options_.checkpoint_dir) / "sweep.ledger")
-          .string(),
-      sweep_fingerprint(points, runs)};
-
-  std::vector<std::vector<harness::RunMetrics>> results(points.size());
-  for (auto& slot : results) slot.resize(static_cast<std::size_t>(runs));
-  std::vector<std::vector<char>> trial_ok(points.size());
-  for (auto& slot : trial_ok) slot.assign(static_cast<std::size_t>(runs), 0);
-
-  // Feed recorded trials into their pre-assigned slots; they are skipped
-  // below, and aggregation still folds every point's runs in repetition
-  // order — so a resumed sweep is bit-identical to an uninterrupted one.
-  std::size_t done = 0;
-  for (const CompletedTrial& t : ledger.completed()) {
-    if (t.point >= points.size()) continue;
-    if (t.rep < 0 || t.rep >= runs) continue;
-    char& ok = trial_ok[t.point][static_cast<std::size_t>(t.rep)];
-    if (ok) continue;
-    results[t.point][static_cast<std::size_t>(t.rep)] = t.metrics;
-    ok = 1;
-    ++done;
-  }
-
-  // Re-attach the sinks at the last watermark: path-backed sinks truncate
-  // any torn row and append from there; stream sinks (not resumable) just
-  // receive the not-yet-emitted points.
-  std::uint64_t emitted = ledger.points_emitted();
-  {
-    const std::vector<std::int64_t>& offs = ledger.sink_offsets();
+    emitted = static_cast<std::size_t>(
+        std::min<std::uint64_t>(ledger->points_emitted(), points.size()));
+    // Re-attach the sinks at the last watermark: path-backed sinks truncate
+    // any torn row and append from there; stream sinks (not resumable) just
+    // receive the not-yet-emitted points.
+    const std::vector<std::int64_t>& offs = ledger->sink_offsets();
     for (std::size_t i = 0; i < sinks.size(); ++i) {
       sinks[i]->resume_at(i < offs.size() ? offs[i] : 0);
     }
   }
+  const std::size_t emitted_before = emitted;  // by an interrupted run
   for (ResultSink* sink : sinks) sink->begin(spec.axis_names());
 
   std::vector<PointResult> out(points.size());
-  std::vector<char> aggregated(points.size(), 0);
-  std::mutex mu;  // orders ledger appends, sink rows, result slots, progress
-  std::exception_ptr first_error;
-
-  auto aggregate_point = [&](std::size_t p) {
-    Aggregator agg;
-    for (auto& m : results[p]) agg.add(std::move(m));
-    out[p] = PointResult{points[p], agg.take()};
-    aggregated[p] = 1;
+  auto emit = [&](std::size_t p) {
+    out[p] = PointResult{points[p], folds[p].agg.take()};
+    for (ResultSink* sink : sinks) sink->on_point(out[p]);
   };
-
-  // Incremental in-order emission (caller holds mu): whenever the lowest
-  // unemitted point has every repetition done, emit its row to each sink
-  // and write a watermark recording the sinks' new offsets.
-  auto emit_ready_points = [&] {
-    while (emitted < points.size()) {
-      const std::size_t p = static_cast<std::size_t>(emitted);
-      bool complete = true;
-      for (char ok : trial_ok[p]) complete = complete && ok != 0;
-      if (!complete) break;
-      if (!aggregated[p]) aggregate_point(p);
-      for (ResultSink* sink : sinks) sink->on_point(out[p]);
-      ++emitted;
+  // Emits every complete point from the lowest unemitted one onward, each
+  // followed by a watermark of the sinks' offsets when there is a ledger.
+  auto emit_ready = [&] {
+    while (emitted < points.size() && folds[emitted].folded == runs) {
+      emit(emitted++);
+      if (!ledger) continue;
       std::vector<std::int64_t> offs;
       offs.reserve(sinks.size());
       for (ResultSink* sink : sinks) offs.push_back(sink->output_offset());
-      ledger.record_mark(emitted, offs);
+      ledger->record_mark(emitted, offs);
     }
   };
-
-  {
-    // A crash can land after a point's last TRIA record but before its
-    // MARK; recover that emission before running anything.
-    std::lock_guard<std::mutex> lock(mu);
-    emit_ready_points();
-  }
-
-  auto run_trial = [&](std::size_t p, int rep) {
-    try {
-      harness::ScenarioConfig config = points[p].config;
-      config.seed = config.seed + static_cast<std::uint64_t>(rep);
-      harness::RunMetrics m = run_fn(config);
-      std::lock_guard<std::mutex> lock(mu);
-      ledger.record_trial(p, rep, m);
-      results[p][static_cast<std::size_t>(rep)] = std::move(m);
-      trial_ok[p][static_cast<std::size_t>(rep)] = 1;
-      emit_ready_points();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    ++done;
-    if (options_.progress) options_.progress(done, total_trials);
-  };
+  // A crash can land after a point's last TRIA record but before its MARK;
+  // recover that emission before running anything.
+  emit_ready();
 
   std::vector<std::pair<std::size_t, int>> pending;
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (int rep = 0; rep < runs; ++rep) {
-      if (!trial_ok[p][static_cast<std::size_t>(rep)]) pending.push_back({p, rep});
+      if (!folds[p].has(rep)) pending.emplace_back(p, rep);
     }
   }
 
+  std::size_t done = total_trials - pending.size();
+  std::mutex mu;  // orders folds, sink rows, ledger appends and progress
+  std::exception_ptr first_error;
+  auto run_trial = [&](std::size_t p, int rep) {
+    std::unique_lock<std::mutex> lock{mu, std::defer_lock};
+    try {
+      harness::ScenarioConfig config = points[p].config;
+      config.seed = config.seed + static_cast<std::uint64_t>(rep);
+      harness::RunMetrics m = run_fn(config);
+      lock.lock();
+      if (ledger) ledger->record_trial(p, rep, m);
+      folds[p].add(rep, std::move(m));
+      emit_ready();
+    } catch (...) {
+      if (!lock.owns_lock()) lock.lock();
+      if (!first_error) first_error = std::current_exception();
+    }
+    ++done;
+    if (options_.progress) options_.progress(done, total_trials);
+  };
+
   int jobs = options_.jobs > 0 ? options_.jobs : default_jobs();
   if (static_cast<std::size_t>(jobs) > pending.size()) {
-    jobs = static_cast<int>(pending.size());
+    jobs = static_cast<int>(pending.size());  // don't spawn idle workers
   }
-  if (jobs <= 1 || pending.size() <= 1) {
+  if (jobs <= 1) {
     for (const auto& [p, rep] : pending) run_trial(p, rep);
   } else {
     ThreadPool pool(jobs);
@@ -228,18 +142,20 @@ std::vector<PointResult> SweepRunner::run_checkpointed_(
     pool.wait_idle();
   }
 
-  if (first_error) {
-    // Completed trials are already in the ledger and complete points
-    // already emitted; the next run against this checkpoint_dir resumes.
-    std::rethrow_exception(first_error);
+  // With a ledger, the points a failure left unemitted wait for a resume.
+  if (first_error && ledger) std::rethrow_exception(first_error);
+  // Without one, a failure does not discard finished work: every other
+  // complete point still reaches the sinks, in point order.
+  for (std::size_t p = emitted; p < points.size(); ++p) {
+    if (folds[p].folded == runs) emit(p);
   }
-
   for (ResultSink* sink : sinks) sink->finish();
-  // Points emitted by a previous (crashed) run were skipped by the
-  // emission loop; aggregate them from their ledger-recorded trials for
-  // the return value.
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    if (!aggregated[p]) aggregate_point(p);
+  if (first_error) std::rethrow_exception(first_error);
+
+  // Points emitted before a crash were folded from the ledger; take them
+  // for the return value.
+  for (std::size_t p = 0; p < emitted_before; ++p) {
+    out[p] = PointResult{points[p], folds[p].agg.take()};
   }
   return out;
 }

@@ -2,10 +2,11 @@
 //
 // Every (point, repetition) pair is an independent trial: its config is
 // fully determined up front (point config + seed = base seed + repetition
-// index), it runs on whichever worker picks it up, and its RunMetrics
-// lands in a pre-assigned slot. Aggregation happens only after all trials
-// finish, folding each point's runs in repetition order — so the output is
-// bit-identical for any thread count, including the serial jobs=1 path.
+// index) and it runs on whichever worker picks it up. Each point folds its
+// runs in repetition order, a run that finishes ahead of an earlier one
+// waiting until that one has folded, and the sinks receive the points in
+// point order — so the output is bit-identical for any thread count,
+// including the serial jobs=1 path.
 #pragma once
 
 #include <functional>
@@ -30,37 +31,31 @@ class SweepRunner {
     std::function<void(std::size_t done, std::size_t total)> progress;
     // Crash-resumable mode: when non-empty, the directory holds a
     // checkpoint ledger (see src/exp/checkpoint.h). Completed trials are
-    // appended as they finish, aggregated points are emitted to the sinks
-    // incrementally (in point order) with an emission watermark after
-    // each, and a re-run against the same directory skips the recorded
-    // trials and resumes path-backed sinks at their recorded offsets —
-    // producing output byte-identical to an uninterrupted sweep. Resume
-    // with the same spec (fingerprint-checked) and the same sink list.
-    // Empty (default) preserves the legacy all-at-the-end emission path.
+    // appended as they finish, with an emission watermark after each
+    // emitted point, and a re-run against the same directory skips the
+    // recorded trials and resumes path-backed sinks at their recorded
+    // offsets — producing output byte-identical to an uninterrupted
+    // sweep. Resume with the same spec (fingerprint-checked) and the same
+    // sink list.
     std::string checkpoint_dir;
   };
 
   SweepRunner() = default;
   explicit SweepRunner(Options options) : options_(std::move(options)) {}
 
-  // Runs the full grid (points * runs_per_point trials), then feeds each
-  // aggregated point to every sink (begin / on_point in order / finish)
-  // and returns the results in point order. Rethrows the first trial
-  // exception after all workers have drained — but first flushes every
-  // fully-completed point to the sinks, so a partially-failed sweep still
-  // leaves its finished results on disk.
+  // Runs the full grid (points * runs_per_point trials) and returns the
+  // aggregated points in point order. Every sink gets begin() before the
+  // first trial, on_point() for each point in point order as soon as that
+  // point and every earlier one have all their repetitions, and finish()
+  // at the end. A trial exception is rethrown after every queued trial has
+  // run. Before that, without a checkpoint_dir, every other complete point
+  // is flushed to the sinks in point order and finish() is called, so a
+  // partially-failed sweep still leaves its finished results on disk; with
+  // one, nothing more is emitted, because a resume emits it.
   std::vector<PointResult> run(const SweepSpec& spec,
                                const std::vector<ResultSink*>& sinks = {});
 
  private:
-  // The checkpoint_dir path: ledger-backed trial skipping plus incremental
-  // in-point-order emission with a watermark after every point.
-  std::vector<PointResult> run_checkpointed_(
-      const SweepSpec& spec, const std::vector<ResultSink*>& sinks,
-      const std::vector<SweepPoint>& points, int runs,
-      const std::function<harness::RunMetrics(const harness::ScenarioConfig&)>&
-          run_fn);
-
   Options options_;
 };
 

@@ -3,8 +3,8 @@
 // Deliberately minimal: tasks are opaque closures, there is no work
 // stealing or prioritisation, and results flow through whatever storage
 // the closures capture. Determinism is the caller's job — the sweep
-// runner pre-assigns every trial its own seed and result slot, so
-// completion order never affects output.
+// runner pre-assigns every trial its own seed and folds each point's
+// results in repetition order, so completion order never affects output.
 #pragma once
 
 #include <condition_variable>

@@ -79,8 +79,8 @@ struct RunMetrics {
   int max_rank = 0;
   int backbone_size = 0;  // SPAN coordinators
 
-  // Simulation-core counters (the perf-report harness turns these plus
-  // wall time into events/sec and ns/event; see bench/perf_report.cpp).
+  // Simulation-core counters (perfbench turns these plus wall time into
+  // sim.events and sim.ns_per_event; see perfbench/perfbench.cpp).
   std::uint64_t sim_events = 0;            // events executed by this run
   std::uint64_t peak_pending_events = 0;   // event-queue high-water mark
 

@@ -93,7 +93,7 @@ struct Trial::Impl {
   Impl(const Impl&) = delete;
   Impl& operator=(const Impl&) = delete;
 
-  ScenarioConfig config;  // private copy: set_workload edits its workload
+  const ScenarioConfig config;  // a copy: components hold references into it
   util::Rng master{config.seed};
   util::Rng placement_rng = master.fork(1);
   util::Rng workload_rng = master.fork(2);
@@ -135,7 +135,6 @@ struct Trial::Impl {
   // The materialized workload, kept for restarts: a revived node re-registers
   // every query with the epoch chain resuming after its outage.
   std::vector<query::Query> active_queries;
-  bool workload_drawn = false;
   routing::RepairService repair{topo, tree, {}};
   std::unique_ptr<core::MaintenanceService> maintenance;
   // Churn and battery faults imply maintenance: without detection, a dead
@@ -187,10 +186,8 @@ struct Trial::Impl {
 
   // The setup boundary draws the workload. workload_rng is a private forked
   // stream consumed nowhere else, so drawing here instead of at
-  // construction is bit-identical, and set_workload can still replace the
-  // workload before this fires (forked sweep variants diverge there).
+  // construction is bit-identical.
   void register_queries() {
-    workload_drawn = true;
     query::WorkloadParams wl;
     wl.base_rate_hz = config.workload.base_rate_hz;
     wl.queries_per_class = config.workload.queries_per_class;
@@ -576,16 +573,6 @@ void Trial::advance_to(util::Time t) {
   // Log lines emitted while the trial runs carry its sim time.
   const util::ScopedLogClock log_clock{[this] { return impl_->sim.now().ns(); }};
   impl_->sim.run_until(t);
-}
-
-void Trial::set_workload(WorkloadSpec workload) {
-  if (impl_->workload_drawn) {
-    throw std::logic_error{"Trial::set_workload: the workload is drawn"};
-  }
-  if (workload.query_start_window != impl_->config.workload.query_start_window) {
-    throw std::invalid_argument{"Trial::set_workload: query_start_window changed"};
-  }
-  impl_->config.workload = std::move(workload);
 }
 
 void Trial::save_state(snap::Serializer& out) const { impl_->save_state(out); }

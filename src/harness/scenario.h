@@ -176,12 +176,6 @@ class Trial {
   // measure_end() throws std::invalid_argument.
   void advance_to(util::Time t);
 
-  // Replaces the workload before it is drawn, as if the trial had started
-  // with it. Throws std::logic_error once it is drawn, and
-  // std::invalid_argument for a different query_start_window (the
-  // measurement schedule is built with it).
-  void set_workload(WorkloadSpec workload);
-
   // Writes every component into one "TRST" section: the bytes a snapshot
   // captures and a resume attests. Pure reads.
   void save_state(snap::Serializer& out) const;

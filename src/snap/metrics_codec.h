@@ -1,10 +1,9 @@
 // Binary codec for harness::RunMetrics.
 //
-// Used in three places that all need the same bit-exact bytes: the fork
-// sweep (children ship finished metrics to the parent over a pipe), the
-// sweep checkpoint ledger (completed trials are replayed into the
-// aggregator on resume), and the restored-vs-straight-run conformance
-// tests (two RunMetrics are equal iff their encodings are equal). The
+// Used wherever the same bit-exact bytes are needed: the sweep checkpoint
+// ledger (completed trials are replayed into the aggregator on resume),
+// the restored-vs-straight-run conformance tests (two RunMetrics are equal
+// iff their encodings are equal), and perfbench's metrics digest. The
 // field lists in metrics_codec.cpp fix the wire order (see field_codec.h).
 #pragma once
 

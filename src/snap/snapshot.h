@@ -26,7 +26,7 @@ inline constexpr std::uint32_t kFormatVersion = 3;
 
 enum class SnapshotKind : std::uint32_t {
   kTrial = 1,    // full mid-run simulator state + scenario config
-  kMetrics = 2,  // a RunMetrics payload (fork pipes, sweep ledger)
+  kMetrics = 2,  // a standalone RunMetrics payload
   kLedger = 3,   // sweep checkpoint ledger record
 };
 

@@ -25,9 +25,8 @@
 namespace essat::snap {
 
 // The canonical capture point: 1 ns before the setup slot ends, i.e. after
-// the shared scenario prefix (placement, tree construction, per-node stack
-// allocation, setup traffic) and before the workload is materialized —
-// which is what lets forked sweep variants diverge from one capture.
+// the scenario prefix (placement, tree construction, per-node stack
+// allocation, setup traffic) and before the workload is materialized.
 util::Time capture_barrier(const harness::ScenarioConfig& config);
 
 struct TrialCapture {

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -243,6 +244,62 @@ TEST(SweepRunner, TrialExceptionIsRethrown) {
     throw std::runtime_error("boom");
   };
   EXPECT_THROW(SweepRunner(opts).run(spec), std::runtime_error);
+}
+
+// Records every call a sink receives, in order.
+struct RecordingSink : ResultSink {
+  std::vector<std::string> calls;
+  void begin(const std::vector<std::string>&) override {
+    calls.push_back("begin");
+  }
+  void on_point(const PointResult& r) override {
+    calls.push_back("point " + std::to_string(r.point.index));
+  }
+  void finish() override { calls.push_back("finish"); }
+};
+
+// A failed trial must not discard finished work: every other complete
+// point still reaches the sinks, in point order, before finish() and the
+// rethrow.
+TEST(SweepRunner, FailedTrialStillFlushesCompletePoints) {
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    SweepSpec spec{harness::ScenarioConfig{}};  // base seed 1
+    spec.runs(2).axis_rate({1.0, 2.0, 3.0, 4.0});
+    SweepRunner::Options opts;
+    opts.jobs = jobs;
+    opts.run_fn = [](const harness::ScenarioConfig& c) {
+      if (c.workload.base_rate_hz == 2.0 && c.seed == 2) {
+        throw std::runtime_error("boom");  // point 1, repetition 1
+      }
+      return stub_run(c);
+    };
+    RecordingSink sink;
+    EXPECT_THROW(SweepRunner(opts).run(spec, {&sink}), std::runtime_error);
+    const std::vector<std::string> expected{"begin", "point 0", "point 2",
+                                            "point 3", "finish"};
+    EXPECT_EQ(sink.calls, expected);
+  }
+}
+
+// Points stream out as they complete instead of after the whole sweep: a
+// serial sweep has emitted every earlier point by the time a point's first
+// trial starts.
+TEST(SweepRunner, EmitsEachPointWhenItsRepetitionsFinish) {
+  SweepSpec spec{harness::ScenarioConfig{}};  // base seed 1
+  spec.runs(2).axis_rate({1.0, 2.0, 3.0});
+  RecordingSink sink;
+  std::vector<std::size_t> calls_at_first_trial;
+  SweepRunner::Options opts;
+  opts.jobs = 1;
+  opts.run_fn = [&](const harness::ScenarioConfig& c) {
+    if (c.seed == 1) calls_at_first_trial.push_back(sink.calls.size());
+    return stub_run(c);
+  };
+  SweepRunner(opts).run(spec, {&sink});
+  // "begin", then one more point per point already finished.
+  EXPECT_EQ(calls_at_first_trial, (std::vector<std::size_t>{1, 2, 3}));
+  EXPECT_EQ(sink.calls.back(), "finish");
 }
 
 // The acceptance check: >= 8 points x 5 runs through the real simulator,

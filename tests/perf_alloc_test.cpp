@@ -1,8 +1,9 @@
 // Steady-state allocation tests for the simulation hot path: after
 // warm-up, event push/pop, timer re-arms, and broadcast delivery must not
-// touch the heap at all. A counting global operator new/delete is the
-// tracking hook; counting is scoped so gtest's own bookkeeping stays out
-// of the numbers.
+// touch the heap at all, and whole trials stay within a per-node and a
+// per-event allocation budget. A counting global operator new/delete is
+// the tracking hook; counting is scoped so gtest's own bookkeeping stays
+// out of the numbers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -302,6 +303,65 @@ TEST(SteadyStateAlloc, PacketPoolRecyclesBlocks) {
     EXPECT_EQ(scope.count(), 0u) << "pool acquire allocated with free blocks";
   }
   EXPECT_EQ(pool.recycled_blocks(), 2u);
+}
+
+// Whole-trial budgets. They count allocations, not host time, so they hold
+// on any machine. The workload is DTS-SS with nodes uniform in a 500 m
+// square; 160 nodes are denser than the paper's 80, so arrival fan-out
+// dominates.
+harness::ScenarioConfig uniform_dts_ss(int num_nodes, double rate_hz,
+                                       Time measure) {
+  harness::ScenarioConfig c;
+  c.protocol = harness::Protocol::kDtsSs;
+  c.deployment.num_nodes = num_nodes;
+  c.deployment.area_m = 500.0;
+  c.deployment.range_m = 125.0;
+  c.deployment.max_tree_dist_m = 300.0;
+  c.workload.base_rate_hz = rate_hz;
+  c.measure_duration = measure;
+  c.seed = 1;
+  return c;
+}
+
+// Allocation volume of a 1 s trial at `num_nodes` nodes.
+double trial_alloc_bytes(int num_nodes) {
+  const harness::ScenarioConfig c =
+      uniform_dts_ss(num_nodes, 1.0, Time::seconds(1));
+  CountScope scope;
+  (void)harness::run_scenario(c);
+  return static_cast<double>(scope.bytes());
+}
+
+// Bytes per node at 1000 nodes bound the per-node footprint; differencing
+// 1000 against 160 nodes cancels the fixed harness overhead and leaves the
+// marginal cost of one stack (radio, MAC, tree state, agent, channel slot).
+// The budgets are 1.25x the 28 740 and 30 778 B recorded in BENCH_9.json.
+TEST(SteadyStateAlloc, PerNodeFootprintWithinBudget) {
+  const double bytes_160 = trial_alloc_bytes(160);
+  const double bytes_1000 = trial_alloc_bytes(1000);
+  EXPECT_LE(bytes_1000 / 1000.0, 35925.0);
+  EXPECT_LE((bytes_1000 - bytes_160) / (1000.0 - 160.0), 38472.0);
+}
+
+// Same seed, 2 s and 4 s windows at 4 Hz: setup and teardown allocations
+// cancel in the difference, leaving 2 s of steady state, which must stay
+// under 0.005 allocations per executed event.
+TEST(SteadyStateAlloc, WholeTrialAllocsPerEventBounded) {
+  const harness::ScenarioConfig short_run =
+      uniform_dts_ss(160, 4.0, Time::seconds(2));
+  harness::ScenarioConfig long_run = short_run;
+  long_run.measure_duration = Time::seconds(4);
+  const std::uint64_t a0 = bench_alloc::allocations();
+  const harness::RunMetrics m_short = harness::run_scenario(short_run);
+  const std::uint64_t a1 = bench_alloc::allocations();
+  const harness::RunMetrics m_long = harness::run_scenario(long_run);
+  const std::uint64_t a2 = bench_alloc::allocations();
+  ASSERT_GT(m_long.sim_events, m_short.sim_events);
+  const double events =
+      static_cast<double>(m_long.sim_events - m_short.sim_events);
+  const double allocs =
+      static_cast<double>(a2 - a1) - static_cast<double>(a1 - a0);
+  EXPECT_LE(allocs / events, 0.005);
 }
 
 }  // namespace

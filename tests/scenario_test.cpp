@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -122,27 +121,6 @@ TEST(Trial, SteppedAdvanceMatchesStraightRun) {
     }
     EXPECT_EQ(bytes_of(trial.finish()), bytes_of(run_scenario(c)));
   }
-}
-
-TEST(Trial, SetWorkloadPreconditions) {
-  const ScenarioConfig c = small_config(Protocol::kDtsSs);
-  WorkloadSpec faster = c.workload;
-  faster.base_rate_hz = 2.0;
-
-  Trial drawn{c};
-  drawn.advance_to(c.setup_duration);
-  EXPECT_THROW(drawn.set_workload(faster), std::logic_error);
-
-  Trial trial{c};
-  WorkloadSpec moved = c.workload;
-  moved.query_start_window += Time::seconds(1);
-  EXPECT_THROW(trial.set_workload(moved), std::invalid_argument);
-
-  trial.advance_to(c.setup_duration - Time::nanoseconds(1));
-  trial.set_workload(faster);
-  ScenarioConfig straight = c;
-  straight.workload = faster;
-  EXPECT_EQ(bytes_of(trial.finish()), bytes_of(run_scenario(straight)));
 }
 
 TEST(Runner, AveragesAcrossSeeds) {

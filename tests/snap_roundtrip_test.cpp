@@ -1,5 +1,5 @@
 // Round-trip property tests for the two loaders the snapshot layer has: the
-// RunMetrics codec (fork pipes and the sweep ledger decode finished metrics)
+// RunMetrics codec (the sweep ledger decodes finished metrics)
 // and the Histogram it embeds. Simulation components have save_state hooks
 // only, because restore replays from t = 0 and byte-compares the state. The
 // invariant: decode then re-encode reproduces the original bytes exactly,

@@ -1,6 +1,6 @@
 // Golden wire format. The ScenarioConfig and RunMetrics encodings identify
-// and carry every trial: snapshots, fork-sweep pipes, the sweep ledger and
-// its fingerprint, and perfbench's config and metrics digests all hash or
+// and carry every trial: snapshots, the sweep ledger and its
+// fingerprint, and perfbench's config and metrics digests all hash or
 // compare these bytes. The CSV and JSONL rows are what downstream scripts
 // parse. A round-trip test cannot see a reordered field or column, because
 // encoder and decoder (or header and row) move together; these pinned
