@@ -12,7 +12,7 @@ int main() {
                       "histogram of sleep intervals, T_BE = 0, 5 Hz, single run");
 
   harness::Table table{{"bin (ms]", "DTS-SS", "STS-SS", "NTS-SS"}};
-  std::vector<util::Histogram> hists;
+  std::vector<energy::SleepHistogram> hists;
   std::vector<double> frac_below;
   for (auto p : {harness::Protocol::kDtsSs, harness::Protocol::kStsSs,
                  harness::Protocol::kNtsSs}) {

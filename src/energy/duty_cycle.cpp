@@ -4,19 +4,10 @@
 
 namespace essat::energy {
 
-DutyCycleSummary summarize_duty_cycles(const std::vector<const Radio*>& radios) {
-  DutyCycleSummary out;
+double mean_duty_cycle(const std::vector<const Radio*>& radios) {
   util::RunningStat stat;
-  out.per_radio.reserve(radios.size());
-  for (const Radio* r : radios) {
-    const double d = r->duty_cycle();
-    out.per_radio.push_back(d);
-    stat.add(d);
-  }
-  out.average = stat.mean();
-  out.min = stat.min();
-  out.max = stat.max();
-  return out;
+  for (const Radio* r : radios) stat.add(r->duty_cycle());
+  return stat.mean();
 }
 
 std::vector<double> duty_cycle_by_group(const std::vector<const Radio*>& radios,

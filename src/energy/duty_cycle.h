@@ -8,16 +8,9 @@
 
 namespace essat::energy {
 
-struct DutyCycleSummary {
-  double average = 0.0;           // mean over the given radios
-  double min = 0.0;
-  double max = 0.0;
-  std::vector<double> per_radio;  // same order as input
-};
-
-// Summarizes duty cycles of the given radios (typically the routing-tree
-// members; the paper averages over nodes participating in queries).
-DutyCycleSummary summarize_duty_cycles(const std::vector<const Radio*>& radios);
+// Mean duty cycle of the given radios (typically the routing-tree members;
+// the paper averages over nodes participating in queries); 0 when empty.
+double mean_duty_cycle(const std::vector<const Radio*>& radios);
 
 // Mean duty cycle per group (e.g. per tree rank, Fig. 5). `group_of[i]` is
 // the group index of radios[i]; result[g] is the mean of group g (0 when the

@@ -1,5 +1,6 @@
 #include "src/energy/radio.h"
 
+#include "src/snap/field_codec.h"
 #include "src/snap/timer_codec.h"
 
 namespace essat::energy {
@@ -62,7 +63,7 @@ void Radio::enter_(RadioState next) {
     in_off_interval_ = true;
   } else if (prev == RadioState::kOff && in_off_interval_) {
     if (off_enter_time_ >= window_start_) {
-      sleep_intervals_.push_back((sim_.now() - off_enter_time_).to_seconds());
+      sleep_hist_.add((sim_.now() - off_enter_time_).to_seconds());
     }
     in_off_interval_ = false;
   }
@@ -161,7 +162,7 @@ void Radio::begin_measurement() {
   off_accum_ = util::Time::zero();
   on_accum_ = util::Time::zero();
   energy_mj_ = 0.0;
-  sleep_intervals_.clear();
+  sleep_hist_ = SleepHistogram{};
   // A sleep interval straddling the window start is counted from the window
   // start.
   if (in_off_interval_) off_enter_time_ = sim_.now();
@@ -211,8 +212,7 @@ void Radio::save_state(snap::Serializer& out) const {
   out.f64(lifetime_energy_mj_);
   out.time(off_enter_time_);
   out.boolean(in_off_interval_);
-  out.u64(sleep_intervals_.size());
-  for (double s : sleep_intervals_) out.f64(s);
+  snap::Writer{out}(sleep_hist_);
   out.end();
 }
 

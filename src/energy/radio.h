@@ -7,14 +7,15 @@
 // remains active").
 //
 // Safe Sleep's correctness argument (§4.1) rests on two properties exposed
-// here: turn_on() completes exactly t_OFF_ON after it is called, and
-// completed OFF intervals are recorded for the paper's Fig. 8 histogram.
+// here: turn_on() completes exactly t_OFF_ON after it is called, and each
+// completed OFF interval is counted in the radio's Fig. 8 SleepHistogram.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "src/energy/sleep_histogram.h"
 #include "src/sim/timer.h"
 #include "src/util/time.h"
 
@@ -104,9 +105,10 @@ class Radio {
   // this survives begin_measurement(), so battery budgets (fault engine)
   // drain across the whole run including setup.
   double lifetime_energy_mj() const;
-  // Completed OFF intervals (entering OFF to leaving OFF), seconds, recorded
-  // within the measurement window. Paper Fig. 8.
-  const std::vector<double>& sleep_intervals_s() const { return sleep_intervals_; }
+  // Completed OFF intervals (entering OFF to leaving OFF) counted within
+  // the measurement window; one straddling the window start counts from it.
+  // Paper Fig. 8.
+  const SleepHistogram& sleep_histogram() const { return sleep_hist_; }
 
   // Snapshot hook: the full state machine plus accounting, with the
   // transition timer as (armed, fire time) — observers are wiring, rebuilt
@@ -137,9 +139,9 @@ class Radio {
   util::Time on_accum_;            // everything non-OFF
   double energy_mj_ = 0.0;
   double lifetime_energy_mj_ = 0.0;  // never reset (battery budgets)
-  util::Time off_enter_time_;      // for sleep-interval recording
+  util::Time off_enter_time_;      // start of the open sleep interval
   bool in_off_interval_ = false;
-  std::vector<double> sleep_intervals_;
+  SleepHistogram sleep_hist_;
 };
 
 }  // namespace essat::energy

@@ -37,6 +37,7 @@
 #include "src/core/sts.h"
 #include "src/energy/duty_cycle.h"
 #include "src/energy/radio.h"
+#include "src/energy/sleep_histogram.h"
 #include "src/exp/aggregate.h"
 #include "src/exp/sinks.h"
 #include "src/exp/sweep.h"
@@ -68,7 +69,6 @@
 #include "src/routing/tree_protocol.h"
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
-#include "src/util/histogram.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"

@@ -6,9 +6,9 @@
 #include <map>
 #include <vector>
 
+#include "src/energy/sleep_histogram.h"
 #include "src/net/types.h"
 #include "src/query/query.h"
-#include "src/util/histogram.h"
 #include "src/util/time.h"
 
 namespace essat::snap {
@@ -32,10 +32,10 @@ struct RunMetrics {
   double delivery_ratio = 0.0;
   std::uint64_t epochs_measured = 0;
 
-  // Break-even-time analysis (§5.3): completed sleep-interval lengths.
-  util::Histogram sleep_hist{0.0, 0.025, 8};  // 25 ms bins to 200 ms (Fig. 8)
+  // Break-even-time analysis (§5.3): completed sleep intervals of the live
+  // tree members, binned for Fig. 8, and the share shorter than 2.5 ms.
+  energy::SleepHistogram sleep_hist;
   double frac_sleep_below_2_5ms = 0.0;
-  std::uint64_t sleep_intervals = 0;
 
   // DTS synchronization overhead (§4.2.3): piggybacked phase-update bits
   // per data report (the paper reports < 1 bit/report).

@@ -353,7 +353,7 @@ struct Trial::Impl {
       rank_of.push_back(tree.rank(id));
     }
     const int live_members = static_cast<int>(radios.size());
-    out.avg_duty_cycle = energy::summarize_duty_cycles(radios).average;
+    out.avg_duty_cycle = energy::mean_duty_cycle(radios);
     out.duty_by_rank =
         energy::duty_cycle_by_group(radios, rank_of, tree.max_rank() + 1);
 
@@ -366,12 +366,14 @@ struct Trial::Impl {
     out.epochs_measured = lat.epochs;
 
     for (const energy::Radio* r : radios) {
-      for (double s : r->sleep_intervals_s()) {
-        out.sleep_hist.add(s);
-        ++out.sleep_intervals;
-      }
+      out.sleep_hist.merge(r->sleep_histogram());
     }
-    out.frac_sleep_below_2_5ms = out.sleep_hist.fraction_below(0.0025);
+    const std::uint64_t sleeps = out.sleep_hist.total();
+    if (sleeps > 0) {
+      out.frac_sleep_below_2_5ms =
+          static_cast<double>(out.sleep_hist.short_count()) /
+          static_cast<double>(sleeps);
+    }
 
     std::uint64_t phase_updates = 0;
     for (net::NodeId id : members) {

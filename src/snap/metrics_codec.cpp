@@ -4,10 +4,6 @@
 
 namespace essat::snap {
 
-// The sleep histogram keeps its own encoding (geometry, counts, raw tail).
-void fields(Writer& io, const util::Histogram& h) { h.save_state(io.out); }
-void fields(Reader& io, util::Histogram& h) { h.restore_state(io.in); }
-
 template <typename IO>
 void fields(IO& io, Field<IO, harness::RunMetrics::NodeDiag>& d) {
   io(d.id, d.rank, d.level, d.leaf, d.duty_cycle, d.reports_sent,
@@ -19,9 +15,8 @@ template <typename IO>
 void fields(IO& io, Field<IO, harness::RunMetrics>& m) {
   io(m.avg_duty_cycle, m.duty_by_rank, m.avg_latency_s, m.p95_latency_s,
      m.max_latency_s, m.delivery_ratio, m.epochs_measured, m.sleep_hist,
-     m.frac_sleep_below_2_5ms, m.sleep_intervals,
-     m.phase_update_bits_per_report, m.phase_updates, m.per_node,
-     m.reports_sent, m.mac_transmissions, m.mac_send_failures,
+     m.frac_sleep_below_2_5ms, m.phase_update_bits_per_report, m.phase_updates,
+     m.per_node, m.reports_sent, m.mac_transmissions, m.mac_send_failures,
      m.mac_retx_no_ack, m.mac_cca_busy_defers, m.channel_collisions,
      m.channel_delivered, m.channel_dropped_by_model, m.pass_through_forwarded,
      m.tree_members, m.max_rank, m.backbone_size, m.sim_events,

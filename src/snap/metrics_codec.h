@@ -4,7 +4,8 @@
 // ledger (completed trials are replayed into the aggregator on resume),
 // the restored-vs-straight-run conformance tests (two RunMetrics are equal
 // iff their encodings are equal), and perfbench's metrics digest. The
-// field lists in metrics_codec.cpp fix the wire order (see field_codec.h).
+// field lists in metrics_codec.cpp and energy/sleep_histogram.h fix the
+// wire order (see field_codec.h).
 #pragma once
 
 #include <cstdint>

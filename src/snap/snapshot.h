@@ -22,7 +22,10 @@
 
 namespace essat::snap {
 
-inline constexpr std::uint32_t kFormatVersion = 3;
+// Version 4: the sleep histogram (in RMET and in each radio's RADI) is
+// counts only. Its geometry, underflow count and raw interval tail are gone,
+// and RunMetrics no longer carries a separate sleep-interval total.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 enum class SnapshotKind : std::uint32_t {
   kTrial = 1,    // full mid-run simulator state + scenario config

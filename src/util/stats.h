@@ -10,8 +10,6 @@ namespace essat::util {
 class RunningStat {
  public:
   void add(double x);
-  // Merges another accumulator (parallel-runs aggregation).
-  void merge(const RunningStat& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
@@ -20,7 +18,6 @@ class RunningStat {
   double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(n_); }
 
   // Half-width of the two-sided confidence interval at the given level
   // using the Student t distribution (level in {0.90, 0.95, 0.99}).

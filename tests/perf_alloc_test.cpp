@@ -73,6 +73,32 @@ TEST(SteadyStateAlloc, TimerRearmIsAllocationFree) {
   EXPECT_EQ(fired, 2);
 }
 
+// A radio counts each completed sleep into inline bins, so OFF/ON cycles in
+// the measurement window stay off the heap however many sleeps a trial has.
+TEST(SteadyStateAlloc, RadioSleepCycleIsAllocationFree) {
+  sim::Simulator sim;
+  sim.reserve_events(16);
+  energy::Radio r{sim, energy::RadioParams{}};
+  r.begin_measurement();
+  Time t = sim.now();
+  auto sleep_cycles = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      r.turn_off();
+      sim.run_until(t + Time::milliseconds(5));  // OFF after 1.25 ms
+      r.turn_on();
+      t += Time::milliseconds(10);
+      sim.run_until(t);
+    }
+  };
+  sleep_cycles(16);  // warm-up
+  {
+    CountScope scope;
+    sleep_cycles(10000);
+    EXPECT_EQ(scope.count(), 0u) << "sleep cycles allocated after warm-up";
+  }
+  EXPECT_EQ(r.sleep_histogram().total(), 10016u);
+}
+
 TEST(SteadyStateAlloc, BroadcastDeliveryIsAllocationFree) {
   sim::Simulator sim;
   sim.reserve_events(64);

@@ -183,15 +183,27 @@ TEST(Radio, SleepIntervalsRecorded) {
   sim::Simulator sim;
   Radio r{sim, fast_params()};
   r.begin_measurement();
+  // Each OFF interval runs from reaching OFF (1.25 ms after turn_off) to the
+  // turn_on call. The first sits 0.5 ms under the 25 ms edge and the second
+  // 0.5 ms over the 50 ms edge, so counting a transition in or out of
+  // either moves it to another bin. The third is 0.5 ms under the 2.5 ms
+  // break-even time.
   sim.schedule_at(Time::milliseconds(10), [&] { r.turn_off(); });
-  sim.schedule_at(Time::milliseconds(50), [&] { r.turn_on(); });
-  sim.schedule_at(Time::milliseconds(80), [&] { r.turn_off(); });
-  sim.schedule_at(Time::milliseconds(95), [&] { r.turn_on(); });
+  sim.schedule_at(Time::microseconds(35'750), [&] { r.turn_on(); });
+  sim.schedule_at(Time::milliseconds(40), [&] { r.turn_off(); });
+  sim.schedule_at(Time::microseconds(91'750), [&] { r.turn_on(); });
+  sim.schedule_at(Time::milliseconds(100), [&] { r.turn_off(); });
+  sim.schedule_at(Time::microseconds(103'250), [&] { r.turn_on(); });
   sim.run_until(Time::milliseconds(200));
-  // OFF intervals: [11.25, 50) = 38.75 ms and [81.25, 95) = 13.75 ms.
-  ASSERT_EQ(r.sleep_intervals_s().size(), 2u);
-  EXPECT_NEAR(r.sleep_intervals_s()[0], 0.03875, 1e-12);
-  EXPECT_NEAR(r.sleep_intervals_s()[1], 0.01375, 1e-12);
+  // OFF intervals: [11.25, 35.75) = 24.5 ms, [41.25, 91.75) = 50.5 ms and
+  // [101.25, 103.25) = 2 ms.
+  const SleepHistogram& h = r.sleep_histogram();
+  EXPECT_EQ(h.total(), 3u);
+  EXPECT_EQ(h.count(0), 2u);
+  EXPECT_EQ(h.count(1), 0u);
+  EXPECT_EQ(h.count(2), 1u);
+  EXPECT_EQ(h.overflow(), 0u);
+  EXPECT_EQ(h.short_count(), 1u);
 }
 
 TEST(Radio, MeasurementWindowResetsAccounting) {
@@ -202,12 +214,13 @@ TEST(Radio, MeasurementWindowResetsAccounting) {
   sim.run_until(Time::milliseconds(150));
   // Whole window spent OFF.
   EXPECT_NEAR(r.duty_cycle(), 0.0, 1e-9);
-  EXPECT_TRUE(r.sleep_intervals_s().empty());  // interval began pre-window
+  EXPECT_EQ(r.sleep_histogram().total(), 0u);  // interval began pre-window
   sim.schedule_at(Time::milliseconds(160), [&] { r.turn_on(); });
   sim.run_until(Time::milliseconds(200));
-  // The straddling OFF interval counts from the window start (100 ms).
-  ASSERT_EQ(r.sleep_intervals_s().size(), 1u);
-  EXPECT_NEAR(r.sleep_intervals_s()[0], 0.060, 1e-9);
+  // The straddling OFF interval counts from the window start (100 ms): 60 ms,
+  // bin 2. Counted from reaching OFF at 11.25 ms it would be 148.75 ms, bin 5.
+  EXPECT_EQ(r.sleep_histogram().total(), 1u);
+  EXPECT_EQ(r.sleep_histogram().count(2), 1u);
 }
 
 TEST(Radio, ZeroTransitionTimes) {
@@ -219,13 +232,16 @@ TEST(Radio, ZeroTransitionTimes) {
   EXPECT_EQ(p.break_even(), Time::zero());
   r.begin_measurement();
   r.turn_off();
-  sim.run_until(Time::milliseconds(1));  // zero-delay transition event fires
+  sim.run_until(Time::milliseconds(2));  // zero-delay transition event fires
   EXPECT_EQ(r.state(), RadioState::kOff);
   r.turn_on();
-  sim.run_until(Time::milliseconds(2));
+  sim.run_until(Time::milliseconds(3));
   EXPECT_EQ(r.state(), RadioState::kOn);
-  ASSERT_EQ(r.sleep_intervals_s().size(), 1u);
-  EXPECT_NEAR(r.sleep_intervals_s()[0], 1e-3, 1e-9);
+  // One 2 ms interval: under the 2.5 ms break-even time, which it would not
+  // be with a default 1.25 ms transition counted in.
+  EXPECT_EQ(r.sleep_histogram().total(), 1u);
+  EXPECT_EQ(r.sleep_histogram().count(0), 1u);
+  EXPECT_EQ(r.sleep_histogram().short_count(), 1u);
 }
 
 TEST(Radio, FailForcesOffPermanently) {
@@ -282,9 +298,7 @@ TEST(DutyCycleSummary, AveragesRadios) {
   b.begin_measurement();
   sim.schedule_at(Time::milliseconds(0), [&] { b.turn_off(); });
   sim.run_until(Time::seconds(1));
-  const auto summary = summarize_duty_cycles({&a, &b});
-  EXPECT_NEAR(summary.average, (1.0 + 0.00125) / 2.0, 1e-6);
-  EXPECT_NEAR(summary.max, 1.0, 1e-9);
+  EXPECT_NEAR(mean_duty_cycle({&a, &b}), (1.0 + 0.00125) / 2.0, 1e-6);
 }
 
 TEST(DutyCycleByGroup, GroupsCorrectly) {

@@ -165,8 +165,11 @@ TEST(SafeSleep, ZeroBreakEvenSleepsThroughAnyGap) {
   EXPECT_EQ(rig.ss->sleeps_initiated(), 1u);
   rig.sim.run_until(rig.sim.now() + Time::milliseconds(1));
   EXPECT_EQ(rig.radio->state(), RadioState::kOn);
-  ASSERT_EQ(rig.radio->sleep_intervals_s().size(), 1u);
-  EXPECT_NEAR(rig.radio->sleep_intervals_s()[0], 500e-6, 1e-9);
+  // One 0.5 ms sleep: bin 0, and shorter than a 2.5 ms break-even time.
+  const energy::SleepHistogram& h = rig.radio->sleep_histogram();
+  EXPECT_EQ(h.total(), 1u);
+  EXPECT_EQ(h.count(0), 1u);
+  EXPECT_EQ(h.short_count(), 1u);
 }
 
 TEST(SafeSleep, SupersededWakeupGoesBackToSleep) {

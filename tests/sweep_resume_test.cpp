@@ -83,8 +83,8 @@ std::pair<std::string, std::string> run_with_sinks(
 }
 
 TEST(SweepResume, CheckpointedRunMatchesLegacyOutput) {
-  // The checkpointed (incremental-emission) path must produce the same
-  // bytes as the legacy emit-at-the-end path.
+  // SweepRunner has one loop; a checkpoint directory only adds the ledger.
+  // A sweep with a ledger must write the same bytes as one without.
   std::string legacy_csv, legacy_jsonl;
   {
     TempDir t{"sweep_resume_test.legacy"};

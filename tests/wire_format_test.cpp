@@ -162,9 +162,13 @@ harness::RunMetrics full_metrics() {
   m.max_latency_s = 3.5;
   m.delivery_ratio = 0.99;
   m.epochs_measured = 40;
-  for (double v : {-0.01, 0.001, 0.03, 0.15, 0.9}) m.sleep_hist.add(v);
+  // A distinct count in every bin, the overflow and the short count:
+  // bin b holds b + 1 values and overflow 9, plus 10 short ones in bin 0.
+  for (int b = 0; b <= 8; ++b) {
+    for (int k = 0; k <= b; ++k) m.sleep_hist.add(0.0125 + 0.025 * b);
+  }
+  for (int k = 0; k < 10; ++k) m.sleep_hist.add(0.001);
   m.frac_sleep_below_2_5ms = 0.0625;
-  m.sleep_intervals = 5;
   m.phase_update_bits_per_report = 0.75;
   m.phase_updates = 12;
   for (int i = 0; i < 3; ++i) {
@@ -204,7 +208,7 @@ harness::RunMetrics full_metrics() {
 }
 
 TEST(WireFormat, ScenarioConfigBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 3u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 4u) << "re-record the constants below";
   const auto bytes = snap::scenario_config_to_bytes(full_config());
   EXPECT_EQ(bytes.size(), 874u);
   EXPECT_EQ(crc(bytes), 1755503735u);
@@ -215,10 +219,10 @@ TEST(WireFormat, ScenarioConfigBytesPinned) {
 }
 
 TEST(WireFormat, RunMetricsBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 3u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 4u) << "re-record the constants below";
   const auto bytes = snap::run_metrics_to_bytes(full_metrics());
-  EXPECT_EQ(bytes.size(), 639u);
-  EXPECT_EQ(crc(bytes), 3168660761u);
+  EXPECT_EQ(bytes.size(), 559u);
+  EXPECT_EQ(crc(bytes), 2152200120u);
   EXPECT_EQ(snap::run_metrics_to_bytes(snap::run_metrics_from_bytes(bytes)),
             bytes);
 }
@@ -253,24 +257,24 @@ harness::ScenarioConfig pinned_trial_config() {
 // bytes depend on the header and length only, so the payload CRC is pinned
 // as well.
 TEST(WireFormat, TrialSnapshotBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 3u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 4u) << "re-record the constants below";
   const harness::ScenarioConfig c = pinned_trial_config();
 
   const snap::TrialCapture at_zero = snap::capture_trial(c, Time::zero());
   const auto zero_bytes = at_zero.snapshot.to_bytes();
-  EXPECT_EQ(zero_bytes.size(), 240762u);
-  EXPECT_EQ(crc(zero_bytes), 2686621858u);
-  EXPECT_EQ(crc(at_zero.snapshot.payload), 1268075296u);
+  EXPECT_EQ(zero_bytes.size(), 242922u);
+  EXPECT_EQ(crc(zero_bytes), 2831613372u);
+  EXPECT_EQ(crc(at_zero.snapshot.payload), 2041896432u);
 
   const snap::TrialCapture cap = snap::capture_trial(c);
   const auto cap_bytes = cap.snapshot.to_bytes();
-  EXPECT_EQ(cap_bytes.size(), 240755u);
-  EXPECT_EQ(crc(cap_bytes), 481186341u);
-  EXPECT_EQ(crc(cap.snapshot.payload), 2427452262u);
+  EXPECT_EQ(cap_bytes.size(), 242915u);
+  EXPECT_EQ(crc(cap_bytes), 1473853928u);
+  EXPECT_EQ(crc(cap.snapshot.payload), 2050450838u);
 
   const auto metrics = snap::run_metrics_to_bytes(cap.metrics);
-  EXPECT_EQ(metrics.size(), 5940u);
-  EXPECT_EQ(crc(metrics), 1905569914u);
+  EXPECT_EQ(metrics.size(), 2484u);
+  EXPECT_EQ(crc(metrics), 3539057656u);
 }
 
 // Two runs whose every aggregated metric differs, so a swapped column or a
