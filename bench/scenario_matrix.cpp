@@ -1,6 +1,6 @@
 // Scenario matrix: protocol x deployment x rate in one declarative grid —
 // the sweep the pluggable-stack refactor exists for. Every cell flows
-// through the StackRegistry and DeploymentSpec; there is no per-protocol
+// through the policy table and DeploymentSpec; there is no per-protocol
 // or per-topology branching anywhere in the driver or the harness.
 //
 // The paper fixed its deployment to 80 uniform-random nodes; this bench

@@ -1,8 +1,6 @@
 #include "src/baselines/psm_stack.h"
 
 #include "src/core/nts.h"
-#include "src/harness/scenario.h"
-#include "src/harness/stack_registry.h"
 #include "src/snap/serializer.h"
 
 namespace essat::baselines {
@@ -40,13 +38,6 @@ void PsmPowerManager::save_state(snap::Serializer& out) const {
     if (node) node->save_state(out);
   }
   out.end();
-}
-
-void register_psm_power_manager() {
-  harness::StackRegistry::instance().add(
-      "PSM", [](const harness::ScenarioConfig&) {
-        return std::make_unique<PsmPowerManager>();
-      });
 }
 
 }  // namespace essat::baselines

@@ -1,6 +1,7 @@
 // PSM baseline policy: 802.11 power-save mode with traffic announcements
 // (PsmNode) per node; ATIM control packets are routed back to the owning
-// node through handle_packet. Registered in the StackRegistry as "PSM".
+// node through handle_packet. The "PSM" row of the policy table
+// (src/harness/power_manager.cpp).
 #pragma once
 
 #include <memory>
@@ -28,8 +29,5 @@ class PsmPowerManager : public harness::PowerManager {
   PsmParams params_;
   std::vector<std::unique_ptr<PsmNode>> psm_nodes_;  // indexed by node id
 };
-
-// Called by the StackRegistry to pull this translation unit into the link.
-void register_psm_power_manager();
 
 }  // namespace essat::baselines

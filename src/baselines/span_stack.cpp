@@ -1,8 +1,6 @@
 #include "src/baselines/span_stack.h"
 
 #include "src/core/nts.h"
-#include "src/harness/scenario.h"
-#include "src/harness/stack_registry.h"
 #include "src/snap/serializer.h"
 
 namespace essat::baselines {
@@ -29,13 +27,6 @@ void SpanPowerManager::save_state(snap::Serializer& out) const {
   for (bool c : election_.coordinator) out.boolean(c);
   core::EssatPowerManager::save_state(out);
   out.end();
-}
-
-void register_span_power_manager() {
-  harness::StackRegistry::instance().add(
-      "SPAN", [](const harness::ScenarioConfig&) {
-        return std::make_unique<SpanPowerManager>();
-      });
 }
 
 }  // namespace essat::baselines

@@ -2,7 +2,7 @@
 // always on while leaves run NTS with Safe Sleep (§5's modified setup).
 // Reuses the generic ESSAT "shaper + Safe Sleep" wiring, with sleeping
 // disabled on the backbone; the election runs once the routing tree is
-// final. Registered in the StackRegistry as "SPAN".
+// final. The "SPAN" row of the policy table (src/harness/power_manager.cpp).
 #pragma once
 
 #include "src/baselines/span.h"
@@ -24,8 +24,5 @@ class SpanPowerManager : public core::EssatPowerManager {
  private:
   SpanElection election_;
 };
-
-// Called by the StackRegistry to pull this translation unit into the link.
-void register_span_power_manager();
 
 }  // namespace essat::baselines

@@ -1,8 +1,6 @@
 #include "src/baselines/sync_stack.h"
 
 #include "src/core/nts.h"
-#include "src/harness/scenario.h"
-#include "src/harness/stack_registry.h"
 #include "src/snap/serializer.h"
 
 namespace essat::baselines {
@@ -29,13 +27,6 @@ void SyncPowerManager::save_state(snap::Serializer& out) const {
   out.u64(sync_nodes_.size());
   for (const auto& node : sync_nodes_) node->save_state(out);
   out.end();
-}
-
-void register_sync_power_manager() {
-  harness::StackRegistry::instance().add(
-      "SYNC", [](const harness::ScenarioConfig&) {
-        return std::make_unique<SyncPowerManager>();
-      });
 }
 
 }  // namespace essat::baselines

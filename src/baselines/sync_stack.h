@@ -1,7 +1,8 @@
 // SYNC baseline policy: a network-synchronized fixed duty cycle per node
 // (SyncNode), with the query service running greedily on top (NTS shaper
 // with a generous loss timeout — per-hop buffering delays exceed the
-// rank-based budgets). Registered in the StackRegistry as "SYNC".
+// rank-based budgets). The "SYNC" row of the policy table
+// (src/harness/power_manager.cpp).
 #pragma once
 
 #include <memory>
@@ -28,8 +29,5 @@ class SyncPowerManager : public harness::PowerManager {
   SyncParams params_;
   std::vector<std::unique_ptr<SyncNode>> sync_nodes_;
 };
-
-// Called by the StackRegistry to pull this translation unit into the link.
-void register_sync_power_manager();
 
 }  // namespace essat::baselines

@@ -1,10 +1,6 @@
 #include "src/core/essat_stack.h"
 
-#include "src/core/dts.h"
-#include "src/core/nts.h"
-#include "src/core/sts.h"
 #include "src/harness/scenario.h"
-#include "src/harness/stack_registry.h"
 #include "src/snap/serializer.h"
 
 namespace essat::core {
@@ -25,29 +21,6 @@ void EssatPowerManager::save_state(snap::Serializer& out) const {
   out.u64(sleepers_.size());
   for (const auto& s : sleepers_) s->save_state(out);
   out.end();
-}
-
-void register_essat_power_managers() {
-  auto& registry = harness::StackRegistry::instance();
-  registry.add("NTS-SS", [](const harness::ScenarioConfig&) {
-    return std::make_unique<EssatPowerManager>(
-        [](const harness::ScenarioConfig&) {
-          return std::make_unique<NtsShaper>();
-        });
-  });
-  registry.add("STS-SS", [](const harness::ScenarioConfig&) {
-    return std::make_unique<EssatPowerManager>(
-        [](const harness::ScenarioConfig& c) {
-          return std::make_unique<StsShaper>(
-              StsParams{.deadline = c.sts_deadline});
-        });
-  });
-  registry.add("DTS-SS", [](const harness::ScenarioConfig&) {
-    return std::make_unique<EssatPowerManager>(
-        [](const harness::ScenarioConfig& c) {
-          return std::make_unique<DtsShaper>(DtsParams{.t_to = c.dts_t_to});
-        });
-  });
 }
 
 }  // namespace essat::core

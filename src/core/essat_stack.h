@@ -1,6 +1,7 @@
 // ESSAT power-management policies (NTS-SS / STS-SS / DTS-SS): one of the
 // paper's traffic shapers per node, each feeding a per-node Safe Sleep
-// scheduler. Registered in the StackRegistry under the paper's names.
+// scheduler. The "NTS-SS", "STS-SS" and "DTS-SS" rows of the policy table
+// (src/harness/power_manager.cpp).
 #pragma once
 
 #include <functional>
@@ -43,8 +44,5 @@ class EssatPowerManager : public harness::PowerManager {
   SleepEnabledFn sleep_enabled_;
   std::vector<std::unique_ptr<SafeSleep>> sleepers_;
 };
-
-// Called by the StackRegistry to pull this translation unit into the link.
-void register_essat_power_managers();
 
 }  // namespace essat::core

@@ -102,9 +102,18 @@ void SafeSleep::check_state() {
     return;
   }
 
+  // Wake early enough that the OFF->ON transition completes at t_wakeup.
+  // A drifted clock (wake_adjust_) misses that target — the delivery
+  // penalty that mispredicted wake-ups cost is exactly what the fault
+  // engine's drift axis measures.
   const util::Time t_sleep = t_wakeup - now;
-  if (t_sleep <= params_.t_be) {
-    ++short_skips_;  // not worth the transition cost
+  util::Time wake_at = std::max(now, t_wakeup - radio_.params().t_off_on);
+  if (wake_adjust_) wake_at = wake_adjust_(wake_at);
+  // Stay on through a gap not worth the transition cost, and through one
+  // the drifted clock says is already over: sleeping would wake at once,
+  // and the wake-up's re-check would sleep again at the same instant.
+  if (t_sleep <= params_.t_be || (wake_adjust_ && wake_at <= now)) {
+    ++short_skips_;
     ESSAT_TRACE(sim_, obs::TraceType::kSleepSkip, mac_.self(), 0, 0,
                 static_cast<std::uint64_t>(t_sleep.ns()));
     return;
@@ -114,12 +123,6 @@ void SafeSleep::check_state() {
               static_cast<std::uint64_t>(t_sleep.ns()));
   radio_.turn_off();
   ++sleeps_;
-  // Wake early enough that the OFF->ON transition completes at t_wakeup.
-  // A drifted clock (wake_adjust_) misses that target — the delivery
-  // penalty that mispredicted wake-ups cost is exactly what the fault
-  // engine's drift axis measures.
-  util::Time wake_at = std::max(now, t_wakeup - radio_.params().t_off_on);
-  if (wake_adjust_) wake_at = std::max(now, wake_adjust_(wake_at));
   wake_timer_.arm_at(wake_at, [this] { radio_.turn_on(); });
 }
 

@@ -65,7 +65,9 @@ class SafeSleep final : public query::ExpectedTimeSink {
 
   // Clock-drift hook (fault engine): maps an intended wake-up time to the
   // time this node's skewed clock actually fires it. Applied wherever the
-  // wake timer is armed (never earlier than now); null means a perfect
+  // wake timer is armed (never earlier than now). A radio that is on stays
+  // on when the drifted wake-up falls at or before now: the node's own
+  // clock says the communication is already due. Null means a perfect
   // clock — the exact pre-hook behavior.
   // essat-lint: allow(hot-path-alloc) — installed once per node at setup
   void set_wake_adjust(std::function<util::Time(util::Time)> adjust) {
@@ -85,7 +87,8 @@ class SafeSleep final : public query::ExpectedTimeSink {
   // Statistics.
   std::uint64_t sleeps_initiated() const { return sleeps_; }
   // Free intervals that were too short to sleep through (<= t_BE): the
-  // penalty-avoidance events Fig. 9 quantifies.
+  // penalty-avoidance events Fig. 9 quantifies. Under drift, also those the
+  // drifted clock says are already over.
   std::uint64_t sleeps_skipped_short() const { return short_skips_; }
 
   const SafeSleepParams& params() const { return params_; }

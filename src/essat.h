@@ -49,7 +49,6 @@
 #include "src/harness/power_manager.h"
 #include "src/harness/runner.h"
 #include "src/harness/scenario.h"
-#include "src/harness/stack_registry.h"
 #include "src/harness/table.h"
 #include "src/mac/csma.h"
 #include "src/net/channel.h"

@@ -16,9 +16,9 @@ std::string dedup_label(
   return label;
 }
 
-// Shared bodies of the spec axes (channel / mobility / routing): each option
-// copies one whole sub-spec into its ScenarioConfig member, labelled by the
-// spec's own label() (deduped) or an explicit caller label.
+// Shared body of the spec axes (channel / mobility / routing / faults): each
+// option copies one whole sub-spec into its ScenarioConfig member, labelled
+// by the spec's own label() (deduped).
 template <typename Spec>
 std::vector<std::pair<std::string, SweepSpec::Apply>> spec_options(
     const std::vector<Spec>& specs, Spec harness::ScenarioConfig::*member) {
@@ -29,20 +29,6 @@ std::vector<std::pair<std::string, SweepSpec::Apply>> spec_options(
                          [member, s](harness::ScenarioConfig& c) {
                            c.*member = s;
                          });
-  }
-  return options;
-}
-
-template <typename Spec>
-std::vector<std::pair<std::string, SweepSpec::Apply>> spec_options(
-    const std::vector<std::pair<std::string, Spec>>& specs,
-    Spec harness::ScenarioConfig::*member) {
-  std::vector<std::pair<std::string, SweepSpec::Apply>> options;
-  options.reserve(specs.size());
-  for (const auto& [label, s] : specs) {
-    options.emplace_back(label, [member, s = s](harness::ScenarioConfig& c) {
-      c.*member = s;
-    });
   }
   return options;
 }
@@ -90,26 +76,8 @@ SweepSpec& SweepSpec::axis_topology(
   return axis("topology", std::move(options));
 }
 
-SweepSpec& SweepSpec::axis_topology(
-    const std::vector<std::pair<std::string, net::DeploymentSpec>>& deployments) {
-  std::vector<std::pair<std::string, Apply>> options;
-  options.reserve(deployments.size());
-  for (const auto& [label, d] : deployments) {
-    options.emplace_back(label, [d = d](harness::ScenarioConfig& c) {
-      c.deployment = d;
-    });
-  }
-  return axis("topology", std::move(options));
-}
-
 SweepSpec& SweepSpec::axis_channel(
     const std::vector<net::ChannelModelSpec>& models) {
-  return axis("channel",
-              spec_options(models, &harness::ScenarioConfig::channel_model));
-}
-
-SweepSpec& SweepSpec::axis_channel(
-    const std::vector<std::pair<std::string, net::ChannelModelSpec>>& models) {
   return axis("channel",
               spec_options(models, &harness::ScenarioConfig::channel_model));
 }
@@ -118,51 +86,12 @@ SweepSpec& SweepSpec::axis_mobility(const std::vector<net::MobilitySpec>& specs)
   return axis("mobility", spec_options(specs, &harness::ScenarioConfig::mobility));
 }
 
-SweepSpec& SweepSpec::axis_mobility(
-    const std::vector<std::pair<std::string, net::MobilitySpec>>& specs) {
-  return axis("mobility", spec_options(specs, &harness::ScenarioConfig::mobility));
-}
-
 SweepSpec& SweepSpec::axis_routing(const std::vector<routing::RoutingSpec>& specs) {
-  return axis("routing", spec_options(specs, &harness::ScenarioConfig::routing));
-}
-
-SweepSpec& SweepSpec::axis_routing(
-    const std::vector<std::pair<std::string, routing::RoutingSpec>>& specs) {
   return axis("routing", spec_options(specs, &harness::ScenarioConfig::routing));
 }
 
 SweepSpec& SweepSpec::axis_faults(const std::vector<fault::FaultSpec>& specs) {
   return axis("faults", spec_options(specs, &harness::ScenarioConfig::faults));
-}
-
-SweepSpec& SweepSpec::axis_faults(
-    const std::vector<std::pair<std::string, fault::FaultSpec>>& specs) {
-  return axis("faults", spec_options(specs, &harness::ScenarioConfig::faults));
-}
-
-SweepSpec& SweepSpec::axis_sinr(const std::vector<net::SinrParams>& specs) {
-  std::vector<std::pair<std::string, Apply>> options;
-  options.reserve(specs.size());
-  for (const net::SinrParams& s : specs) {
-    options.emplace_back(dedup_label(options, s.label()),
-                         [s](harness::ScenarioConfig& c) {
-                           c.channel_params.sinr = s;
-                         });
-  }
-  return axis("sinr", std::move(options));
-}
-
-SweepSpec& SweepSpec::axis_sinr(
-    const std::vector<std::pair<std::string, net::SinrParams>>& specs) {
-  std::vector<std::pair<std::string, Apply>> options;
-  options.reserve(specs.size());
-  for (const auto& [label, s] : specs) {
-    options.emplace_back(label, [s = s](harness::ScenarioConfig& c) {
-      c.channel_params.sinr = s;
-    });
-  }
-  return axis("sinr", std::move(options));
 }
 
 SweepSpec& SweepSpec::axis_rate(const std::vector<double>& rates_hz) {

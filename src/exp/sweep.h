@@ -72,54 +72,25 @@ class SweepSpec {
     return axis(std::move(name), std::move(options));
   }
 
-  // Vary the power-management policy (labels are the registry keys; the
-  // Protocol enum converts implicitly for the built-ins).
+  // Vary the power-management policy (labels are the protocol names; the
+  // Protocol enum converts implicitly).
   SweepSpec& axis_protocol(const std::vector<harness::ProtocolKey>& protocols);
 
   // Vary the deployment shape, keeping the base spec's size/range knobs
   // (labels from topology_kind_name)...
   SweepSpec& axis_topology(const std::vector<net::TopologyKind>& kinds);
   // ...or sweep fully custom deployments, labelled by kind name (repeats
-  // disambiguated as "kind#2", "kind#3", ...)...
+  // disambiguated as "kind#2", "kind#3", ...).
   SweepSpec& axis_topology(const std::vector<net::DeploymentSpec>& deployments);
-  // ...or with explicit labels.
-  SweepSpec& axis_topology(
-      const std::vector<std::pair<std::string, net::DeploymentSpec>>& deployments);
 
-  // Vary the channel's link-loss model (labels from ChannelModelSpec::label,
-  // repeats disambiguated as "kind#2", ...)...
+  // Vary one whole sub-spec, labelled by its label() (repeats disambiguated
+  // as "kind#2", ...): the channel's link-loss model, the mobility model,
+  // the parent-selection policy (labels are the policy keys), or the
+  // fault-injection spec. Custom labels go through axis(name, options).
   SweepSpec& axis_channel(const std::vector<net::ChannelModelSpec>& models);
-  // ...or with explicit labels.
-  SweepSpec& axis_channel(
-      const std::vector<std::pair<std::string, net::ChannelModelSpec>>& models);
-
-  // Vary the mobility model (labels from MobilitySpec::label, repeats
-  // disambiguated as "kind#2", ...)...
   SweepSpec& axis_mobility(const std::vector<net::MobilitySpec>& specs);
-  // ...or with explicit labels.
-  SweepSpec& axis_mobility(
-      const std::vector<std::pair<std::string, net::MobilitySpec>>& specs);
-
-  // Vary the parent-selection policy (labels are the policy keys)...
   SweepSpec& axis_routing(const std::vector<routing::RoutingSpec>& specs);
-  // ...or with explicit labels.
-  SweepSpec& axis_routing(
-      const std::vector<std::pair<std::string, routing::RoutingSpec>>& specs);
-
-  // Vary the fault-injection spec (labels from FaultSpec::label, repeats
-  // disambiguated as "kind#2", ...)...
   SweepSpec& axis_faults(const std::vector<fault::FaultSpec>& specs);
-  // ...or with explicit labels.
-  SweepSpec& axis_faults(
-      const std::vector<std::pair<std::string, fault::FaultSpec>>& specs);
-
-  // Vary the channel's SINR capture model (labels from SinrParams::label,
-  // deduped). This is a nested ChannelParams field, so the axis rewrites
-  // only channel_params.sinr and leaves the medium mechanics alone.
-  SweepSpec& axis_sinr(const std::vector<net::SinrParams>& specs);
-  // ...or with explicit labels.
-  SweepSpec& axis_sinr(
-      const std::vector<std::pair<std::string, net::SinrParams>>& specs);
 
   // Common workload/deployment axes, pre-labelled.
   SweepSpec& axis_rate(const std::vector<double>& rates_hz);

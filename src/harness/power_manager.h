@@ -6,12 +6,13 @@
 // sleep (Safe Sleep, duty schedules, always-on backbones), and any
 // protocol-private control traffic. run_scenario assembles the common
 // stack and delegates every policy decision here — it contains no
-// per-protocol branching. New policies register with the StackRegistry
-// (see stack_registry.h) and become sweepable by name without touching
-// any harness code.
+// per-protocol branching. The paper's six policies are the rows of one
+// closed table (power_manager.cpp), named by harness::protocol_name; a
+// seventh is a PowerManager, one row there and one Protocol enumerator.
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "src/core/safe_sleep.h"
 #include "src/energy/radio.h"
@@ -52,7 +53,7 @@ struct NodeHandles {
   mac::CsmaMac& mac;
 };
 
-// One instance is created per scenario run from the StackRegistry; it owns
+// One instance is created per scenario run by make_power_manager; it owns
 // whatever protocol-private state it allocates (SafeSleep schedulers,
 // beacon nodes, elected backbones).
 class PowerManager {
@@ -88,5 +89,9 @@ class PowerManager {
   // nothing: a stateless policy has nothing to attest.
   virtual void save_state(snap::Serializer& /*out*/) const {}
 };
+
+// Builds the policy named `name`, one of the six protocol_name()s. Throws
+// std::invalid_argument on any other name, listing the six.
+std::unique_ptr<PowerManager> make_power_manager(const std::string& name);
 
 }  // namespace essat::harness

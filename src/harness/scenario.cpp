@@ -11,7 +11,6 @@
 #include "src/energy/duty_cycle.h"
 #include "src/fault/fault_engine.h"
 #include "src/harness/power_manager.h"
-#include "src/harness/stack_registry.h"
 #include "src/mac/csma.h"
 #include "src/net/channel.h"
 #include "src/obs/sampler.h"
@@ -30,18 +29,6 @@
 
 namespace essat::harness {
 
-const char* protocol_name(Protocol p) {
-  switch (p) {
-    case Protocol::kNtsSs: return "NTS-SS";
-    case Protocol::kStsSs: return "STS-SS";
-    case Protocol::kDtsSs: return "DTS-SS";
-    case Protocol::kSync: return "SYNC";
-    case Protocol::kPsm: return "PSM";
-    case Protocol::kSpan: return "SPAN";
-  }
-  throw std::invalid_argument{"protocol_name: unknown Protocol enum value"};
-}
-
 std::ostream& operator<<(std::ostream& os, const ProtocolKey& key) {
   return os << key.name;
 }
@@ -50,7 +37,7 @@ namespace {
 
 // The policy-agnostic per-node substrate. Everything protocol-specific
 // (SafeSleep schedulers, beacon/backbone machinery) is owned by the
-// PowerManager the registry instantiated.
+// PowerManager make_power_manager built.
 struct NodeStack {
   std::unique_ptr<energy::Radio> radio;
   std::unique_ptr<mac::CsmaMac> mac;
@@ -517,7 +504,7 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
                                  measure_start, measure_end},
         master.fork(7));
   }
-  policy = StackRegistry::instance().create(config.protocol.name, config);
+  policy = make_power_manager(config.protocol.name);
 
   repair.set_policy(*parent_policy);
   repair.set_tracer(&sim);

@@ -1,14 +1,14 @@
 // Scenario: assembles the full per-node stack (radio, CSMA MAC, routing
-// tree, query agent, and the power-management policy looked up in the
-// StackRegistry) from a declarative config, runs the paper's experimental
-// phasing (§5) as a Trial, and returns the measured metrics.
+// tree, query agent, and the power-management policy the config names)
+// from a declarative config, runs the paper's experimental phasing (§5) as
+// a Trial, and returns the measured metrics.
 //
 // Defaults reproduce the paper: 80 nodes uniform in 500x500 m^2, 125 m
 // range, 1 Mbps 802.11-style MAC, 52-byte reports, root nearest the centre,
 // tree over nodes within 300 m of the root, three query classes with rate
 // ratio 6:3:2 starting at random times in a 10 s window, 200 s measured.
 // The deployment (DeploymentSpec) and workload (WorkloadSpec) are open
-// axes; the protocol is an open string key resolved by the registry.
+// axes; the protocol is a string key naming one of the six policies.
 #pragma once
 
 #include <cstdint>
@@ -39,17 +39,17 @@ struct TrialHookSpec;
 
 namespace essat::harness {
 
-// The paper's six protocols, for convenient enumeration; the open-ended
-// form is ProtocolKey, which names any policy in the StackRegistry.
+// The paper's six protocols (§5), in the order of the policy table
+// (power_manager.cpp); ProtocolKey is their string form.
 enum class Protocol { kNtsSs, kStsSs, kDtsSs, kSync, kPsm, kSpan };
-// Registry key of a built-in protocol. Fails loudly: throws
+// The protocol's name, read from its table row. Fails loudly: throws
 // std::invalid_argument for out-of-range enum values.
 const char* protocol_name(Protocol p);
 
 // String key selecting the power-management policy. Implicitly converts
 // from the Protocol enum and from string literals, so both
-// `config.protocol = Protocol::kDtsSs` and `config.protocol = "MY-POLICY"`
-// read naturally.
+// `config.protocol = Protocol::kDtsSs` and `config.protocol = "DTS-SS"`
+// read naturally. A key that names no policy throws when the Trial builds.
 struct ProtocolKey {
   std::string name = "DTS-SS";
 
@@ -83,7 +83,7 @@ struct WorkloadSpec {
 };
 
 struct ScenarioConfig {
-  // Power-management policy, looked up in the StackRegistry.
+  // Power-management policy: one of the six protocol_name()s.
   ProtocolKey protocol;
 
   // Deployment (§5 defaults: 80 nodes uniform random, 500 m square,
@@ -113,9 +113,8 @@ struct ScenarioConfig {
   net::MobilitySpec mobility;
 
   // Parent selection for tree construction and repair: "min-hop" (default,
-  // the paper's lowest-level rule), "etx" (link-quality-aware over the
-  // channel's loss statistics), or any key registered in the
-  // ParentPolicyRegistry. Sweepable via exp::SweepSpec::axis_routing.
+  // the paper's lowest-level rule) or "etx" (link-quality-aware over the
+  // channel's loss statistics). Sweepable via exp::SweepSpec::axis_routing.
   routing::RoutingSpec routing;
 
   // Phasing: setup slot, then query starts spread over the start window,

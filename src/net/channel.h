@@ -35,9 +35,7 @@
 
 #include <cassert>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/net/link_model.h"
@@ -78,14 +76,6 @@ struct SinrParams {
   // Minimum lone-frame SNR to decode at all; the -1e9 default disables
   // noise-floor loss (every in-range frame is decodable, like unit disc).
   double min_snr_db = -1.0e9;
-
-  // Sweep-axis label (exp::SweepSpec::axis_sinr).
-  std::string label() const {
-    if (!enabled) return "off";
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "sinr%gdB", capture_threshold_db);
-    return buf;
-  }
 };
 
 struct ChannelParams {

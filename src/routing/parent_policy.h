@@ -9,8 +9,7 @@
 // choosing the candidate with the lowest score (ties keep the incumbent /
 // first candidate in ascending-id order).
 //
-// Shipping policies, registered by string key (the same pattern as
-// harness::StackRegistry and net::LinkModel's spec):
+// The two policies, named by RoutingSpec::policy:
 //  * "min-hop" — link_cost 1, path_cost = tree level: the paper's "lowest
 //    level wins" rule, and the default of every selection site.
 //  * "etx"     — link_cost = the hop's bidirectional expected transmission
@@ -19,12 +18,8 @@
 //    gray-zone links that min-hop happily takes.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "src/net/types.h"
 #include "src/routing/tree.h"
@@ -52,7 +47,8 @@ class ParentPolicy {
 // score" is exactly "lowest level".
 class MinHopPolicy : public ParentPolicy {
  public:
-  const char* name() const override { return "min-hop"; }
+  static constexpr const char* kName = "min-hop";
+  const char* name() const override { return kName; }
   double link_cost(net::NodeId, net::NodeId) override { return 1.0; }
   double path_cost(const Tree& tree, net::NodeId n) override {
     return static_cast<double>(tree.level(n));
@@ -75,9 +71,11 @@ struct EtxParams {
 
 class EtxPolicy : public ParentPolicy {
  public:
+  static constexpr const char* kName = "etx";
+
   EtxPolicy(const LinkEstimator& estimator, EtxParams params);
 
-  const char* name() const override { return "etx"; }
+  const char* name() const override { return kName; }
   double link_cost(net::NodeId child, net::NodeId parent) override;
   // Sum of link costs along `n`'s ancestor chain.
   double path_cost(const Tree& tree, net::NodeId n) override;
@@ -88,43 +86,13 @@ class EtxPolicy : public ParentPolicy {
   EtxParams params_;
 };
 
-// Everything a policy factory may need; estimator-free policies ignore the
-// estimator (it is null when the harness has none to offer).
+// What RoutingSpec::build may need. Only `estimator` is read: "etx" needs
+// it (null when the harness has none to offer), and takes its EtxParams
+// from the spec itself.
 struct PolicyContext {
   const net::Topology* topo = nullptr;
   const LinkEstimator* estimator = nullptr;
   EtxParams etx;
-};
-
-// String-keyed factory registry of parent policies. "min-hop" and "etx"
-// self-register; external code adds its own with ParentPolicyRegistrar or
-// instance().add().
-class ParentPolicyRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<ParentPolicy>(const PolicyContext&)>;
-
-  static ParentPolicyRegistry& instance();
-
-  // Throws std::invalid_argument on a duplicate name.
-  void add(std::string name, Factory factory);
-  bool contains(const std::string& name) const;
-  // Registered names, sorted (stable sweep-axis ordering).
-  std::vector<std::string> names() const;
-  // Never returns null. Throws std::invalid_argument on an unknown key,
-  // listing the known names, or when the factory builds nothing.
-  std::unique_ptr<ParentPolicy> create(const std::string& name,
-                                       const PolicyContext& ctx) const;
-
- private:
-  ParentPolicyRegistry() = default;
-
-  mutable std::mutex mu_;
-  std::vector<std::pair<std::string, Factory>> entries_;
-};
-
-// Registers a factory at static-initialization time.
-struct ParentPolicyRegistrar {
-  ParentPolicyRegistrar(std::string name, ParentPolicyRegistry::Factory factory);
 };
 
 // ---------------------------------------------------------------------------
@@ -132,13 +100,14 @@ struct ParentPolicyRegistrar {
 // sweepable as a unit (exp::SweepSpec::axis_routing).
 
 struct RoutingSpec {
-  // Registry key of the parent-selection policy.
-  std::string policy = "min-hop";
+  // The parent-selection policy: MinHopPolicy::kName or EtxPolicy::kName.
+  std::string policy = MinHopPolicy::kName;
 
   // "etx" knobs.
   EtxParams etx;
 
-  // Throws std::invalid_argument on an unknown key, listing the known names.
+  // Never returns null. Throws std::invalid_argument on an unknown key,
+  // listing both names, and on "etx" without an estimator.
   std::unique_ptr<ParentPolicy> build(const PolicyContext& ctx) const;
 
   // Sink/axis label: the policy key.

@@ -4,6 +4,8 @@
 //  * stochastic churn, battery depletion and clock drift are deterministic
 //    (same config -> bit-identical RunMetrics) and respect the root
 //    exemption;
+//  * drifted clocks with a zero or 1 us break-even time finish without a
+//    sleep/wake livelock;
 //  * fault schedules are byte-identical across ESSAT_JOBS values (the
 //    engine pre-draws everything from per-node forked streams);
 //  * SINR capture with the threshold at +inf reproduces the legacy
@@ -163,6 +165,33 @@ TEST(FaultDrift, DriftedClocksStillDeliverDeterministically) {
   EXPECT_EQ(a.node_deaths, 0u);
   EXPECT_DOUBLE_EQ(a.downtime_s, 0.0);
   EXPECT_GT(a.delivery_ratio, 0.0);
+}
+
+// The default deployment with drifted clocks and a zero or tiny break-even
+// time: a wake-up the drifted clock would fire at or before now must keep
+// the radio on. Were it to sleep, the wake-up would fire at once and its
+// re-check would sleep again, so simulated time would advance by T_BE or
+// not at all. The 1 us run goes first and stops the test on failure, so a
+// regression fails on the event count before the T_BE = 0 run can exhaust
+// memory.
+TEST(FaultDrift, ZeroBreakEvenFinishesWithoutLivelock) {
+  for (harness::Protocol p : {harness::Protocol::kDtsSs, harness::Protocol::kStsSs,
+                              harness::Protocol::kNtsSs, harness::Protocol::kSpan}) {
+    for (Time t_be : {Time::microseconds(1), Time::zero()}) {
+      SCOPED_TRACE(std::string{harness::protocol_name(p)} + " T_BE " +
+                   t_be.to_string());
+      harness::ScenarioConfig c;
+      c.protocol = p;
+      c.seed = 11;
+      c.measure_duration = Time::seconds(30);
+      c.t_be = t_be;
+      c.faults.drift.skew_sigma_ppm = 20.0;
+      c.faults.drift.max_offset_ms = 2.0;
+      const harness::RunMetrics m = harness::run_scenario(c);
+      ASSERT_LT(m.sim_events, 1'000'000u);
+      EXPECT_GT(m.delivery_ratio, 0.0);
+    }
+  }
 }
 
 // ------------------------------------------------------------ SINR

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/net/channel.h"
@@ -17,47 +18,45 @@ namespace {
 
 using util::Time;
 
-// ------------------------------------------------------------- registry
+// ---------------------------------------------------------- RoutingSpec
 
-TEST(ParentPolicyRegistry, BuiltinsRegisteredAndListed) {
-  auto& reg = ParentPolicyRegistry::instance();
-  EXPECT_TRUE(reg.contains("min-hop"));
-  EXPECT_TRUE(reg.contains("etx"));
-  const auto names = reg.names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "min-hop"), names.end());
+TEST(RoutingSpec, BuildsMinHopAndEtx) {
+  RoutingSpec spec;
+  const auto min_hop = spec.build(PolicyContext{});
+  ASSERT_NE(min_hop, nullptr);
+  EXPECT_STREQ(min_hop->name(), "min-hop");
+  EXPECT_FALSE(min_hop->uses_link_estimator());
+
+  const net::Topology topo = net::Topology::line(2, 100.0, 125.0);
+  sim::Simulator sim;
+  net::Channel ch{sim, topo};
+  const LinkEstimator est{ch, topo};
+  spec.policy = "etx";
+  const auto etx = spec.build(PolicyContext{&topo, &est, spec.etx});
+  ASSERT_NE(etx, nullptr);
+  EXPECT_STREQ(etx->name(), "etx");
+  EXPECT_TRUE(etx->uses_link_estimator());
+  EXPECT_DOUBLE_EQ(etx->link_cost(0, 1), 1.0);  // lossless unit disc
 }
 
-TEST(ParentPolicyRegistry, UnknownKeyFailsLoudlyListingKnown) {
+TEST(RoutingSpec, UnknownKeyListsBothNames) {
+  RoutingSpec spec;
+  spec.policy = "steiner";
   try {
-    ParentPolicyRegistry::instance().create("steiner", PolicyContext{});
+    (void)spec.build(PolicyContext{});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("steiner"), std::string::npos);
     EXPECT_NE(msg.find("min-hop"), std::string::npos);
+    EXPECT_NE(msg.find("etx"), std::string::npos);
   }
 }
 
-TEST(ParentPolicyRegistry, DuplicateRegistrationThrows) {
-  EXPECT_THROW(ParentPolicyRegistry::instance().add(
-                   "min-hop", [](const PolicyContext&) {
-                     return std::unique_ptr<ParentPolicy>{};
-                   }),
-               std::invalid_argument);
-}
-
-TEST(ParentPolicyRegistry, FactoryBuildingNothingThrows) {
-  auto& reg = ParentPolicyRegistry::instance();
-  reg.add("builds-nothing", [](const PolicyContext&) {
-    return std::unique_ptr<ParentPolicy>{};
-  });
-  EXPECT_THROW(reg.create("builds-nothing", PolicyContext{}),
-               std::invalid_argument);
-}
-
-TEST(ParentPolicyRegistry, EtxRequiresEstimator) {
-  EXPECT_THROW(ParentPolicyRegistry::instance().create("etx", PolicyContext{}),
-               std::invalid_argument);
+TEST(RoutingSpec, EtxRequiresEstimator) {
+  RoutingSpec spec;
+  spec.policy = "etx";
+  EXPECT_THROW((void)spec.build(PolicyContext{}), std::invalid_argument);
 }
 
 TEST(RoutingSpec, BuildsPolicyOrLegacySentinel) {

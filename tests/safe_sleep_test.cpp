@@ -172,6 +172,27 @@ TEST(SafeSleep, ZeroBreakEvenSleepsThroughAnyGap) {
   EXPECT_EQ(h.short_count(), 1u);
 }
 
+// A drifted clock that would fire the wake-up at or before now keeps the
+// radio on: sleeping would wake at once, and the wake-up's re-check would
+// sleep again at the same instant, without end.
+TEST(SafeSleep, DriftedWakeupAtOrBeforeNowKeepsRadioOn) {
+  // The same 2 ms gap on a perfect clock sleeps: T_BE is 0.
+  SsRig perfect{Time::zero()};
+  perfect.sim.run_until(Time::seconds(1));
+  perfect.ss->update_next_send(0, perfect.sim.now() + Time::milliseconds(2));
+  EXPECT_EQ(perfect.ss->sleeps_initiated(), 1u);
+
+  SsRig rig{Time::zero()};
+  rig.ss->set_wake_adjust([](Time t) { return t - Time::milliseconds(5); });
+  rig.sim.run_until(Time::seconds(1));
+  rig.ss->update_next_send(0, rig.sim.now() + Time::milliseconds(2));
+  ASSERT_EQ(rig.ss->sleeps_initiated(), 0u);
+  EXPECT_EQ(rig.radio->state(), RadioState::kOn);
+  rig.sim.run_until(rig.sim.now() + Time::milliseconds(3));
+  EXPECT_EQ(rig.radio->state(), RadioState::kOn);
+  EXPECT_EQ(rig.ss->sleeps_initiated(), 0u);
+}
+
 TEST(SafeSleep, SupersededWakeupGoesBackToSleep) {
   SsRig rig;
   rig.ss->update_next_send(0, Time::seconds(10));

@@ -1,7 +1,7 @@
 // Acceptance check for the pluggable-stack refactor: a protocol x
 // deployment grid flows through SweepSpec/SweepRunner with no per-protocol
 // or per-topology branching anywhere — the harness resolves both axes from
-// their declarative specs (StackRegistry keys, DeploymentSpec kinds).
+// their declarative specs (policy-table names, DeploymentSpec kinds).
 #include <gtest/gtest.h>
 
 #include "src/exp/sweep.h"
