@@ -1,6 +1,6 @@
 // Shared configuration for the figure-reproduction benches: the paper's
 // experimental setup (§5) with the number of repetitions used per point,
-// and the parallel sweep plumbing shared by the rewired drivers.
+// and the parallel sweep plumbing shared by the multi-run benches.
 #pragma once
 
 #include <cstdio>

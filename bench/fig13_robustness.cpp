@@ -11,8 +11,11 @@
 // its duty machines do not survive a stack rebuild (see README).
 //
 // Output: one JSON line per point to argv[1] / ESSAT_BENCH_JSON
-// (default fig13_robustness.json). Exit 2 if an ESSAT-family protocol
-// records zero delivery under 10% churn — the CI smoke gate.
+// (default fig13_robustness.json). Exit 1 if that file cannot be opened;
+// exit 2 if an ESSAT-family protocol records zero delivery under 10%
+// churn — the CI smoke gate.
+#include <fstream>
+
 #include "bench_common.h"
 
 int main(int argc, char** argv) {
@@ -38,7 +41,12 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : nullptr;
   if (out_path == nullptr) out_path = std::getenv("ESSAT_BENCH_JSON");
   if (out_path == nullptr) out_path = "fig13_robustness.json";
-  exp::JsonLinesSink json(std::string{out_path});
+  std::ofstream out{out_path};
+  if (!out) {
+    std::fprintf(stderr, "fig13_robustness: cannot open %s\n", out_path);
+    return 1;
+  }
+  exp::JsonLinesSink json(out);
   const auto results = bench::parallel_runner("fig13").run(spec, {&json});
 
   harness::Table table{{"protocol", "faults", "duty (%)", "latency (s)",

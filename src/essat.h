@@ -16,10 +16,9 @@
 //   fault   — deterministic fault injection: node churn, battery
 //             depletion, clock drift (declarative FaultSpec, pre-drawn
 //             per-node schedules)
-//   harness — scenario assembly, metrics, multi-run experiments
+//   harness — scenario assembly, per-run and averaged metrics
 //   exp     — parallel experiment-sweep engine (thread pool, parameter
-//             grids, deterministic seeding, aggregation, result sinks);
-//             harness::run_repeated forwards here
+//             grids, deterministic seeding, aggregation, result sinks)
 #pragma once
 
 #include "src/baselines/psm.h"

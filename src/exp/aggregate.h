@@ -63,7 +63,7 @@ class Aggregator {
   void add(harness::RunMetrics m);
 
   // The aggregate so far. `last_run` holds the most recently added run's
-  // histograms and per-node diagnostics, matching harness::run_repeated.
+  // histograms and per-node diagnostics.
   const harness::AveragedMetrics& result() const { return out_; }
   harness::AveragedMetrics take() { return std::move(out_); }
 

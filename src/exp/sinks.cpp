@@ -3,9 +3,7 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <iostream>
-#include <stdexcept>
 
 #include "src/exp/aggregate.h"
 
@@ -93,68 +91,24 @@ void ConsoleTableSink::finish() {
   if (table_) table_->print(os_);
 }
 
-// ------------------------------------------------------------ file-backed
-
-void FileBackedSink::open_(std::ios::openmode mode) {
-  owned_ = std::make_unique<std::ofstream>(path_, mode);
-  if (!*owned_) {
-    throw std::runtime_error{"FileBackedSink: cannot open " + path_};
-  }
-  os_ = owned_.get();
-}
-
-std::ostream& FileBackedSink::out() {
-  // Path-backed sinks open lazily: a plain run truncates here on first
-  // write, while a resumed run has already re-attached via resume_at().
-  if (!os_) open_(std::ios::out | std::ios::trunc);
-  return *os_;
-}
-
-std::int64_t FileBackedSink::output_offset() {
-  if (path_.empty()) return -1;  // borrowed stream: not resumable
-  out().flush();
-  return static_cast<std::int64_t>(owned_->tellp());
-}
-
-void FileBackedSink::resume_at(std::int64_t offset) {
-  if (path_.empty() || offset < 0) return;
-  if (owned_) {
-    owned_->close();
-    owned_.reset();
-    os_ = nullptr;
-  }
-  if (offset == 0) {
-    // Nothing checkpointed yet (or a fresh directory): start the file over.
-    open_(std::ios::out | std::ios::trunc);
-  } else {
-    // Drop anything a crash appended after the last checkpointed row, then
-    // continue in append mode; a row is therefore never duplicated or torn.
-    std::filesystem::resize_file(path_, static_cast<std::uintmax_t>(offset));
-    open_(std::ios::out | std::ios::app);
-  }
-  resumed_mid_file_ = offset > 0;
-}
-
 // ------------------------------------------------------------ csv
 
 void CsvSink::begin(const std::vector<std::string>& axis_names) {
-  num_axes_ = axis_names.size();
-  if (resumed_mid_file()) return;  // the original run already wrote the header
-  out() << "point";
-  for (const auto& name : axis_names) out() << ',' << csv_escape(name);
-  for_each_metric({}, [&](const char* name, double) { out() << ',' << name; });
-  out() << '\n';
-  out().flush();
+  os_ << "point";
+  for (const auto& name : axis_names) os_ << ',' << csv_escape(name);
+  for_each_metric({}, [&](const char* name, double) { os_ << ',' << name; });
+  os_ << '\n';
+  os_.flush();
 }
 
 void CsvSink::on_point(const PointResult& r) {
-  out() << r.point.index;
-  for (const auto& label : r.point.labels) out() << ',' << csv_escape(label);
+  os_ << r.point.index;
+  for (const auto& label : r.point.labels) os_ << ',' << csv_escape(label);
   for_each_metric(r.metrics, [&](const char*, double v) {
-    out() << ',' << full_precision(v);
+    os_ << ',' << full_precision(v);
   });
-  out() << '\n';
-  out().flush();
+  os_ << '\n';
+  os_.flush();
 }
 
 // ------------------------------------------------------------ json lines
@@ -164,20 +118,20 @@ void JsonLinesSink::begin(const std::vector<std::string>& axis_names) {
 }
 
 void JsonLinesSink::on_point(const PointResult& r) {
-  out() << "{\"point\":" << r.point.index << ",\"labels\":{";
+  os_ << "{\"point\":" << r.point.index << ",\"labels\":{";
   for (std::size_t i = 0; i < r.point.labels.size(); ++i) {
-    if (i) out() << ',';
+    if (i) os_ << ',';
     const std::string& name =
         i < axis_names_.size() ? axis_names_[i] : "axis" + std::to_string(i);
-    out() << '"' << json_escape(name) << "\":\""
-          << json_escape(r.point.labels[i]) << '"';
+    os_ << '"' << json_escape(name) << "\":\""
+        << json_escape(r.point.labels[i]) << '"';
   }
-  out() << '}';
+  os_ << '}';
   for_each_metric(r.metrics, [&](const char* name, double v) {
-    out() << ",\"" << name << "\":" << full_precision(v);
+    os_ << ",\"" << name << "\":" << full_precision(v);
   });
-  out() << "}\n";
-  out().flush();
+  os_ << "}\n";
+  os_.flush();
 }
 
 // ------------------------------------------------------------ progress

@@ -2,15 +2,14 @@
 //
 // A sink receives every aggregated grid point, in point (row-major grid)
 // order, as soon as that point and every earlier one have all their
-// repetitions. Shipping sinks: an ASCII console table (one row per point,
-// printed at finish), CSV (full precision, machine-readable), and JSON
-// lines (one object per point). ProgressReporter is the live side channel:
-// it ticks per completed trial while the sweep is in flight.
+// repetitions. Shipping sinks, each writing to a stream the caller owns: an
+// ASCII console table (one row per point, printed at finish), CSV (full
+// precision, machine-readable), and JSON lines (one object per point).
+// ProgressReporter is the live side channel: it ticks per completed trial
+// while the sweep is in flight.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -38,16 +37,6 @@ class ResultSink {
   virtual void on_point(const PointResult& r) = 0;
   // Called once after the last point.
   virtual void finish() {}
-
-  // --- Resume support (crash-resumable sweeps) ---------------------------
-  // A path-backed sink reports its current output size so the sweep
-  // checkpoint ledger can record a known-good byte offset after each
-  // emitted point; -1 means "not resumable" (stream-backed sinks).
-  virtual std::int64_t output_offset() { return -1; }
-  // Truncates the output to `offset` (discarding any torn row a crash left
-  // behind) and continues appending from there; offset 0 restarts the file.
-  // No-op for stream-backed sinks. Called before begin().
-  virtual void resume_at(std::int64_t offset) { (void)offset; }
 };
 
 // Human-readable summary table: one row per point, axis labels first, then
@@ -64,66 +53,29 @@ class ConsoleTableSink : public ResultSink {
   std::unique_ptr<harness::Table> table_;
 };
 
-// Shared machinery of the file-format sinks: either borrows a caller
-// stream (legacy constructors, not resumable) or owns a file at a path —
-// and a path-backed sink supports resume: truncate to a ledger-recorded
-// offset, reopen in append mode, and report byte offsets after each row.
-class FileBackedSink : public ResultSink {
- public:
-  explicit FileBackedSink(std::ostream& os) : os_(&os) {}
-  // Path-backed form. The file is NOT touched here: it opens (truncating)
-  // on first write — so a resume_at() call before any output re-attaches
-  // to the existing file instead of clobbering the rows it is resuming.
-  explicit FileBackedSink(const std::string& path) : path_(path) {}
-  ~FileBackedSink() override {
-    if (os_) os_->flush();
-  }
-
-  std::int64_t output_offset() override;
-  void resume_at(std::int64_t offset) override;
-
- protected:
-  std::ostream& out();
-  // True when resume_at re-attached mid-file: the header (if the format
-  // has one) was already written by the original run.
-  bool resumed_mid_file() const { return resumed_mid_file_; }
-
- private:
-  void open_(std::ios::openmode mode);
-
-  std::ostream* os_ = nullptr;            // borrowed, or owned_ once open
-  std::string path_;                      // empty: borrowed stream
-  std::unique_ptr<std::ofstream> owned_;  // set for path-backed sinks
-  bool resumed_mid_file_ = false;
-};
-
 // CSV with a header row; numbers at %.17g so doubles round-trip exactly.
-// Flushes after every row and on destruction so an aborted sweep leaves
-// complete, parseable output behind.
-class CsvSink : public FileBackedSink {
+// Flushes after every row so an aborted sweep leaves complete, parseable
+// output behind.
+class CsvSink : public ResultSink {
  public:
-  explicit CsvSink(std::ostream& os) : FileBackedSink(os) {}
-  // Path-backed (owning) form: resumable via the sweep checkpoint ledger.
-  explicit CsvSink(const std::string& path) : FileBackedSink(path) {}
+  explicit CsvSink(std::ostream& os) : os_(os) {}
   void begin(const std::vector<std::string>& axis_names) override;
   void on_point(const PointResult& r) override;
 
  private:
-  std::size_t num_axes_ = 0;
+  std::ostream& os_;
 };
 
 // One JSON object per line per point; numbers at %.17g. Flushes after
-// every line and on destruction so an aborted sweep leaves complete,
-// parseable output behind.
-class JsonLinesSink : public FileBackedSink {
+// every line so an aborted sweep leaves complete, parseable output behind.
+class JsonLinesSink : public ResultSink {
  public:
-  explicit JsonLinesSink(std::ostream& os) : FileBackedSink(os) {}
-  // Path-backed (owning) form: resumable via the sweep checkpoint ledger.
-  explicit JsonLinesSink(const std::string& path) : FileBackedSink(path) {}
+  explicit JsonLinesSink(std::ostream& os) : os_(os) {}
   void begin(const std::vector<std::string>& axis_names) override;
   void on_point(const PointResult& r) override;
 
  private:
+  std::ostream& os_;
   std::vector<std::string> axis_names_;
 };
 

@@ -29,15 +29,6 @@ class SweepRunner {
     // Called after each trial completes with (trials done, trials total).
     // Invoked under a lock, possibly from worker threads.
     std::function<void(std::size_t done, std::size_t total)> progress;
-    // Crash-resumable mode: when non-empty, the directory holds a
-    // checkpoint ledger (see src/exp/checkpoint.h). Completed trials are
-    // appended as they finish, with an emission watermark after each
-    // emitted point, and a re-run against the same directory skips the
-    // recorded trials and resumes path-backed sinks at their recorded
-    // offsets — producing output byte-identical to an uninterrupted
-    // sweep. Resume with the same spec (fingerprint-checked) and the same
-    // sink list.
-    std::string checkpoint_dir;
   };
 
   SweepRunner() = default;
@@ -48,10 +39,9 @@ class SweepRunner {
   // first trial, on_point() for each point in point order as soon as that
   // point and every earlier one have all their repetitions, and finish()
   // at the end. A trial exception is rethrown after every queued trial has
-  // run. Before that, without a checkpoint_dir, every other complete point
-  // is flushed to the sinks in point order and finish() is called, so a
-  // partially-failed sweep still leaves its finished results on disk; with
-  // one, nothing more is emitted, because a resume emits it.
+  // run. Before that, every other complete point is flushed to the sinks in
+  // point order and finish() is called, so a partially-failed sweep still
+  // leaves its finished results in the sinks' streams.
   std::vector<PointResult> run(const SweepSpec& spec,
                                const std::vector<ResultSink*>& sinks = {});
 

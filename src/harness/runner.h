@@ -1,12 +1,12 @@
-// Multi-run experiment driver: the paper averages each data point over five
-// runs with varied node locations and query start times (§5), reporting 90%
-// confidence intervals.
+// Averaged results of one experiment point: the paper averages each data
+// point over five runs with varied node locations and query start times
+// (§5), reporting 90% confidence intervals. exp::Aggregator folds the runs
+// of a point into this struct, and exp::SweepRunner returns one per point.
 #pragma once
 
-#include <functional>
 #include <vector>
 
-#include "src/harness/scenario.h"
+#include "src/harness/metrics.h"
 #include "src/util/stats.h"
 
 namespace essat::harness {
@@ -31,9 +31,5 @@ struct AveragedMetrics {
   double duty_ci90() const { return duty_cycle.ci_halfwidth(0.90); }
   double latency_ci90() const { return latency_s.ci_halfwidth(0.90); }
 };
-
-// Runs `config` with seeds config.seed, config.seed+1, ..., +runs-1 (each
-// seed re-randomizes node placement and query phases, as in the paper).
-AveragedMetrics run_repeated(ScenarioConfig config, int runs);
 
 }  // namespace essat::harness

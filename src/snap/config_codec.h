@@ -31,7 +31,8 @@ void save_scenario_config(Serializer& out, const harness::ScenarioConfig& config
 // Reads one "SCFG" section. Throws SnapError on tag/length mismatch.
 harness::ScenarioConfig load_scenario_config(Deserializer& in);
 
-// Convenience wrappers for fingerprinting and ledger records.
+// Convenience wrappers for fingerprinting (perfbench's config digest) and
+// round-trip checks.
 std::vector<std::uint8_t> scenario_config_to_bytes(
     const harness::ScenarioConfig& config);
 harness::ScenarioConfig scenario_config_from_bytes(const std::uint8_t* data,

@@ -28,21 +28,10 @@ void save_run_metrics(Serializer& out, const harness::RunMetrics& m) {
   write_section(out, "RMET", m);
 }
 
-harness::RunMetrics load_run_metrics(Deserializer& in) {
-  return read_section<harness::RunMetrics>(in, "RMET");
-}
-
 std::vector<std::uint8_t> run_metrics_to_bytes(const harness::RunMetrics& m) {
   Serializer out;
   save_run_metrics(out, m);
   return out.take();
-}
-
-harness::RunMetrics run_metrics_from_bytes(const std::vector<std::uint8_t>& b) {
-  Deserializer in{b};
-  harness::RunMetrics m = load_run_metrics(in);
-  if (!in.at_end()) throw SnapError{"trailing bytes after RunMetrics"};
-  return m;
 }
 
 }  // namespace essat::snap

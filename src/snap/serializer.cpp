@@ -157,11 +157,6 @@ void Deserializer::finish() {
   ends_.pop_back();
 }
 
-std::string Deserializer::next_tag() const {
-  if (remaining() < 12) return {};
-  return std::string(reinterpret_cast<const char*>(data_ + at_), 4);
-}
-
 void Deserializer::skip() {
   char tag[5] = {};
   bytes(tag, 4);

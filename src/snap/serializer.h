@@ -5,8 +5,9 @@
 // strings, and 4-byte-tagged length-prefixed sections. No pointers, no
 // padding, no host-order dependence — two runs that write the same logical
 // state produce identical bytes, which is what lets the restore path verify
-// a replayed simulator against a snapshot byte-for-byte (and the sweep
-// checkpoints diff restored-vs-straight-run RunMetrics the same way).
+// a replayed simulator against a snapshot byte-for-byte (and the
+// conformance checks diff restored-vs-straight-run RunMetrics the same
+// way).
 //
 // Sections nest: begin(tag) writes the tag and a length placeholder that
 // end() patches, so a reader can skip or enumerate sections it does not
@@ -31,7 +32,7 @@ class SnapError : public std::runtime_error {
 };
 
 // CRC-32 (IEEE 802.3 polynomial, reflected). Used by the snapshot container
-// and the sweep ledger to detect torn or corrupted payloads.
+// to detect torn or corrupted payloads.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
                     std::uint32_t seed = 0);
 
@@ -87,11 +88,9 @@ class Deserializer {
   void bytes(void* out, std::size_t size);
 
   // Enters a section, checking its tag; finish() checks the section was
-  // consumed exactly. next_tag() peeks without consuming (empty string at
-  // end of the enclosing scope); skip() jumps over one whole section.
+  // consumed exactly. skip() jumps over one whole section.
   void enter(const char (&tag)[5]);
   void finish();
-  std::string next_tag() const;
   void skip();
 
   std::size_t offset() const { return at_; }

@@ -13,10 +13,6 @@ const char* snapshot_kind_name(SnapshotKind kind) {
   switch (kind) {
     case SnapshotKind::kTrial:
       return "trial";
-    case SnapshotKind::kMetrics:
-      return "metrics";
-    case SnapshotKind::kLedger:
-      return "ledger";
   }
   return "unknown";
 }
@@ -47,7 +43,7 @@ Snapshot Snapshot::from_bytes(const std::uint8_t* data, std::size_t size) {
                     " (no migrations; re-run the prefix)"};
   }
   const std::uint32_t kind = in.u32();
-  if (kind < 1 || kind > 3) {
+  if (kind != static_cast<std::uint32_t>(SnapshotKind::kTrial)) {
     throw SnapError{"unknown snapshot kind " + std::to_string(kind)};
   }
   snap.kind = static_cast<SnapshotKind>(kind);

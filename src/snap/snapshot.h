@@ -1,13 +1,13 @@
 // Versioned snapshot container.
 //
 // A Snapshot is the unit everything above the serializer exchanges: a kind
-// tag (full trial state, bare RunMetrics, sweep ledger record), a format
-// version, and an opaque payload produced by a Serializer. to_bytes() frames
-// it with a magic string and a CRC-32 of the payload so readers can reject
-// foreign files, version skew, and torn or corrupted writes with a precise
-// error instead of garbage state.
+// tag (full trial state is the only kind), a format version, and an opaque
+// payload produced by a Serializer. to_bytes() frames it with a magic
+// string and a CRC-32 of the payload so readers can reject foreign files,
+// version skew, and torn or corrupted writes with a precise error instead
+// of garbage state.
 //
-// Versioning policy (documented in README "Snapshots & resumable sweeps"):
+// Versioning policy (documented in README "Snapshots"):
 // kFormatVersion bumps on ANY change to the payload encoding of any
 // component — there are no in-place migrations. A snapshot is a cache of a
 // deterministic computation, never the only copy of data, so the cheap and
@@ -28,9 +28,7 @@ namespace essat::snap {
 inline constexpr std::uint32_t kFormatVersion = 4;
 
 enum class SnapshotKind : std::uint32_t {
-  kTrial = 1,    // full mid-run simulator state + scenario config
-  kMetrics = 2,  // a standalone RunMetrics payload
-  kLedger = 3,   // sweep checkpoint ledger record
+  kTrial = 1,  // full mid-run simulator state + scenario config
 };
 
 const char* snapshot_kind_name(SnapshotKind kind);

@@ -331,19 +331,28 @@ TEST(SweepRunner, ParallelIdenticalToSerialOnRealScenario) {
   }
 }
 
-// harness::run_repeated is now a wrapper over the engine; it must match a
-// hand-rolled serial loop with the documented seed = base + i advance.
-TEST(RunRepeated, MatchesManualSerialLoop) {
-  harness::ScenarioConfig config = small_scenario();
-  const auto wrapped = harness::run_repeated(config, 3);
-
-  Aggregator agg;
-  for (int i = 0; i < 3; ++i) {
-    harness::ScenarioConfig c = config;
-    c.seed = config.seed + static_cast<std::uint64_t>(i);
-    agg.add(harness::run_scenario(c));
+// Each grid point must match a hand-rolled serial loop over that point's
+// config with the documented seed = base + i advance; the figure benches
+// read their tables from these per-point aggregates.
+TEST(SweepRunner, EachPointMatchesManualSerialLoop) {
+  SweepSpec spec(small_scenario());
+  spec.runs(3).axis_protocol(
+      {harness::Protocol::kDtsSs, harness::Protocol::kNtsSs});
+  const std::vector<SweepPoint> points = spec.points();
+  const auto results = SweepRunner().run(spec);
+  ASSERT_EQ(results.size(), 2u);
+  for (std::size_t p = 0; p < results.size(); ++p) {
+    SCOPED_TRACE("point " + std::to_string(p));
+    Aggregator agg;
+    for (int i = 0; i < 3; ++i) {
+      harness::ScenarioConfig c = points[p].config;
+      c.seed = points[p].config.seed + static_cast<std::uint64_t>(i);
+      agg.add(harness::run_scenario(c));
+    }
+    expect_identical(results[p].metrics, agg.result());
+    EXPECT_GE(results[p].metrics.duty_ci90(), 0.0);
+    EXPECT_FALSE(results[p].metrics.duty_by_rank.empty());
   }
-  expect_identical(wrapped, agg.result());
 }
 
 // ------------------------------------------------------------ sinks

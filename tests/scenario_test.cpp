@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "src/harness/runner.h"
 #include "src/harness/scenario.h"
 #include "src/harness/table.h"
 #include "src/snap/metrics_codec.h"
@@ -121,15 +120,6 @@ TEST(Trial, SteppedAdvanceMatchesStraightRun) {
     }
     EXPECT_EQ(bytes_of(trial.finish()), bytes_of(run_scenario(c)));
   }
-}
-
-TEST(Runner, AveragesAcrossSeeds) {
-  auto c = small_config(Protocol::kNtsSs);
-  const AveragedMetrics avg = run_repeated(c, 3);
-  EXPECT_EQ(avg.duty_cycle.count(), 3u);
-  EXPECT_GT(avg.duty_cycle.mean(), 0.0);
-  EXPECT_GE(avg.duty_ci90(), 0.0);
-  EXPECT_FALSE(avg.duty_by_rank.empty());
 }
 
 TEST(LatencyCollector, ComputesPerEpochLatency) {

@@ -95,10 +95,8 @@ TEST(Serializer, NestedSectionsEnterFinishAndSkip) {
 
   {
     Deserializer in{bytes};
-    EXPECT_EQ(in.next_tag(), "OUTR");
     in.enter("OUTR");
     EXPECT_EQ(in.u32(), 1u);
-    EXPECT_EQ(in.next_tag(), "INNR");
     in.enter("INNR");
     EXPECT_EQ(in.str(), "payload");
     in.finish();
@@ -159,12 +157,12 @@ TEST(Crc32, MatchesKnownVector) {
 
 TEST(Snapshot, FramedRoundTrip) {
   Snapshot snap;
-  snap.kind = SnapshotKind::kMetrics;
+  snap.kind = SnapshotKind::kTrial;
   snap.payload = {1, 2, 3, 4, 5};
   const auto bytes = snap.to_bytes();
 
   const Snapshot back = Snapshot::from_bytes(bytes);
-  EXPECT_EQ(back.kind, SnapshotKind::kMetrics);
+  EXPECT_EQ(back.kind, SnapshotKind::kTrial);
   EXPECT_EQ(back.version, kFormatVersion);
   EXPECT_EQ(back.payload, snap.payload);
 }
@@ -184,9 +182,11 @@ TEST(Snapshot, RejectsBadMagicVersionKindCrcAndTruncation) {
     bad[8] = 99;  // version field
     EXPECT_THROW(Snapshot::from_bytes(bad), SnapError);
   }
-  {
+  // Kind field: only trial snapshots (kind 1) decode.
+  for (const int kind : {0, 2, 3, 77}) {
+    SCOPED_TRACE("kind " + std::to_string(kind));
     auto bad = bytes;
-    bad[12] = 77;  // kind field
+    bad[12] = static_cast<std::uint8_t>(kind);
     EXPECT_THROW(Snapshot::from_bytes(bad), SnapError);
   }
   {

@@ -185,7 +185,7 @@ TEST(SnapTrial, AttestationCatchesTamperedState) {
 
 TEST(SnapTrial, DecodeRejectsWrongKind) {
   Snapshot s;
-  s.kind = SnapshotKind::kMetrics;
+  s.kind = static_cast<SnapshotKind>(2);
   EXPECT_THROW((void)decode_trial(s), SnapError);
 }
 
