@@ -1,6 +1,7 @@
-// Snapshot round-trip: capture a traced trial at the setup/measurement
-// barrier, write the snapshot to disk, read it back, resume it, and demand
-// the resumed RunMetrics encode bit-identically to the capturing run's.
+// Snapshot round-trip: capture a traced trial mid-run, halfway through the
+// measurement window, write the snapshot to disk, read it back, resume it,
+// and demand the resumed RunMetrics encode bit-identically to the capturing
+// run's.
 // Exits nonzero on any mismatch. CI runs this as the snapshot smoke test;
 // the written file then feeds tools/replay (--dump, --verify).
 //
@@ -35,7 +36,9 @@ int main(int argc, char** argv) {
               config.protocol.c_str(), config.deployment.num_nodes,
               static_cast<unsigned long long>(config.seed), out_path);
 
-  const snap::TrialCapture cap = snap::capture_trial(config);
+  const util::Time mid_measurement =
+      harness::Trial{config}.measure_end() - config.measure_duration / 2;
+  const snap::TrialCapture cap = snap::capture_trial(config, mid_measurement);
   snap::write_snapshot_file(out_path, cap.snapshot);
 
   const snap::Snapshot reread = snap::read_snapshot_file(out_path);

@@ -9,7 +9,7 @@
 //   net     — topology, packets, wireless channel
 //   energy  — radio power-state machine and accounting
 //   mac     — CSMA/CA medium access
-//   routing — routing tree, distributed setup, repair
+//   routing — routing tree, parent policies, repair
 //   query   — periodic-query service with in-network aggregation
 //   core    — the paper's contribution: Safe Sleep + NTS/STS/DTS shapers
 //   baselines — SYNC, PSM, SPAN comparison protocols
@@ -27,7 +27,6 @@
 #include "src/baselines/span_stack.h"
 #include "src/baselines/sync.h"
 #include "src/baselines/sync_stack.h"
-#include "src/core/dissemination.h"
 #include "src/core/dts.h"
 #include "src/core/essat_stack.h"
 #include "src/core/maintenance.h"
@@ -64,10 +63,8 @@
 #include "src/query/workload.h"
 #include "src/routing/repair.h"
 #include "src/routing/tree.h"
-#include "src/routing/tree_protocol.h"
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
-#include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/time.h"

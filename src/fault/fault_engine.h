@@ -76,7 +76,8 @@ class FaultEngine {
   // Schedules every pre-drawn fault event plus the battery poll grid. Call
   // once, after the callbacks are installed and the harness has scheduled
   // its own setup-boundary events (same-time events run in schedule order,
-  // so stacks exist before a churn event at offset zero fires).
+  // so the workload is registered before a churn event at offset zero
+  // fires).
   void start();
 
   bool is_down(net::NodeId n) const {

@@ -60,9 +60,8 @@ class PowerManager {
  public:
   virtual ~PowerManager() = default;
 
-  // Invoked once when the routing tree is final (after the distributed
-  // setup protocol, when enabled), before any per-node stack is built.
-  // E.g. SPAN elects its coordinator backbone here.
+  // Invoked once on the finished routing tree, before any per-node stack
+  // is built. E.g. SPAN elects its coordinator backbone here.
   virtual void on_tree_ready(const StackContext& /*ctx*/) {}
 
   // The traffic shaper for one tree member (never null).

@@ -1,5 +1,6 @@
 #include "src/harness/scenario.h"
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <ostream>
@@ -20,11 +21,9 @@
 #include "src/routing/link_estimator.h"
 #include "src/routing/repair.h"
 #include "src/routing/tree.h"
-#include "src/routing/tree_protocol.h"
 #include "src/sim/simulator.h"
 #include "src/snap/hook.h"
 #include "src/snap/serializer.h"
-#include "src/util/logging.h"
 #include "src/util/rng.h"
 
 namespace essat::harness {
@@ -85,7 +84,6 @@ struct Trial::Impl {
   util::Rng placement_rng = master.fork(1);
   util::Rng workload_rng = master.fork(2);
   util::Rng policy_rng = master.fork(3);
-  util::Rng setup_rng = master.fork(4);
   net::Topology topo = build_topology(config, placement_rng, master);
   const net::NodeId root = topo.nearest(config.deployment.centre());
   sim::Simulator sim;
@@ -101,7 +99,6 @@ struct Trial::Impl {
   const std::size_t n = topo.num_nodes();
   std::vector<NodeStack> nodes = std::vector<NodeStack>(n);
   routing::Tree tree{n};
-  std::unique_ptr<routing::TreeSetupProtocol> setup_protocol;
   // Phasing: the setup slot, then query starts over the start window, then
   // the measurement window (after all queries have started).
   const util::Time setup_end = config.setup_duration;
@@ -195,17 +192,11 @@ struct Trial::Impl {
   // Receive demultiplexing: core packet types go to their substrate
   // handlers; everything else is the policy's private control traffic.
   void receive(net::NodeId id, const net::Packet& p) {
-    const util::ScopedNodeContext log_node{id};
     NodeStack& node = stack(id);
     switch (p.type) {
       case net::PacketType::kData:
       case net::PacketType::kPhaseRequest:
         if (node.agent) node.agent->handle_packet(p);
-        break;
-      case net::PacketType::kSetup:
-      case net::PacketType::kJoin:
-      case net::PacketType::kRankReport:
-        if (setup_protocol) setup_protocol->handle_packet(id, p);
         break;
       default:
         policy->handle_packet(id, p);
@@ -286,8 +277,6 @@ struct Trial::Impl {
     topo.save_state(out);
     channel.save_state(out);
     tree.save_state(out);
-    out.boolean(setup_protocol != nullptr);
-    if (setup_protocol) setup_protocol->save_state(out);
     link_estimator.save_state(out);
     out.u64(n);
     for (const NodeStack& node : nodes) {
@@ -313,7 +302,8 @@ struct Trial::Impl {
       const std::string path = substitute_seed(*configured, config.seed);
       std::ofstream f{path};
       if (!f) {
-        ESSAT_WARN("trace export: cannot open %s", path.c_str());
+        std::fprintf(stderr, "[WARN] trace export: cannot open %s\n",
+                     path.c_str());
       } else if (configured == &config.trace.perfetto_path) {
         obs::export_perfetto_json(*tracer, sampler.get(), f);
       } else {
@@ -423,9 +413,9 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
 
   if (config.trace.active_for(config.seed)) {
     if (!obs::kTracingCompiledIn) {
-      ESSAT_WARN(
-          "TraceSpec.enabled but the library was built with "
-          "-DESSAT_TRACING=OFF; the run proceeds untraced");
+      std::fprintf(stderr,
+                   "[WARN] TraceSpec.enabled but the library was built with "
+                   "-DESSAT_TRACING=OFF; the run proceeds untraced\n");
     } else {
       tracer = std::make_unique<obs::Tracer>(config.trace);
       sim.set_tracer(tracer.get());
@@ -475,23 +465,12 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
     sampler->start(sim, config.trace.sample_period);
   }
 
-  // Routing tree: central BFS-style construction, or the distributed
-  // setup protocol running through the setup slot.
-  if (config.use_distributed_setup) {
-    setup_protocol = std::make_unique<routing::TreeSetupProtocol>(
-        sim, topo, root,
-        routing::TreeSetupParams{
-            .finalize_after = config.setup_duration * 4 / 5,
-            .max_dist_from_root = config.deployment.max_tree_dist_m},
-        std::move(setup_rng), *parent_policy);
-    for (std::size_t i = 0; i < n; ++i) {
-      setup_protocol->attach_mac(static_cast<net::NodeId>(i), nodes[i].mac.get());
-    }
-  } else {
-    tree = routing::build_policy_tree(topo, root,
-                                      config.deployment.max_tree_dist_m,
-                                      parent_policy.get());
-  }
+  // Routing tree, built centrally before the experiment starts (§3). It
+  // follows set_link_model because the ETX policy reads the loss model's
+  // PRR prior.
+  tree = routing::build_policy_tree(topo, root,
+                                    config.deployment.max_tree_dist_m,
+                                    parent_policy.get());
 
   // Constructed (and its RNG stream forked) only when faults are configured:
   // Rng::fork is pure, so the conditional fork leaves every other stream's
@@ -522,21 +501,10 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
     repair.set_rejoin_callback([this](net::NodeId id) { on_rejoin(id); });
   }
 
-  // Phase plan. With distributed setup, the stacks are built on the tree
-  // the protocol finalized, at the setup boundary.
-  if (config.use_distributed_setup) {
-    setup_protocol->start([this](routing::Tree built) {
-      tree = std::move(built);
-      tree.recompute_ranks();
-    });
-    sim.schedule_at(setup_end, [this] {
-      build_stacks();
-      register_queries();
-    });
-  } else {
-    build_stacks();
-    sim.schedule_at(setup_end, [this] { register_queries(); });
-  }
+  // Phase plan: the stacks start on the finished tree, and the workload is
+  // drawn at the setup boundary.
+  build_stacks();
+  sim.schedule_at(setup_end, [this] { register_queries(); });
   if (topo.time_varying()) {
     sim.schedule_in(topo.mobility_epoch(), [this] { mobility_tick(); });
   }
@@ -544,7 +512,7 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
     for (NodeStack& node : nodes) node.radio->begin_measurement();
   });
   // Fault schedule: started last, so a same-time churn event (offset zero)
-  // fires after the setup-boundary stack build it tears down.
+  // fires after the setup-boundary query registration.
   if (fault_engine) fault_engine->start();
 }
 
@@ -559,15 +527,12 @@ void Trial::advance_to(util::Time t) {
   if (t > impl_->measure_end) {
     throw std::invalid_argument{"Trial::advance_to: past the measurement window"};
   }
-  // Log lines emitted while the trial runs carry its sim time.
-  const util::ScopedLogClock log_clock{[this] { return impl_->sim.now().ns(); }};
   impl_->sim.run_until(t);
 }
 
 void Trial::save_state(snap::Serializer& out) const { impl_->save_state(out); }
 
 RunMetrics Trial::finish() {
-  const util::ScopedLogClock log_clock{[this] { return impl_->sim.now().ns(); }};
   impl_->sim.run_until(impl_->measure_end);
   impl_->export_traces();
   return impl_->collect();

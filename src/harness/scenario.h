@@ -135,10 +135,6 @@ struct ScenarioConfig {
   // MAC parameters (802.11b at 1 Mbps by default).
   mac::MacParams mac_params;
 
-  // Tree construction: central BFS (default, the paper's pre-built tree) or
-  // the distributed flooding protocol during the setup slot.
-  bool use_distributed_setup = false;
-
   // §4.3 failure handling: detection thresholds + repair. Off by default
   // (the paper's main experiments inject no failures). To kill a node, add
   // a permanent entry to faults.churn.scheduled.
@@ -161,9 +157,9 @@ struct ScenarioConfig {
 };
 
 // One trial of the paper's phased experiment. The constructor is the build
-// phase (placement, channel, per-node stacks, routing tree or distributed
-// setup, fault schedule, phase plan); the workload is drawn when the setup
-// slot ends, and measurement runs to measure_end().
+// phase (placement, channel, routing tree, per-node stacks, fault schedule,
+// phase plan); the workload is drawn when the setup slot ends, and
+// measurement runs to measure_end().
 class Trial {
  public:
   explicit Trial(const ScenarioConfig& config);

@@ -6,7 +6,6 @@
 
 #include "src/snap/packet_codec.h"
 #include "src/snap/timer_codec.h"
-#include "src/util/logging.h"
 
 namespace essat::mac {
 

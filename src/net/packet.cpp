@@ -12,36 +12,6 @@ Packet make_data_packet(NodeId src, NodeId dst, DataHeader header) {
   return p;
 }
 
-Packet make_setup_packet(NodeId src, NodeId root, int level, double cost) {
-  Packet p;
-  p.type = PacketType::kSetup;
-  p.link_src = src;
-  p.link_dst = kBroadcastAddr;
-  p.size_bytes = Packet::kControlBytes;
-  p.payload = SetupHeader{root, level, cost};
-  return p;
-}
-
-Packet make_join_packet(NodeId src, NodeId parent) {
-  Packet p;
-  p.type = PacketType::kJoin;
-  p.link_src = src;
-  p.link_dst = parent;
-  p.size_bytes = Packet::kControlBytes;
-  p.payload = JoinHeader{};
-  return p;
-}
-
-Packet make_rank_packet(NodeId src, NodeId parent, int rank) {
-  Packet p;
-  p.type = PacketType::kRankReport;
-  p.link_src = src;
-  p.link_dst = parent;
-  p.size_bytes = Packet::kControlBytes;
-  p.payload = RankHeader{rank};
-  return p;
-}
-
 Packet make_atim_packet(NodeId src, AtimDestinations destinations) {
   Packet p;
   p.type = PacketType::kAtim;
@@ -62,26 +32,12 @@ Packet make_phase_request_packet(NodeId src, NodeId dst, QueryId query) {
   return p;
 }
 
-Packet make_dissemination_packet(NodeId src, NodeId dst, DisseminationHeader header) {
-  Packet p;
-  p.type = PacketType::kDissemination;
-  p.link_src = src;
-  p.link_dst = dst;
-  p.size_bytes = Packet::kDataReportBytes;
-  p.payload = header;
-  return p;
-}
-
 const char* packet_type_name(PacketType t) {
   switch (t) {
     case PacketType::kData: return "DATA";
     case PacketType::kAck: return "ACK";
-    case PacketType::kSetup: return "SETUP";
-    case PacketType::kJoin: return "JOIN";
-    case PacketType::kRankReport: return "RANK";
     case PacketType::kAtim: return "ATIM";
     case PacketType::kPhaseRequest: return "PHASE_REQ";
-    case PacketType::kDissemination: return "DISSEM";
   }
   return "?";
 }

@@ -19,12 +19,8 @@ namespace essat::net {
 enum class PacketType : std::uint8_t {
   kData,          // aggregated data report (query service)
   kAck,           // MAC-level acknowledgement
-  kSetup,         // routing-tree setup flood
-  kJoin,          // child -> parent tree join
-  kRankReport,    // child -> parent rank propagation (distributed setup)
-  kAtim,           // PSM traffic announcement
-  kPhaseRequest,   // DTS resynchronization request (§4.3)
-  kDissemination,  // periodic root->leaves dissemination (§3 extension)
+  kAtim,          // PSM traffic announcement
+  kPhaseRequest,  // DTS resynchronization request (§4.3)
 };
 
 // Data-report header. One per aggregated report; also used for late
@@ -41,21 +37,6 @@ struct DataHeader {
   std::optional<util::Time> phase_update;
 };
 
-struct SetupHeader {
-  NodeId root = kNoNode;
-  int level = 0;     // hops from root of the sender
-  // Sender's path cost under the active routing::ParentPolicy (== level for
-  // min-hop; cumulative ETX for etx). Like every header field it is
-  // modelled, not serialized — airtime stays kControlBytes.
-  double cost = 0.0;
-};
-
-struct JoinHeader {};
-
-struct RankHeader {
-  int rank = 0;  // sender's rank (max hop count to any of its descendants)
-};
-
 // ATIM destination lists are usually a few pending-traffic neighbors;
 // inline storage keeps the whole Packet allocation-free to copy/move, so
 // the zero-copy delivery path and the event queue's inline captures hold.
@@ -67,14 +48,6 @@ struct AtimHeader {
 
 struct PhaseRequestHeader {
   QueryId query = kNoQuery;
-};
-
-// Periodic dissemination message travelling down the routing tree (the §3
-// extension: "other communication patterns such as ... data dissemination").
-struct DisseminationHeader {
-  QueryId task = kNoQuery;
-  std::int64_t epoch = -1;
-  NodeId origin = kNoNode;  // the root that generated this round
 };
 
 struct Packet {
@@ -91,8 +64,7 @@ struct Packet {
   // forwarding. 0 = untracked (control frames, ACKs).
   std::uint64_t prov = 0;
 
-  std::variant<std::monostate, DataHeader, SetupHeader, JoinHeader, RankHeader,
-               AtimHeader, PhaseRequestHeader, DisseminationHeader>
+  std::variant<std::monostate, DataHeader, AtimHeader, PhaseRequestHeader>
       payload;
 
   // Paper §5: "each data report is encapsulated in a single packet of 52
@@ -103,14 +75,9 @@ struct Packet {
 
   const DataHeader& data() const { return std::get<DataHeader>(payload); }
   DataHeader& data() { return std::get<DataHeader>(payload); }
-  const SetupHeader& setup() const { return std::get<SetupHeader>(payload); }
-  const RankHeader& rank() const { return std::get<RankHeader>(payload); }
   const AtimHeader& atim() const { return std::get<AtimHeader>(payload); }
   const PhaseRequestHeader& phase_request() const {
     return std::get<PhaseRequestHeader>(payload);
-  }
-  const DisseminationHeader& dissemination() const {
-    return std::get<DisseminationHeader>(payload);
   }
 
   bool is_broadcast() const { return link_dst == kBroadcastAddr; }
@@ -118,12 +85,8 @@ struct Packet {
 
 // Factory helpers keep call sites terse and sizes consistent.
 Packet make_data_packet(NodeId src, NodeId dst, DataHeader header);
-Packet make_setup_packet(NodeId src, NodeId root, int level, double cost = 0.0);
-Packet make_join_packet(NodeId src, NodeId parent);
-Packet make_rank_packet(NodeId src, NodeId parent, int rank);
 Packet make_atim_packet(NodeId src, AtimDestinations destinations);
 Packet make_phase_request_packet(NodeId src, NodeId dst, QueryId query);
-Packet make_dissemination_packet(NodeId src, NodeId dst, DisseminationHeader header);
 
 const char* packet_type_name(PacketType t);
 

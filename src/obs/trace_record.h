@@ -47,7 +47,7 @@
 // sharing its prov. Aggregation boundaries are stitched with kReportFold:
 // the child's prov is folded into the (node, query, epoch) whose own
 // kReportSubmit names the next prov in the chain. Control frames (ACKs,
-// setup floods) carry prov 0.
+// ATIMs, phase requests) carry prov 0.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +84,7 @@ enum class TraceType : std::uint16_t {
   kReportSubmit,
   kReportFold,
   kRootDeliver,
-  // Routing (routing/repair, routing/tree_protocol).
+  // Routing (routing/repair).
   kParentChange,
   // Safe Sleep decisions (core/safe_sleep).
   kSleepStart,

@@ -4,7 +4,6 @@
 
 #include "src/snap/serializer.h"
 #include "src/snap/timer_codec.h"
-#include "src/util/logging.h"
 
 namespace essat::query {
 

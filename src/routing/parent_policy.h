@@ -1,8 +1,8 @@
 // Pluggable parent-selection policies for tree construction and repair.
 //
-// Three sites choose parents: the central build, the distributed setup
-// flood, and the repair service. A ParentPolicy puts that decision behind
-// two quantities every selection site composes the same way:
+// Two sites choose parents: the central build (build_policy_tree) and the
+// repair service. A ParentPolicy puts that decision behind two quantities
+// both selection sites compose the same way:
 //
 //   score(candidate) = path_cost(candidate) + link_cost(child, candidate)
 //
@@ -11,7 +11,7 @@
 //
 // The two policies, named by RoutingSpec::policy:
 //  * "min-hop" — link_cost 1, path_cost = tree level: the paper's "lowest
-//    level wins" rule, and the default of every selection site.
+//    level wins" rule, and the default at both selection sites.
 //  * "etx"     — link_cost = the hop's bidirectional expected transmission
 //    count from a LinkEstimator over the channel's loss statistics,
 //    path_cost = the candidate's summed link ETX to the root. Routes around

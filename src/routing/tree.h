@@ -44,7 +44,7 @@ class Tree {
   std::vector<net::NodeId> members() const;
   std::size_t member_count() const;
 
-  // --- Mutation (setup protocol, repair) --------------------------------
+  // --- Mutation (central build, repair) ---------------------------------
   // Adds `n` under `parent` (parent must be a member; `n` must not be).
   void add_node(net::NodeId n, net::NodeId parent);
   // Detaches `n` and re-attaches it (with its whole subtree) under

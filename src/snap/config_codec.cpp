@@ -135,8 +135,8 @@ void fields(IO& io, Field<IO, harness::ScenarioConfig>& c) {
   io(c.protocol.name, c.deployment, c.workload, c.channel_model,
      c.channel_params, c.mobility, c.routing, c.setup_duration,
      c.measure_duration, c.latency_grace, c.t_be, c.sts_deadline, c.dts_t_to,
-     c.t_comp, c.mac_params, c.use_distributed_setup, c.enable_maintenance,
-     c.trace, c.faults, c.seed);
+     c.t_comp, c.mac_params, c.enable_maintenance, c.trace, c.faults,
+     c.seed);
 }
 
 void save_scenario_config(Serializer& out, const harness::ScenarioConfig& c) {

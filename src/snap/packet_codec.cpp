@@ -18,31 +18,14 @@ struct PayloadSaver {
     out.boolean(h.phase_update.has_value());
     out.time(h.phase_update.value_or(util::Time::zero()));
   }
-  void operator()(const net::SetupHeader& h) {
-    out.u8(2);
-    out.i32(h.root);
-    out.i32(h.level);
-    out.f64(h.cost);
-  }
-  void operator()(const net::JoinHeader&) { out.u8(3); }
-  void operator()(const net::RankHeader& h) {
-    out.u8(4);
-    out.i32(h.rank);
-  }
   void operator()(const net::AtimHeader& h) {
-    out.u8(5);
+    out.u8(2);
     out.u64(h.destinations.size());
     for (net::NodeId d : h.destinations) out.i32(d);
   }
   void operator()(const net::PhaseRequestHeader& h) {
-    out.u8(6);
+    out.u8(3);
     out.i32(h.query);
-  }
-  void operator()(const net::DisseminationHeader& h) {
-    out.u8(7);
-    out.i32(h.task);
-    out.i64(h.epoch);
-    out.i32(h.origin);
   }
 };
 

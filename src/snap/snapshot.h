@@ -22,10 +22,12 @@
 
 namespace essat::snap {
 
-// Version 4: the sleep histogram (in RMET and in each radio's RADI) is
-// counts only. Its geometry, underflow count and raw interval tail are gone,
-// and RunMetrics no longer carries a separate sleep-interval total.
-inline constexpr std::uint32_t kFormatVersion = 4;
+// Version 5: the distributed tree setup is gone (use_distributed_setup,
+// TreeSetupProtocol and the kSetup/kJoin/kRankReport/kDissemination
+// packets). SCFG loses that bool, TRST loses the setup-protocol flag, and
+// the PacketType values and payload tags renumber (kAtim 5 -> 2,
+// kPhaseRequest 6 -> 3).
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 enum class SnapshotKind : std::uint32_t {
   kTrial = 1,  // full mid-run simulator state + scenario config

@@ -1,37 +1,47 @@
 #include "src/snap/snapshot_io.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 namespace essat::snap {
+namespace {
 
+// Reads to end of file rather than trusting tellg(), which reports a bogus
+// size for a directory; the failed read of one sets badbit.
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  std::ifstream in{path, std::ios::binary | std::ios::ate};
+  std::ifstream in{path, std::ios::binary};
   if (!in) throw SnapError{"cannot open for read: " + path};
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw SnapError{"short read: " + path};
-  }
+  std::vector<std::uint8_t> bytes;
+  char chunk[4096];
+  do {
+    in.read(chunk, sizeof chunk);
+    bytes.insert(bytes.end(), chunk, chunk + in.gcount());
+  } while (in);
+  if (in.bad()) throw SnapError{"cannot read: " + path};
   return bytes;
 }
 
 void write_file_bytes(const std::string& path,
                       const std::vector<std::uint8_t>& bytes) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
-    if (!out) throw SnapError{"cannot open for write: " + tmp};
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) throw SnapError{"short write: " + tmp};
-  }
+  const auto fail = [&tmp](const std::string& what) {
+    std::remove(tmp.c_str());
+    throw SnapError{what};
+  };
+  std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
+  if (!out) fail("cannot open for write: " + tmp);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) fail("short write: " + tmp);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw SnapError{"rename failed: " + tmp + " -> " + path};
+    fail("rename failed: " + tmp + " -> " + path);
   }
 }
+
+}  // namespace
 
 Snapshot read_snapshot_file(const std::string& path) {
   const std::vector<std::uint8_t> bytes = read_file_bytes(path);
@@ -44,14 +54,6 @@ Snapshot read_snapshot_file(const std::string& path) {
 
 void write_snapshot_file(const std::string& path, const Snapshot& snap) {
   write_file_bytes(path, snap.to_bytes());
-}
-
-bool file_exists(const std::string& path) {
-  return std::ifstream{path}.good();
-}
-
-void remove_file(const std::string& path) {
-  std::remove(path.c_str());
 }
 
 }  // namespace essat::snap

@@ -6,28 +6,20 @@
 // host time.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/snap/snapshot.h"
 
 namespace essat::snap {
 
-// Reads a whole file. Throws SnapError if the file cannot be opened or read.
-std::vector<std::uint8_t> read_file_bytes(const std::string& path);
-
-// Writes a whole file, replacing any existing content, via a same-directory
-// temporary + rename so readers never observe a half-written snapshot.
-// Throws SnapError on any I/O failure.
-void write_file_bytes(const std::string& path,
-                      const std::vector<std::uint8_t>& bytes);
-
-// Framed-snapshot convenience wrappers over the above.
+// Reads and validates a framed snapshot. Throws SnapError naming the path
+// if the file cannot be opened or read (a directory, say) or does not hold
+// a valid snapshot.
 Snapshot read_snapshot_file(const std::string& path);
-void write_snapshot_file(const std::string& path, const Snapshot& snap);
 
-bool file_exists(const std::string& path);
-void remove_file(const std::string& path);  // ignores missing files
+// Writes the framed snapshot via a same-directory temporary + rename, so
+// readers never observe a half-written file. Throws SnapError on any I/O
+// failure and leaves no temporary behind.
+void write_snapshot_file(const std::string& path, const Snapshot& snap);
 
 }  // namespace essat::snap

@@ -26,7 +26,8 @@ namespace essat::snap {
 
 // The canonical capture point: 1 ns before the setup slot ends, i.e. after
 // the scenario prefix (placement, tree construction, per-node stack
-// allocation, setup traffic) and before the workload is materialized.
+// allocation) and before the workload is materialized. No protocol has sent
+// a frame yet; capture later (mid-measurement, say) to cover traffic.
 util::Time capture_barrier(const harness::ScenarioConfig& config);
 
 struct TrialCapture {

@@ -59,7 +59,7 @@ TEST(CsmaMac, BroadcastDeliveredWithoutAck) {
   rig.macs[0]->set_rx_handler([&](const net::Packet&) { ++heard; });
   rig.macs[2]->set_rx_handler([&](const net::Packet&) { ++heard; });
   bool done = false;
-  rig.macs[1]->send(net::make_setup_packet(1, 1, 0), [&](bool ok) { done = ok; });
+  rig.macs[1]->send(net::make_atim_packet(1, {0, 2}), [&](bool ok) { done = ok; });
   rig.sim.run_until(Time::milliseconds(100));
   EXPECT_EQ(heard, 2);
   EXPECT_TRUE(done);

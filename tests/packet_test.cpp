@@ -30,29 +30,10 @@ TEST(Packet, DataHeaderRoundTrip) {
   EXPECT_FALSE(p.data().pass_through);
 }
 
-TEST(Packet, SetupIsBroadcast) {
-  const Packet p = make_setup_packet(4, 0, 2);
-  EXPECT_TRUE(p.is_broadcast());
-  EXPECT_EQ(p.setup().level, 2);
-  EXPECT_EQ(p.setup().root, 0);
-  EXPECT_EQ(p.size_bytes, Packet::kControlBytes);
-}
-
-TEST(Packet, JoinIsUnicastToParent) {
-  const Packet p = make_join_packet(5, 2);
-  EXPECT_EQ(p.link_dst, 2);
-  EXPECT_EQ(p.type, PacketType::kJoin);
-}
-
-TEST(Packet, RankPacket) {
-  const Packet p = make_rank_packet(5, 2, 3);
-  EXPECT_EQ(p.rank().rank, 3);
-  EXPECT_EQ(p.link_dst, 2);
-}
-
 TEST(Packet, AtimListsDestinations) {
   const Packet p = make_atim_packet(1, {2, 3, 4});
   EXPECT_TRUE(p.is_broadcast());
+  EXPECT_EQ(p.size_bytes, Packet::kControlBytes);
   EXPECT_EQ(p.atim().destinations, (AtimDestinations{2, 3, 4}));
 }
 
@@ -86,8 +67,8 @@ TEST(Packet, PhaseRequest) {
 TEST(Packet, TypeNames) {
   EXPECT_STREQ(packet_type_name(PacketType::kData), "DATA");
   EXPECT_STREQ(packet_type_name(PacketType::kAck), "ACK");
-  EXPECT_STREQ(packet_type_name(PacketType::kSetup), "SETUP");
   EXPECT_STREQ(packet_type_name(PacketType::kAtim), "ATIM");
+  EXPECT_STREQ(packet_type_name(PacketType::kPhaseRequest), "PHASE_REQ");
 }
 
 }  // namespace

@@ -60,14 +60,6 @@ TEST(Scenario, DifferentSeedsDiffer) {
   EXPECT_NE(a.reports_sent, b.reports_sent);
 }
 
-TEST(Scenario, DistributedSetupAlsoWorks) {
-  auto c = small_config(Protocol::kDtsSs);
-  c.use_distributed_setup = true;
-  const RunMetrics m = run_scenario(c);
-  EXPECT_GT(m.tree_members, 5);
-  EXPECT_GT(m.delivery_ratio, 0.7);
-}
-
 TEST(Scenario, SpanReportsBackbone) {
   const RunMetrics m = run_scenario(small_config(Protocol::kSpan));
   EXPECT_GT(m.backbone_size, 0);
@@ -105,11 +97,10 @@ std::vector<std::uint8_t> bytes_of(const RunMetrics& m) {
 
 TEST(Trial, SteppedAdvanceMatchesStraightRun) {
   ScenarioConfig churn = small_config(Protocol::kDtsSs);
-  churn.use_distributed_setup = true;
   churn.faults.churn.scheduled = {{4, Time::seconds(2), Time::seconds(3)},
                                   {9, Time::seconds(6)}};
   for (const ScenarioConfig& c : {small_config(Protocol::kNtsSs), churn}) {
-    SCOPED_TRACE(c.use_distributed_setup ? "distributed + churn" : "central");
+    SCOPED_TRACE(c.faults.enabled() ? "churn" : "no faults");
     Trial trial{c};
     const Time setup_end = c.setup_duration;
     const Time measure_end = trial.measure_end();

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -213,21 +215,30 @@ TEST(SnapshotIo, FileRoundTripAndTornFileDetection) {
   for (int i = 0; i < 1000; ++i) snap.payload.push_back(i & 0xFF);
 
   write_snapshot_file(path, snap);
-  EXPECT_TRUE(file_exists(path));
   const Snapshot back = read_snapshot_file(path);
   EXPECT_EQ(back.payload, snap.payload);
 
   // Truncate the file to simulate a torn write that bypassed the
   // tmp+rename protocol (e.g. a partial copy).
   const auto bytes = snap.to_bytes();
-  std::vector<std::uint8_t> torn(bytes.begin(), bytes.end() - 100);
-  write_file_bytes(path, torn);
+  {
+    std::ofstream torn{path, std::ios::binary | std::ios::trunc};
+    torn.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size() - 100));
+  }
   EXPECT_THROW(read_snapshot_file(path), SnapError);
 
-  remove_file(path);
-  EXPECT_FALSE(file_exists(path));
-  remove_file(path);  // idempotent on missing files
-  EXPECT_THROW(read_file_bytes(path), SnapError);
+  std::filesystem::remove(path);
+  EXPECT_THROW(read_snapshot_file(path), SnapError);
+
+  // A directory is neither a readable snapshot nor a rename target. Both
+  // fail with SnapError, and the failed write leaves no temporary behind.
+  const std::string dir = ::testing::TempDir() + "snap_io_test.dir";
+  std::filesystem::create_directory(dir);
+  EXPECT_THROW(read_snapshot_file(dir), SnapError);
+  EXPECT_THROW(write_snapshot_file(dir, snap), SnapError);
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  std::filesystem::remove(dir);
 }
 
 }  // namespace

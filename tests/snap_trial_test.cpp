@@ -4,8 +4,10 @@
 //  * resume_trial replays to the barrier, attests the rebuilt state
 //    byte-for-byte, and finishes with RunMetrics bit-identical to the
 //    straight run — across a protocol x topology x rate grid including
-//    ETX routing, shadowing and bursty channels, mobility, distributed
-//    setup, and node failures.
+//    ETX routing, shadowing and bursty channels, mobility, and node
+//    failures. The grid captures twice: at capture_barrier, before any
+//    protocol has sent a frame, and at mid-measurement, where reports are
+//    queued and in flight and the shapers hold their phase state.
 //  * Snapshot bytes are a pure function of the config (capture twice ->
 //    identical), survive the file round trip, and corruption of any layer
 //    (container CRC, attested state) is detected loudly.
@@ -54,17 +56,23 @@ std::vector<std::uint8_t> fingerprint(const harness::RunMetrics& m) {
   return run_metrics_to_bytes(m);
 }
 
-// Returns the straight run's metrics.
+// Captures at capture_barrier and at mid-measurement. Returns the straight
+// run's metrics.
 harness::RunMetrics expect_capture_and_resume_identical(
     const harness::ScenarioConfig& config, const std::string& what) {
   SCOPED_TRACE(what);
   const harness::RunMetrics straight = harness::run_scenario(config);
-  const TrialCapture cap = capture_trial(config);
-  const harness::RunMetrics resumed = resume_trial(cap.snapshot);
-  EXPECT_EQ(fingerprint(straight), fingerprint(cap.metrics))
-      << what << ": capturing perturbed the run";
-  EXPECT_EQ(fingerprint(straight), fingerprint(resumed))
-      << what << ": resumed run diverged from the straight run";
+  const Time mid_measurement =
+      harness::Trial{config}.measure_end() - config.measure_duration / 2;
+  for (const Time barrier : {capture_barrier(config), mid_measurement}) {
+    SCOPED_TRACE("barrier " + std::to_string(barrier.ns()) + " ns");
+    const TrialCapture cap = capture_trial(config, barrier);
+    const harness::RunMetrics resumed = resume_trial(cap.snapshot);
+    EXPECT_EQ(fingerprint(straight), fingerprint(cap.metrics))
+        << what << ": capturing perturbed the run";
+    EXPECT_EQ(fingerprint(straight), fingerprint(resumed))
+        << what << ": resumed run diverged from the straight run";
+  }
   return straight;
 }
 
@@ -94,12 +102,11 @@ TEST(SnapTrial, TopologyRateGridBitIdentical) {
   }
 }
 
-TEST(SnapTrial, EtxShadowingDistributedSetupBitIdentical) {
+TEST(SnapTrial, EtxShadowingBitIdentical) {
   harness::ScenarioConfig c = small_base();
   c.routing.policy = "etx";
   c.channel_model.kind = net::LinkModelKind::kLogNormalShadowing;
-  c.use_distributed_setup = true;
-  expect_capture_and_resume_identical(c, "etx + shadowing + distributed");
+  expect_capture_and_resume_identical(c, "etx + shadowing");
 }
 
 TEST(SnapTrial, GilbertElliottChannelBitIdentical) {
@@ -205,7 +212,6 @@ TEST(SnapTrial, ConfigCodecRoundTrip) {
        {Time::seconds(3), net::Position{30.0, 5.0}}}});
   c.routing.policy = "etx";
   c.sts_deadline = Time::from_milliseconds(750);
-  c.use_distributed_setup = true;
   c.enable_maintenance = true;
   c.faults.churn.scheduled.push_back({net::NodeId{5}, Time::seconds(1)});
   c.workload.extra_queries.push_back(

@@ -122,7 +122,6 @@ harness::ScenarioConfig full_config() {
   c.mac_params.ack_timeout_slack = Time::microseconds(61);
   c.mac_params.dense_dup_table_below = 88;
 
-  c.use_distributed_setup = true;
   c.enable_maintenance = true;
 
   c.faults.churn.scheduled = {{4, Time::seconds(2), Time::seconds(5)},
@@ -208,10 +207,10 @@ harness::RunMetrics full_metrics() {
 }
 
 TEST(WireFormat, ScenarioConfigBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 4u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 5u) << "re-record the constants below";
   const auto bytes = snap::scenario_config_to_bytes(full_config());
-  EXPECT_EQ(bytes.size(), 874u);
-  EXPECT_EQ(crc(bytes), 1755503735u);
+  EXPECT_EQ(bytes.size(), 873u);
+  EXPECT_EQ(crc(bytes), 1864003302u);
   // The pinned bytes decode back to themselves.
   EXPECT_EQ(snap::scenario_config_to_bytes(
                 snap::scenario_config_from_bytes(bytes.data(), bytes.size())),
@@ -219,15 +218,15 @@ TEST(WireFormat, ScenarioConfigBytesPinned) {
 }
 
 TEST(WireFormat, RunMetricsBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 4u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 5u) << "re-record the constants below";
   const auto bytes = snap::run_metrics_to_bytes(full_metrics());
   EXPECT_EQ(bytes.size(), 559u);
   EXPECT_EQ(crc(bytes), 2152200120u);
 }
 
-// A traced trial with distributed setup, ETX parents, scheduled churn and
-// battery death. Unit-disc links, static placement and no stochastic churn
-// keep libm out of its bytes.
+// A traced trial with ETX parents, scheduled churn and battery death.
+// Unit-disc links, static placement and no stochastic churn keep libm out
+// of its bytes.
 harness::ScenarioConfig pinned_trial_config() {
   harness::ScenarioConfig c;
   c.deployment.num_nodes = 30;
@@ -236,7 +235,6 @@ harness::ScenarioConfig pinned_trial_config() {
   c.setup_duration = Time::seconds(2);
   c.workload.query_start_window = Time::seconds(1);
   c.measure_duration = Time::seconds(6);
-  c.use_distributed_setup = true;
   c.routing.policy = "etx";
   c.faults.churn.scheduled = {{4, Time::seconds(1), Time::seconds(2)},
                               {9, Time::seconds(3)}};
@@ -255,24 +253,26 @@ harness::ScenarioConfig pinned_trial_config() {
 // bytes depend on the header and length only, so the payload CRC is pinned
 // as well.
 TEST(WireFormat, TrialSnapshotBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 4u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 5u) << "re-record the constants below";
   const harness::ScenarioConfig c = pinned_trial_config();
 
   const snap::TrialCapture at_zero = snap::capture_trial(c, Time::zero());
   const auto zero_bytes = at_zero.snapshot.to_bytes();
-  EXPECT_EQ(zero_bytes.size(), 242922u);
-  EXPECT_EQ(crc(zero_bytes), 2831613372u);
-  EXPECT_EQ(crc(at_zero.snapshot.payload), 2041896432u);
+  EXPECT_EQ(zero_bytes.size(), 243031u);
+  EXPECT_EQ(crc(zero_bytes), 2709275651u);
+  EXPECT_EQ(crc(at_zero.snapshot.payload), 550458842u);
 
-  const snap::TrialCapture cap = snap::capture_trial(c);
+  // Mid-measurement: queued and in-flight reports, DTS phase state.
+  const Time mid = harness::Trial{c}.measure_end() - c.measure_duration / 2;
+  const snap::TrialCapture cap = snap::capture_trial(c, mid);
   const auto cap_bytes = cap.snapshot.to_bytes();
-  EXPECT_EQ(cap_bytes.size(), 242915u);
-  EXPECT_EQ(crc(cap_bytes), 1473853928u);
-  EXPECT_EQ(crc(cap.snapshot.payload), 2050450838u);
+  EXPECT_EQ(cap_bytes.size(), 267875u);
+  EXPECT_EQ(crc(cap_bytes), 3906911582u);
+  EXPECT_EQ(crc(cap.snapshot.payload), 3719704112u);
 
   const auto metrics = snap::run_metrics_to_bytes(cap.metrics);
   EXPECT_EQ(metrics.size(), 2484u);
-  EXPECT_EQ(crc(metrics), 3539057656u);
+  EXPECT_EQ(crc(metrics), 2488325269u);
 }
 
 // Two runs whose every aggregated metric differs, so a swapped column or a
