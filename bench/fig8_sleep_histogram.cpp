@@ -4,6 +4,8 @@
 // nodes see is aperiodic, and a non-trivial fraction of intervals is
 // shorter than realistic break-even times — sleeping through those would
 // cost energy and latency, which is what Safe Sleep's t_BE check prevents.
+//
+// The three protocol runs go concurrently through the sweep engine.
 #include "bench_common.h"
 
 int main() {
@@ -11,20 +13,23 @@ int main() {
   bench::print_header("Figure 8",
                       "histogram of sleep intervals, T_BE = 0, 5 Hz, single run");
 
-  harness::Table table{{"bin (ms]", "DTS-SS", "STS-SS", "NTS-SS"}};
+  harness::ScenarioConfig base = bench::paper_defaults();
+  base.workload.base_rate_hz = 5.0;
+  base.t_be = util::Time::zero();
+  base.seed = 7;
+  exp::SweepSpec spec(base);
+  spec.runs(1).axis_protocol({harness::Protocol::kDtsSs,
+                              harness::Protocol::kStsSs,
+                              harness::Protocol::kNtsSs});
+  const auto results = bench::parallel_runner("fig8").run(spec);
+
   std::vector<energy::SleepHistogram> hists;
   std::vector<double> frac_below;
-  for (auto p : {harness::Protocol::kDtsSs, harness::Protocol::kStsSs,
-                 harness::Protocol::kNtsSs}) {
-    harness::ScenarioConfig c = bench::paper_defaults();
-    c.protocol = p;
-    c.workload.base_rate_hz = 5.0;
-    c.t_be = util::Time::zero();
-    c.seed = 7;
-    const auto m = harness::run_scenario(c);
-    hists.push_back(m.sleep_hist);
-    frac_below.push_back(m.frac_sleep_below_2_5ms);
+  for (const exp::PointResult& r : results) {
+    hists.push_back(r.metrics.last_run.sleep_hist);
+    frac_below.push_back(r.metrics.last_run.frac_sleep_below_2_5ms);
   }
+  harness::Table table{{"bin (ms]", "DTS-SS", "STS-SS", "NTS-SS"}};
   for (std::size_t bin = 0; bin < hists[0].num_bins(); ++bin) {
     std::vector<std::string> row{
         harness::fmt(hists[0].bin_upper_edge(bin) * 1e3, 0)};

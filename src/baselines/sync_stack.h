@@ -17,6 +17,11 @@ class SyncPowerManager : public harness::PowerManager {
  public:
   explicit SyncPowerManager(SyncParams params = {}) : params_(params) {}
 
+  // Rejects clock drift with std::invalid_argument: drift acts at the
+  // SafeSleep wake timer, which the duty schedule does not use, so a
+  // drifted run would silently equal the undrifted one.
+  void on_tree_ready(const harness::StackContext& ctx) override;
+
   std::unique_ptr<query::TrafficShaper> make_shaper(
       const harness::StackContext& ctx, const harness::NodeHandles& node) override;
   core::SafeSleep* attach_node(const harness::StackContext& ctx,

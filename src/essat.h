@@ -17,8 +17,8 @@
 //             depletion, clock drift (declarative FaultSpec, pre-drawn
 //             per-node schedules)
 //   harness — scenario assembly, per-run and averaged metrics
-//   exp     — parallel experiment-sweep engine (thread pool, parameter
-//             grids, deterministic seeding, aggregation, result sinks)
+//   exp     — parallel experiment-sweep engine (worker threads, parameter
+//             grids, deterministic seeding, aggregation, JSON-lines sink)
 #pragma once
 
 #include "src/baselines/psm.h"
@@ -40,7 +40,6 @@
 #include "src/exp/sinks.h"
 #include "src/exp/sweep.h"
 #include "src/exp/sweep_runner.h"
-#include "src/exp/thread_pool.h"
 #include "src/fault/fault_engine.h"
 #include "src/fault/fault_spec.h"
 #include "src/harness/metrics.h"

@@ -27,8 +27,8 @@ double run_value(const harness::RunMetrics& m) {
 }
 
 // The single list of aggregated metrics. Aggregator::add folds every row;
-// the CSV and JSONL sinks emit a leading "runs" column, then each row's
-// mean followed by its ci90 column, in table order. Adding a metric is one
+// the JSONL sink emits a leading "runs" column, then each row's mean
+// followed by its ci90 column, in table order. Adding a metric is one
 // row here plus its AveragedMetrics member.
 inline constexpr MetricColumn kMetricColumns[] = {
     {"duty_mean", &harness::AveragedMetrics::duty_cycle,

@@ -10,33 +10,10 @@
 namespace essat::exp {
 namespace {
 
-// Visits one point's metric columns in sink order: "runs", then each
-// kMetricColumns mean followed by its ci90 column where it has one.
-template <typename Fn>
-void for_each_metric(const harness::AveragedMetrics& m, Fn&& fn) {
-  fn("runs", static_cast<double>(m.duty_cycle.count()));
-  for (const MetricColumn& c : kMetricColumns) {
-    const util::RunningStat& s = m.*c.stat;
-    fn(c.name, s.mean());
-    if (c.ci90_name != nullptr) fn(c.ci90_name, s.ci_halfwidth(0.90));
-  }
-}
-
 std::string full_precision(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 std::string json_escape(const std::string& s) {
@@ -66,51 +43,6 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
-// ------------------------------------------------------------ console
-
-void ConsoleTableSink::begin(const std::vector<std::string>& axis_names) {
-  std::vector<std::string> headers = axis_names;
-  headers.insert(headers.end(), {"duty (%)", "±ci90", "latency (s)", "±ci90",
-                                 "delivery (%)", "runs"});
-  table_ = std::make_unique<harness::Table>(std::move(headers));
-}
-
-void ConsoleTableSink::on_point(const PointResult& r) {
-  const harness::AveragedMetrics& m = r.metrics;
-  std::vector<std::string> row = r.point.labels;
-  row.push_back(harness::fmt_pct(m.duty_cycle.mean()));
-  row.push_back(harness::fmt_pct(m.duty_ci90()));
-  row.push_back(harness::fmt(m.latency_s.mean(), 3));
-  row.push_back(harness::fmt(m.latency_ci90(), 3));
-  row.push_back(harness::fmt_pct(m.delivery_ratio.mean()));
-  row.push_back(std::to_string(m.duty_cycle.count()));
-  table_->add_row(std::move(row));
-}
-
-void ConsoleTableSink::finish() {
-  if (table_) table_->print(os_);
-}
-
-// ------------------------------------------------------------ csv
-
-void CsvSink::begin(const std::vector<std::string>& axis_names) {
-  os_ << "point";
-  for (const auto& name : axis_names) os_ << ',' << csv_escape(name);
-  for_each_metric({}, [&](const char* name, double) { os_ << ',' << name; });
-  os_ << '\n';
-  os_.flush();
-}
-
-void CsvSink::on_point(const PointResult& r) {
-  os_ << r.point.index;
-  for (const auto& label : r.point.labels) os_ << ',' << csv_escape(label);
-  for_each_metric(r.metrics, [&](const char*, double v) {
-    os_ << ',' << full_precision(v);
-  });
-  os_ << '\n';
-  os_.flush();
-}
-
 // ------------------------------------------------------------ json lines
 
 void JsonLinesSink::begin(const std::vector<std::string>& axis_names) {
@@ -127,9 +59,17 @@ void JsonLinesSink::on_point(const PointResult& r) {
         << json_escape(r.point.labels[i]) << '"';
   }
   os_ << '}';
-  for_each_metric(r.metrics, [&](const char* name, double v) {
+  // "runs", then each kMetricColumns mean followed by its ci90 column where
+  // it has one.
+  const auto field = [&](const char* name, double v) {
     os_ << ",\"" << name << "\":" << full_precision(v);
-  });
+  };
+  field("runs", static_cast<double>(r.metrics.duty_cycle.count()));
+  for (const MetricColumn& c : kMetricColumns) {
+    const util::RunningStat& s = r.metrics.*c.stat;
+    field(c.name, s.mean());
+    if (c.ci90_name != nullptr) field(c.ci90_name, s.ci_halfwidth());
+  }
   os_ << "}\n";
   os_.flush();
 }

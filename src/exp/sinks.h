@@ -1,16 +1,14 @@
-// Pluggable result sinks for sweep output.
+// Result sinks for sweep output.
 //
 // A sink receives every aggregated grid point, in point (row-major grid)
 // order, as soon as that point and every earlier one have all their
-// repetitions. Shipping sinks, each writing to a stream the caller owns: an
-// ASCII console table (one row per point, printed at finish), CSV (full
-// precision, machine-readable), and JSON lines (one object per point).
-// ProgressReporter is the live side channel: it ticks per completed trial
-// while the sweep is in flight.
+// repetitions. The one shipping sink writes JSON lines (one object per
+// point, full precision) to a stream the caller owns; tests substitute
+// their own ResultSink. ProgressReporter is the live side channel: it ticks
+// per completed trial while the sweep is in flight.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -18,7 +16,6 @@
 
 #include "src/exp/sweep.h"
 #include "src/harness/runner.h"
-#include "src/harness/table.h"
 
 namespace essat::exp {
 
@@ -37,33 +34,6 @@ class ResultSink {
   virtual void on_point(const PointResult& r) = 0;
   // Called once after the last point.
   virtual void finish() {}
-};
-
-// Human-readable summary table: one row per point, axis labels first, then
-// the headline metrics with 90% confidence intervals.
-class ConsoleTableSink : public ResultSink {
- public:
-  explicit ConsoleTableSink(std::ostream& os) : os_(os) {}
-  void begin(const std::vector<std::string>& axis_names) override;
-  void on_point(const PointResult& r) override;
-  void finish() override;
-
- private:
-  std::ostream& os_;
-  std::unique_ptr<harness::Table> table_;
-};
-
-// CSV with a header row; numbers at %.17g so doubles round-trip exactly.
-// Flushes after every row so an aborted sweep leaves complete, parseable
-// output behind.
-class CsvSink : public ResultSink {
- public:
-  explicit CsvSink(std::ostream& os) : os_(os) {}
-  void begin(const std::vector<std::string>& axis_names) override;
-  void on_point(const PointResult& r) override;
-
- private:
-  std::ostream& os_;
 };
 
 // One JSON object per line per point; numbers at %.17g. Flushes after

@@ -54,17 +54,6 @@ SweepSpec& SweepSpec::axis_protocol(
   return axis("protocol", std::move(options));
 }
 
-SweepSpec& SweepSpec::axis_topology(const std::vector<net::TopologyKind>& kinds) {
-  std::vector<std::pair<std::string, Apply>> options;
-  options.reserve(kinds.size());
-  for (net::TopologyKind k : kinds) {
-    options.emplace_back(axis_label(k), [k](harness::ScenarioConfig& c) {
-      c.deployment.kind = k;
-    });
-  }
-  return axis("topology", std::move(options));
-}
-
 SweepSpec& SweepSpec::axis_topology(
     const std::vector<net::DeploymentSpec>& deployments) {
   std::vector<std::pair<std::string, Apply>> options;
@@ -102,11 +91,6 @@ SweepSpec& SweepSpec::axis_rate(const std::vector<double>& rates_hz) {
 SweepSpec& SweepSpec::axis_queries(const std::vector<int>& queries_per_class) {
   return axis("queries/class", &harness::ScenarioConfig::workload,
               &harness::WorkloadSpec::queries_per_class, queries_per_class);
-}
-
-SweepSpec& SweepSpec::axis_nodes(const std::vector<int>& num_nodes) {
-  return axis("nodes", &harness::ScenarioConfig::deployment,
-              &net::DeploymentSpec::num_nodes, num_nodes);
 }
 
 std::size_t SweepSpec::num_points() const {

@@ -43,20 +43,6 @@ class SweepSpec {
   SweepSpec& axis(std::string name,
                   std::vector<std::pair<std::string, Apply>> options);
 
-  // Vary one config field across values (labels auto-formatted).
-  template <typename T>
-  SweepSpec& axis(std::string name, T harness::ScenarioConfig::*field,
-                  const std::vector<T>& values) {
-    std::vector<std::pair<std::string, Apply>> options;
-    options.reserve(values.size());
-    for (const T& v : values) {
-      options.emplace_back(axis_label(v), [field, v](harness::ScenarioConfig& c) {
-        c.*field = v;
-      });
-    }
-    return axis(std::move(name), std::move(options));
-  }
-
   // Vary one nested-spec field (deployment / workload sub-structs).
   template <typename S, typename T>
   SweepSpec& axis(std::string name, S harness::ScenarioConfig::*spec,
@@ -76,11 +62,8 @@ class SweepSpec {
   // Protocol enum converts implicitly).
   SweepSpec& axis_protocol(const std::vector<harness::ProtocolKey>& protocols);
 
-  // Vary the deployment shape, keeping the base spec's size/range knobs
-  // (labels from topology_kind_name)...
-  SweepSpec& axis_topology(const std::vector<net::TopologyKind>& kinds);
-  // ...or sweep fully custom deployments, labelled by kind name (repeats
-  // disambiguated as "kind#2", "kind#3", ...).
+  // Vary the whole deployment, labelled by kind name (repeats disambiguated
+  // as "kind#2", "kind#3", ...).
   SweepSpec& axis_topology(const std::vector<net::DeploymentSpec>& deployments);
 
   // Vary one whole sub-spec, labelled by its label() (repeats disambiguated
@@ -92,10 +75,9 @@ class SweepSpec {
   SweepSpec& axis_routing(const std::vector<routing::RoutingSpec>& specs);
   SweepSpec& axis_faults(const std::vector<fault::FaultSpec>& specs);
 
-  // Common workload/deployment axes, pre-labelled.
+  // Common workload axes, pre-labelled.
   SweepSpec& axis_rate(const std::vector<double>& rates_hz);
   SweepSpec& axis_queries(const std::vector<int>& queries_per_class);
-  SweepSpec& axis_nodes(const std::vector<int>& num_nodes);
 
   const harness::ScenarioConfig& base() const { return base_; }
   std::size_t num_axes() const { return axes_.size(); }
@@ -117,13 +99,6 @@ class SweepSpec {
     return buf;
   }
   static std::string axis_label(int v) { return std::to_string(v); }
-  static std::string axis_label(std::int64_t v) { return std::to_string(v); }
-  static std::string axis_label(std::uint64_t v) { return std::to_string(v); }
-  static std::string axis_label(bool v) { return v ? "true" : "false"; }
-  static std::string axis_label(util::Time v) { return v.to_string(); }
-  static std::string axis_label(harness::Protocol p) {
-    return harness::protocol_name(p);
-  }
   static std::string axis_label(const harness::ProtocolKey& p) { return p.name; }
   static std::string axis_label(net::TopologyKind k) {
     return net::topology_kind_name(k);

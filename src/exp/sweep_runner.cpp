@@ -1,13 +1,24 @@
 #include "src/exp/sweep_runner.h"
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <exception>
 #include <map>
 #include <mutex>
+#include <thread>
 #include <utility>
 
-#include "src/exp/thread_pool.h"
-
 namespace essat::exp {
+
+int default_jobs() {
+  if (const char* env = std::getenv("ESSAT_JOBS")) {
+    const int n = std::atoi(env);
+    if (n > 0) return n;
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
 
 namespace {
 
@@ -77,23 +88,27 @@ std::vector<PointResult> SweepRunner::run(const SweepSpec& spec,
     if (options_.progress) options_.progress(done, total_trials);
   };
 
-  int jobs = options_.jobs > 0 ? options_.jobs : default_jobs();
-  if (static_cast<std::size_t>(jobs) > total_trials) {
-    jobs = static_cast<int>(total_trials);  // don't spawn idle workers
-  }
-  if (jobs <= 1) {
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      for (int rep = 0; rep < runs; ++rep) run_trial(p, rep);
+  // Each worker takes the next trial index, (point, repetition) row-major,
+  // until none is left.
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (std::size_t t = next++; t < total_trials; t = next++) {
+      run_trial(t / static_cast<std::size_t>(runs), static_cast<int>(t % runs));
     }
-  } else {
-    ThreadPool pool(jobs);
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      for (int rep = 0; rep < runs; ++rep) {
-        pool.submit([&run_trial, p, rep] { run_trial(p, rep); });
-      }
-    }
-    pool.wait_idle();
+  };
+  const int jobs = options_.jobs > 0 ? options_.jobs : default_jobs();
+  const std::size_t threads =
+      std::min(static_cast<std::size_t>(jobs), total_trials);
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  try {
+    while (workers.size() < threads) workers.emplace_back(worker);
+  } catch (...) {
+    next = total_trials;  // a thread failed to start: stop the started ones
+    for (std::thread& w : workers) w.join();
+    throw;
   }
+  for (std::thread& w : workers) w.join();
 
   // A failure does not discard finished work: every other complete point
   // still reaches the sinks, in point order.

@@ -2,11 +2,11 @@
 //
 // Every (point, repetition) pair is an independent trial: its config is
 // fully determined up front (point config + seed = base seed + repetition
-// index) and it runs on whichever worker picks it up. Each point folds its
-// runs in repetition order, a run that finishes ahead of an earlier one
+// index) and it runs on whichever worker takes its index. Each point folds
+// its runs in repetition order, a run that finishes ahead of an earlier one
 // waiting until that one has folded, and the sinks receive the points in
 // point order — so the output is bit-identical for any thread count,
-// including the serial jobs=1 path.
+// including a single worker.
 #pragma once
 
 #include <functional>
@@ -18,6 +18,11 @@
 
 namespace essat::exp {
 
+// Number of worker threads to use by default: the ESSAT_JOBS environment
+// variable if set to a positive integer, otherwise the hardware
+// concurrency (at least 1).
+int default_jobs();
+
 class SweepRunner {
  public:
   struct Options {
@@ -27,21 +32,23 @@ class SweepRunner {
     // injectable so tests can exercise the engine with a cheap stub.
     std::function<harness::RunMetrics(const harness::ScenarioConfig&)> run_fn;
     // Called after each trial completes with (trials done, trials total).
-    // Invoked under a lock, possibly from worker threads.
+    // Invoked under a lock, from the worker threads.
     std::function<void(std::size_t done, std::size_t total)> progress;
   };
 
   SweepRunner() = default;
   explicit SweepRunner(Options options) : options_(std::move(options)) {}
 
-  // Runs the full grid (points * runs_per_point trials) and returns the
-  // aggregated points in point order. Every sink gets begin() before the
-  // first trial, on_point() for each point in point order as soon as that
-  // point and every earlier one have all their repetitions, and finish()
-  // at the end. A trial exception is rethrown after every queued trial has
-  // run. Before that, every other complete point is flushed to the sinks in
-  // point order and finish() is called, so a partially-failed sweep still
-  // leaves its finished results in the sinks' streams.
+  // Runs the full grid (points * runs_per_point trials) on min(jobs, trials)
+  // worker threads, which take trials in (point, repetition) order while the
+  // caller waits, and returns the aggregated points in point order. Every
+  // sink gets begin() before the first trial, on_point() for each point in
+  // point order as soon as that point and every earlier one have all their
+  // repetitions, and finish() at the end. A trial exception is rethrown after
+  // every other trial has run. Before that, every other complete point is
+  // flushed to the sinks in point order and finish() is called, so a
+  // partially-failed sweep still leaves its finished results in the sinks'
+  // streams.
   std::vector<PointResult> run(const SweepSpec& spec,
                                const std::vector<ResultSink*>& sinks = {});
 

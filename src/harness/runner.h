@@ -28,8 +28,8 @@ struct AveragedMetrics {
   std::vector<util::RunningStat> duty_by_rank;
   RunMetrics last_run;                    // histograms etc. from the final run
 
-  double duty_ci90() const { return duty_cycle.ci_halfwidth(0.90); }
-  double latency_ci90() const { return latency_s.ci_halfwidth(0.90); }
+  double duty_ci90() const { return duty_cycle.ci_halfwidth(); }
+  double latency_ci90() const { return latency_s.ci_halfwidth(); }
 };
 
 }  // namespace essat::harness

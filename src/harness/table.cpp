@@ -40,10 +40,6 @@ std::string fmt(double value, int precision) {
   return buf;
 }
 
-std::string fmt_ci(double value, double ci, int precision) {
-  return fmt(value, precision) + " +/- " + fmt(ci, precision);
-}
-
 std::string fmt_pct(double fraction, int precision) {
   return fmt(fraction * 100.0, precision);
 }

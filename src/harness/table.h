@@ -19,10 +19,9 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Formats a double with the given precision (trailing-zero trimmed).
+// Formats a double with exactly `precision` decimals; trailing zeros are
+// kept (fmt(10.0, 1) is "10.0").
 std::string fmt(double value, int precision = 3);
-// "12.3 ± 0.4"-style value with confidence interval.
-std::string fmt_ci(double value, double ci, int precision = 3);
 // Percentage with one decimal, e.g. 0.1234 -> "12.3".
 std::string fmt_pct(double fraction, int precision = 1);
 

@@ -181,16 +181,6 @@ const char* link_model_kind_name(LinkModelKind k) {
   throw std::invalid_argument{"link_model_kind_name: unknown kind"};
 }
 
-LinkModelKind link_model_kind_from_name(const std::string& name) {
-  for (LinkModelKind k :
-       {LinkModelKind::kUnitDisc, LinkModelKind::kLogNormalShadowing,
-        LinkModelKind::kGilbertElliott, LinkModelKind::kPrrTrace}) {
-    if (name == link_model_kind_name(k)) return k;
-  }
-  throw std::invalid_argument{"link_model_kind_from_name: unknown name '" +
-                              name + "'"};
-}
-
 std::unique_ptr<LinkModel> ChannelModelSpec::build(double range_m,
                                                    util::Rng&& rng) const {
   std::unique_ptr<LinkModel> model;

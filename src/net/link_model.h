@@ -258,10 +258,8 @@ enum class LinkModelKind {
 };
 
 // Stable lower-case names ("unit-disc", "shadowing", "gilbert-elliott",
-// "prr-trace"). Throws std::invalid_argument on an out-of-range kind /
-// unknown name.
+// "prr-trace"). Throws std::invalid_argument on an out-of-range kind.
 const char* link_model_kind_name(LinkModelKind k);
-LinkModelKind link_model_kind_from_name(const std::string& name);
 
 struct ChannelModelSpec {
   LinkModelKind kind = LinkModelKind::kUnitDisc;

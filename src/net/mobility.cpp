@@ -128,15 +128,6 @@ const char* mobility_kind_name(MobilityKind k) {
   throw std::invalid_argument{"mobility_kind_name: unknown kind"};
 }
 
-MobilityKind mobility_kind_from_name(const std::string& name) {
-  for (MobilityKind k : {MobilityKind::kStatic, MobilityKind::kRandomWaypoint,
-                         MobilityKind::kWaypoints}) {
-    if (name == mobility_kind_name(k)) return k;
-  }
-  throw std::invalid_argument{"mobility_kind_from_name: unknown name '" + name +
-                              "'"};
-}
-
 std::unique_ptr<MobilityModel> MobilitySpec::build(std::vector<Position> initial,
                                                    double width_m,
                                                    double height_m,

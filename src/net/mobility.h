@@ -140,9 +140,8 @@ class WaypointTraceMobility : public MobilityModel {
 enum class MobilityKind { kStatic, kRandomWaypoint, kWaypoints };
 
 // Stable lower-case names ("static", "waypoint", "trace"). Throws
-// std::invalid_argument on an out-of-range kind / unknown name.
+// std::invalid_argument on an out-of-range kind.
 const char* mobility_kind_name(MobilityKind k);
-MobilityKind mobility_kind_from_name(const std::string& name);
 
 struct MobilitySpec {
   MobilityKind kind = MobilityKind::kStatic;

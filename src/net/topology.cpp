@@ -372,16 +372,6 @@ const char* topology_kind_name(TopologyKind k) {
   throw std::invalid_argument{"topology_kind_name: unknown TopologyKind"};
 }
 
-TopologyKind topology_kind_from_name(const std::string& name) {
-  for (TopologyKind k : {TopologyKind::kUniform, TopologyKind::kGrid,
-                         TopologyKind::kLine, TopologyKind::kClustered,
-                         TopologyKind::kCorridor}) {
-    if (name == topology_kind_name(k)) return k;
-  }
-  throw std::invalid_argument{"topology_kind_from_name: unknown kind \"" +
-                              name + "\""};
-}
-
 Topology DeploymentSpec::build(util::Rng& rng) const {
   const auto n = static_cast<std::size_t>(num_nodes < 0 ? 0 : num_nodes);
   switch (kind) {

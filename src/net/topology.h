@@ -202,9 +202,8 @@ class Topology {
 enum class TopologyKind { kUniform, kGrid, kLine, kClustered, kCorridor };
 
 // Stable lower-case names ("uniform", "grid", ...). Throws
-// std::invalid_argument on an out-of-range kind / unknown name.
+// std::invalid_argument on an out-of-range kind.
 const char* topology_kind_name(TopologyKind k);
-TopologyKind topology_kind_from_name(const std::string& name);
 
 struct DeploymentSpec {
   TopologyKind kind = TopologyKind::kUniform;

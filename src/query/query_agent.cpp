@@ -256,7 +256,6 @@ void QueryAgent::handle_data_(const net::Packet& p) {
 }
 
 void QueryAgent::forward_pass_through_(const net::Packet& p) {
-  if (!params_.enable_pass_through) return;
   if (self_ == tree_.root()) return;  // already delivered via the hook
   const net::NodeId parent = tree_.parent(self_);
   if (parent == net::kNoNode) return;

@@ -43,7 +43,6 @@ namespace essat::query {
 struct QueryAgentParams {
   // Aggregation computation time T_comp (part of T_agg = T_collect + T_comp).
   util::Time t_comp = util::Time::from_milliseconds(5.0);
-  bool enable_pass_through = true;
 };
 
 struct QueryAgentStats {

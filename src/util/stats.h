@@ -19,9 +19,9 @@ class RunningStat {
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
 
-  // Half-width of the two-sided confidence interval at the given level
-  // using the Student t distribution (level in {0.90, 0.95, 0.99}).
-  double ci_halfwidth(double level = 0.90) const;
+  // Half-width of the two-sided 90% confidence interval (the paper's level,
+  // §5) using the Student t distribution.
+  double ci_halfwidth() const;
 
  private:
   std::size_t n_ = 0;
@@ -31,9 +31,9 @@ class RunningStat {
   double max_ = 0.0;
 };
 
-// Critical value of the Student t distribution, two-sided, for n-1 degrees
-// of freedom. Tabulated for small n, normal approximation above 30.
-double t_critical(std::size_t n, double level);
+// Critical value of the Student t distribution, two-sided at 90%, for n-1
+// degrees of freedom. Tabulated for small n, normal approximation above 30.
+double t_critical(std::size_t n);
 
 // p-th percentile (0..100) by linear interpolation; `values` is copied and
 // sorted internally. Returns 0 for an empty input.

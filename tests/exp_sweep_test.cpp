@@ -1,19 +1,18 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/exp/aggregate.h"
 #include "src/exp/sinks.h"
 #include "src/exp/sweep.h"
 #include "src/exp/sweep_runner.h"
-#include "src/exp/thread_pool.h"
 #include "src/harness/runner.h"
 #include "src/harness/scenario.h"
 
@@ -85,7 +84,8 @@ TEST(SweepSpec, GridExpansionCrossesAxesRowMajor) {
   spec.runs(5)
       .axis("rate", &harness::ScenarioConfig::workload,
             &harness::WorkloadSpec::base_rate_hz, {1.0, 2.0, 3.0, 4.0})
-      .axis_nodes({10, 20});
+      .axis("nodes", &harness::ScenarioConfig::deployment,
+            &net::DeploymentSpec::num_nodes, {10, 20});
 
   EXPECT_EQ(spec.num_axes(), 2u);
   EXPECT_EQ(spec.num_points(), 8u);
@@ -131,20 +131,9 @@ TEST(SweepSpec, ProtocolAxisUsesProtocolNames) {
   EXPECT_EQ(points[1].config.protocol, harness::Protocol::kPsm);
 }
 
-// ------------------------------------------------------------ ThreadPool
+// ------------------------------------------------------------ SweepRunner
 
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, DefaultJobsHonoursEnvOverride) {
+TEST(SweepRunner, DefaultJobsHonoursEnvOverride) {
   ::setenv("ESSAT_JOBS", "3", 1);
   EXPECT_EQ(default_jobs(), 3);
   ::setenv("ESSAT_JOBS", "0", 1);
@@ -153,7 +142,34 @@ TEST(ThreadPool, DefaultJobsHonoursEnvOverride) {
   EXPECT_GE(default_jobs(), 1);
 }
 
-// ------------------------------------------------------------ SweepRunner
+// `jobs` bounds the worker threads, and each trial runs exactly once.
+TEST(SweepRunner, JobsBoundTheWorkerThreads) {
+  for (int jobs : {1, 3}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    harness::ScenarioConfig base;
+    base.seed = 10;
+    SweepSpec spec(base);
+    spec.runs(20);  // one point: trial seeds 10..29
+
+    std::mutex mu;
+    std::multiset<std::uint64_t> seeds;
+    std::set<std::thread::id> threads;
+    SweepRunner::Options opts;
+    opts.jobs = jobs;
+    opts.run_fn = [&](const harness::ScenarioConfig& c) {
+      std::lock_guard<std::mutex> lock(mu);
+      seeds.insert(c.seed);
+      threads.insert(std::this_thread::get_id());
+      return stub_run(c);
+    };
+    SweepRunner(opts).run(spec);
+    ASSERT_EQ(seeds.size(), 20u);
+    for (std::uint64_t seed = 10; seed < 30; ++seed) {
+      EXPECT_EQ(seeds.count(seed), 1u);
+    }
+    EXPECT_LE(threads.size(), static_cast<std::size_t>(jobs));
+  }
+}
 
 TEST(SweepRunner, ParallelIdenticalToSerialOnStub) {
   harness::ScenarioConfig base;
@@ -162,7 +178,8 @@ TEST(SweepRunner, ParallelIdenticalToSerialOnStub) {
     SweepSpec spec(base);
     spec.runs(5)
         .axis_rate({1.0, 2.0, 3.0, 4.0})
-        .axis_nodes({10, 20});
+        .axis("nodes", &harness::ScenarioConfig::deployment,
+              &net::DeploymentSpec::num_nodes, {10, 20});
     return spec;  // 8 points x 5 runs
   };
 
@@ -378,59 +395,6 @@ PointResult known_point() {
   return r;
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-TEST(CsvSink, RoundTripsKnownAggregate) {
-  const PointResult r = known_point();
-  std::ostringstream os;
-  CsvSink sink(os);
-  sink.begin({"rate", "protocol"});
-  sink.on_point(r);
-  sink.finish();
-
-  const auto lines = split(os.str(), '\n');
-  ASSERT_GE(lines.size(), 2u);
-  const auto header = split(lines[0], ',');
-  const auto row = split(lines[1], ',');
-  ASSERT_EQ(header.size(), row.size());
-  ASSERT_EQ(header[0], "point");
-  EXPECT_EQ(row[0], "0");
-  EXPECT_EQ(row[1], "1.5");
-  EXPECT_EQ(row[2], "DTS-SS");
-
-  auto col = [&](const std::string& name) {
-    for (std::size_t i = 0; i < header.size(); ++i) {
-      if (header[i] == name) return std::strtod(row[i].c_str(), nullptr);
-    }
-    ADD_FAILURE() << "missing column " << name;
-    return 0.0;
-  };
-  // %.17g output parses back to the exact double.
-  EXPECT_EQ(col("runs"), 2.0);
-  EXPECT_EQ(col("duty_mean"), r.metrics.duty_cycle.mean());
-  EXPECT_EQ(col("duty_ci90"), r.metrics.duty_ci90());
-  EXPECT_EQ(col("latency_mean"), r.metrics.latency_s.mean());
-  EXPECT_EQ(col("latency_ci90"), r.metrics.latency_ci90());
-  EXPECT_EQ(col("p95_latency"), r.metrics.p95_latency_s.mean());
-  EXPECT_EQ(col("delivery_mean"), r.metrics.delivery_ratio.mean());
-  EXPECT_EQ(col("phase_bits_mean"), r.metrics.phase_update_bits.mean());
-  EXPECT_EQ(col("send_failures"), r.metrics.mac_send_failures.mean());
-  EXPECT_EQ(col("model_drops"), 4.0);
-}
-
 TEST(JsonLinesSink, RoundTripsKnownAggregate) {
   const PointResult r = known_point();
   std::ostringstream os;
@@ -439,7 +403,8 @@ TEST(JsonLinesSink, RoundTripsKnownAggregate) {
   sink.on_point(r);
   sink.finish();
 
-  const std::string line = split(os.str(), '\n')[0];
+  const std::string out = os.str();
+  const std::string line = out.substr(0, out.find('\n'));
   EXPECT_NE(line.find("\"labels\":{\"rate\":\"1.5\",\"protocol\":\"DTS-SS\"}"),
             std::string::npos);
 
@@ -449,26 +414,18 @@ TEST(JsonLinesSink, RoundTripsKnownAggregate) {
     EXPECT_NE(pos, std::string::npos) << "missing field " << name;
     return std::strtod(line.c_str() + pos + key.size(), nullptr);
   };
+  // %.17g output parses back to the exact double.
   EXPECT_EQ(field("point"), 0.0);
   EXPECT_EQ(field("runs"), 2.0);
   EXPECT_EQ(field("duty_mean"), r.metrics.duty_cycle.mean());
   EXPECT_EQ(field("duty_ci90"), r.metrics.duty_ci90());
   EXPECT_EQ(field("latency_mean"), r.metrics.latency_s.mean());
+  EXPECT_EQ(field("latency_ci90"), r.metrics.latency_ci90());
+  EXPECT_EQ(field("p95_latency"), r.metrics.p95_latency_s.mean());
   EXPECT_EQ(field("delivery_mean"), r.metrics.delivery_ratio.mean());
-}
-
-TEST(ConsoleTableSink, PrintsAxisAndMetricColumns) {
-  const PointResult r = known_point();
-  std::ostringstream os;
-  ConsoleTableSink sink(os);
-  sink.begin({"rate", "protocol"});
-  sink.on_point(r);
-  sink.finish();
-  const std::string out = os.str();
-  EXPECT_NE(out.find("rate"), std::string::npos);
-  EXPECT_NE(out.find("protocol"), std::string::npos);
-  EXPECT_NE(out.find("duty (%)"), std::string::npos);
-  EXPECT_NE(out.find("DTS-SS"), std::string::npos);
+  EXPECT_EQ(field("phase_bits_mean"), r.metrics.phase_update_bits.mean());
+  EXPECT_EQ(field("send_failures"), r.metrics.mac_send_failures.mean());
+  EXPECT_EQ(field("model_drops"), 4.0);
 }
 
 // Regression: tab/CR (and every other control character) in an axis label

@@ -5,7 +5,8 @@
 //    (same config -> bit-identical RunMetrics) and respect the root
 //    exemption;
 //  * drifted clocks with a zero or 1 us break-even time finish without a
-//    sleep/wake livelock;
+//    sleep/wake livelock, and PSM and SYNC, which have no drifted timer,
+//    refuse drift;
 //  * fault schedules are byte-identical across ESSAT_JOBS values (the
 //    engine pre-draws everything from per-node forked streams);
 //  * SINR capture with the threshold at +inf reproduces the legacy
@@ -194,6 +195,29 @@ TEST(FaultDrift, ZeroBreakEvenFinishesWithoutLivelock) {
   }
 }
 
+// Drift acts at the SafeSleep wake timer, and PSM and SYNC run none: a
+// drifted run would silently equal the undrifted one, so the trial is
+// refused before any event runs.
+TEST(FaultDrift, PsmAndSyncRejectDrift) {
+  for (harness::Protocol p :
+       {harness::Protocol::kPsm, harness::Protocol::kSync}) {
+    const std::string name = harness::protocol_name(p);
+    SCOPED_TRACE(name);
+    harness::ScenarioConfig c = small_base();
+    c.protocol = p;
+    c.faults.drift.skew_sigma_ppm = 100.0;
+    c.faults.drift.max_offset_ms = 20.0;
+    try {
+      harness::run_scenario(c);
+      ADD_FAILURE() << "drift accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("faults.drift"), std::string::npos) << what;
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
+}
+
 // ------------------------------------------------------------ SINR
 
 TEST(FaultSinr, InfiniteCaptureThresholdMatchesNoCaptureByteForByte) {
@@ -212,7 +236,7 @@ TEST(FaultSinr, InfiniteCaptureThresholdMatchesNoCaptureByteForByte) {
 
 // ------------------------------------------------------------ sweeps
 
-std::string run_churn_sweep_csv(int jobs) {
+std::string run_churn_sweep_jsonl(int jobs) {
   fault::FaultSpec none;
   fault::FaultSpec churn;
   churn.churn.node_fraction = 0.3;
@@ -224,7 +248,7 @@ std::string run_churn_sweep_csv(int jobs) {
       .axis_faults({none, churn});
 
   std::ostringstream os;
-  exp::CsvSink sink(os);
+  exp::JsonLinesSink sink(os);
   exp::SweepRunner::Options opts;
   opts.jobs = jobs;
   exp::SweepRunner(opts).run(spec, {&sink});
@@ -232,8 +256,8 @@ std::string run_churn_sweep_csv(int jobs) {
 }
 
 TEST(FaultSweep, ChurnScheduleByteIdenticalAcrossJobs) {
-  const std::string serial = run_churn_sweep_csv(1);
-  const std::string parallel = run_churn_sweep_csv(8);
+  const std::string serial = run_churn_sweep_jsonl(1);
+  const std::string parallel = run_churn_sweep_jsonl(8);
   EXPECT_EQ(serial, parallel);
   EXPECT_NE(serial.find("churn0.3"), std::string::npos);
 }
@@ -242,47 +266,16 @@ TEST(FaultSweep, SinkEmitsFaultColumnsAsZerosWhenDisabled) {
   exp::SweepSpec spec(small_base());  // no fault axis, faults disabled
   spec.runs(1);
   std::ostringstream os;
-  exp::CsvSink sink(os);
+  exp::JsonLinesSink sink(os);
   exp::SweepRunner::Options opts;
   opts.jobs = 1;
   exp::SweepRunner(opts).run(spec, {&sink});
 
-  const std::string csv = os.str();
-  const auto split = [](const std::string& s, char sep) {
-    std::vector<std::string> out;
-    std::string cur;
-    for (char ch : s) {
-      if (ch == sep) {
-        out.push_back(cur);
-        cur.clear();
-      } else {
-        cur += ch;
-      }
-    }
-    out.push_back(cur);
-    return out;
-  };
-  const auto lines = split(csv, '\n');
-  ASSERT_GE(lines.size(), 2u);
-  const auto header = split(lines[0], ',');
-  const auto row = split(lines[1], ',');
-  ASSERT_EQ(header.size(), row.size());
-  bool saw_deaths = false, saw_downtime = false, saw_delivery = false;
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == "node_deaths") {
-      saw_deaths = true;
-      EXPECT_EQ(std::strtod(row[i].c_str(), nullptr), 0.0);
-    } else if (header[i] == "downtime_s") {
-      saw_downtime = true;
-      EXPECT_EQ(std::strtod(row[i].c_str(), nullptr), 0.0);
-    } else if (header[i] == "delivery_during_fault") {
-      saw_delivery = true;
-      EXPECT_EQ(std::strtod(row[i].c_str(), nullptr), 0.0);
-    }
+  const std::string line = os.str();
+  for (const char* key : {"\"node_deaths\":0,", "\"downtime_s\":0,",
+                          "\"delivery_during_fault\":0}"}) {
+    EXPECT_NE(line.find(key), std::string::npos) << key;
   }
-  EXPECT_TRUE(saw_deaths);
-  EXPECT_TRUE(saw_downtime);
-  EXPECT_TRUE(saw_delivery);
 }
 
 }  // namespace

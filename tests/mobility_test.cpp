@@ -465,11 +465,11 @@ TEST(MobilityPinning, FramesSpanningRebuildsKeepTheirReceivers) {
 // ------------------------------------------------------------------ spec
 
 TEST(MobilitySpec, KindNamesRoundTrip) {
-  for (MobilityKind k : {MobilityKind::kStatic, MobilityKind::kRandomWaypoint,
-                         MobilityKind::kWaypoints}) {
-    EXPECT_EQ(mobility_kind_from_name(mobility_kind_name(k)), k);
-  }
-  EXPECT_THROW(mobility_kind_from_name("brownian"), std::invalid_argument);
+  EXPECT_STREQ(mobility_kind_name(MobilityKind::kStatic), "static");
+  EXPECT_STREQ(mobility_kind_name(MobilityKind::kRandomWaypoint), "waypoint");
+  EXPECT_STREQ(mobility_kind_name(MobilityKind::kWaypoints), "trace");
+  EXPECT_THROW(mobility_kind_name(static_cast<MobilityKind>(99)),
+               std::invalid_argument);
 }
 
 TEST(MobilitySpec, StaticBuildsNothingOthersBuild) {

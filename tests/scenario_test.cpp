@@ -160,7 +160,7 @@ TEST(Table, FormatsAlignedColumns) {
 TEST(Table, Formatters) {
   EXPECT_EQ(fmt(1.23456, 2), "1.23");
   EXPECT_EQ(fmt_pct(0.1234), "12.3");
-  EXPECT_EQ(fmt_ci(10.0, 0.5, 1), "10.0 +/- 0.5");
+  EXPECT_EQ(fmt(10.0, 1), "10.0");
 }
 
 }  // namespace

@@ -55,12 +55,17 @@ TEST(SparseDenseEquivalence, IdenticalMetricsOnFullGrid) {
   auto run_grid = [](std::size_t threshold) {
     harness::ScenarioConfig base = lossy_etx_base();
     force_storage(base, threshold);
+    std::vector<net::DeploymentSpec> shapes;
+    for (net::TopologyKind kind :
+         {net::TopologyKind::kUniform, net::TopologyKind::kGrid,
+          net::TopologyKind::kClustered, net::TopologyKind::kCorridor}) {
+      shapes.push_back(base.deployment);
+      shapes.back().kind = kind;
+    }
     SweepSpec spec(base);
     spec.runs(1)
         .axis_protocol({harness::Protocol::kDtsSs, harness::Protocol::kPsm})
-        .axis_topology({net::TopologyKind::kUniform, net::TopologyKind::kGrid,
-                        net::TopologyKind::kClustered,
-                        net::TopologyKind::kCorridor})
+        .axis_topology(shapes)
         .axis_rate({1.0, 2.0});
     SweepRunner::Options opts;
     opts.jobs = 4;

@@ -30,10 +30,16 @@ harness::ScenarioConfig small_base() {
 
 TEST(SweepMatrix, ProtocolTimesTopologyGridRunsEndToEnd) {
   SweepSpec spec(small_base());
+  std::vector<net::DeploymentSpec> shapes;
+  for (net::TopologyKind kind :
+       {net::TopologyKind::kUniform, net::TopologyKind::kGrid,
+        net::TopologyKind::kClustered}) {
+    shapes.push_back(spec.base().deployment);
+    shapes.back().kind = kind;
+  }
   spec.runs(1)
       .axis_protocol({harness::Protocol::kDtsSs, harness::Protocol::kPsm})
-      .axis_topology({net::TopologyKind::kUniform, net::TopologyKind::kGrid,
-                      net::TopologyKind::kClustered});
+      .axis_topology(shapes);
   ASSERT_EQ(spec.num_points(), 6u);
 
   SweepRunner::Options opts;

@@ -114,12 +114,11 @@ TEST(TopologyGenerators, LineSpecSpansTheArea) {
 }
 
 TEST(TopologyKindNames, RoundTripAndFailLoudly) {
-  for (TopologyKind kind :
-       {TopologyKind::kUniform, TopologyKind::kGrid, TopologyKind::kLine,
-        TopologyKind::kClustered, TopologyKind::kCorridor}) {
-    EXPECT_EQ(topology_kind_from_name(topology_kind_name(kind)), kind);
-  }
-  EXPECT_THROW(topology_kind_from_name("moebius"), std::invalid_argument);
+  EXPECT_STREQ(topology_kind_name(TopologyKind::kUniform), "uniform");
+  EXPECT_STREQ(topology_kind_name(TopologyKind::kGrid), "grid");
+  EXPECT_STREQ(topology_kind_name(TopologyKind::kLine), "line");
+  EXPECT_STREQ(topology_kind_name(TopologyKind::kClustered), "clustered");
+  EXPECT_STREQ(topology_kind_name(TopologyKind::kCorridor), "corridor");
   EXPECT_THROW(topology_kind_name(static_cast<TopologyKind>(99)),
                std::invalid_argument);
 }

@@ -37,20 +37,18 @@ TEST(RunningStat, SingleValue) {
 }
 
 TEST(TCritical, KnownEntries) {
-  EXPECT_NEAR(t_critical(2, 0.90), 6.314, 1e-3);   // df = 1
-  EXPECT_NEAR(t_critical(6, 0.95), 2.571, 1e-3);   // df = 5
-  EXPECT_NEAR(t_critical(5, 0.90), 2.132, 1e-3);   // df = 4 (paper's 5 runs)
-  EXPECT_NEAR(t_critical(31, 0.99), 2.750, 1e-3);  // df = 30
-  EXPECT_NEAR(t_critical(1000, 0.95), 1.960, 1e-3);
-  EXPECT_NEAR(t_critical(1000, 0.90), 1.645, 1e-3);
-  EXPECT_DOUBLE_EQ(t_critical(1, 0.90), 0.0);
+  EXPECT_NEAR(t_critical(2), 6.314, 1e-3);   // df = 1
+  EXPECT_NEAR(t_critical(5), 2.132, 1e-3);   // df = 4 (paper's 5 runs)
+  EXPECT_NEAR(t_critical(31), 1.697, 1e-3);  // df = 30
+  EXPECT_NEAR(t_critical(1000), 1.645, 1e-3);
+  EXPECT_DOUBLE_EQ(t_critical(1), 0.0);
 }
 
 TEST(CiHalfwidth, FiveRuns) {
   RunningStat s;
   for (double v : {10.0, 11.0, 9.0, 10.5, 9.5}) s.add(v);
   const double expected = 2.132 * s.stddev() / std::sqrt(5.0);
-  EXPECT_NEAR(s.ci_halfwidth(0.90), expected, 1e-9);
+  EXPECT_NEAR(s.ci_halfwidth(), expected, 1e-9);
 }
 
 TEST(Percentile, EmptyAndSingle) {

@@ -1,9 +1,9 @@
 // Golden wire format. The ScenarioConfig and RunMetrics encodings identify
 // and carry every trial: snapshots, the restored-vs-straight-run checks,
 // and perfbench's config and metrics digests all hash or compare these
-// bytes. The CSV and JSONL rows are what downstream scripts parse. A
-// round-trip test cannot see a reordered field or column, because
-// encoder and decoder (or header and row) move together; these pinned
+// bytes. The JSONL row is what downstream scripts parse. A round-trip
+// test cannot see a reordered field or column, because encoder and
+// decoder (or key and value) move together; these pinned
 // lengths, CRCs and strings can. Changing a codec is a snap::kFormatVersion
 // bump; changing a sink is an output-format change. Either way the
 // constants below are re-recorded in the same change, on purpose.
@@ -299,21 +299,6 @@ exp::PointResult full_point() {
   r.point.labels = {"1.5", "DTS-SS"};
   r.metrics = agg.take();
   return r;
-}
-
-TEST(WireFormat, CsvHeaderAndRowPinned) {
-  std::ostringstream os;
-  exp::CsvSink sink(os);
-  sink.begin({"rate", "protocol"});
-  sink.on_point(full_point());
-  sink.finish();
-  EXPECT_EQ(os.str(),
-            "point,rate,protocol,runs,duty_mean,duty_ci90,latency_mean,"
-            "latency_ci90,p95_latency,delivery_mean,phase_bits_mean,"
-            "send_failures,model_drops,retx_no_ack,cca_busy_defers,"
-            "node_deaths,downtime_s,delivery_during_fault\n"
-            "3,1.5,DTS-SS,2,0.18672839450000001,0.39949691712699992,0.9375,"
-            "3.551625,1.5,0.9325,1,7,12,17,23,2.5,19.375,0.75\n");
 }
 
 TEST(WireFormat, JsonLinesRowPinned) {
