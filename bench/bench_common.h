@@ -95,12 +95,14 @@ inline void print_pivot(
   table.print(os);
 }
 
-inline void print_header(const char* figure, const char* description) {
+// `runs` is the figure's SweepSpec::runs_per_point().
+inline void print_header(const char* figure, const char* description,
+                         int runs = kRunsPerPoint) {
   std::printf("==============================================================\n");
   std::printf("%s — %s\n", figure, description);
   std::printf("Setup: 80 nodes, 500x500 m^2, range 125 m, 1 Mbps, 52 B reports,\n");
   std::printf("       query classes Q1:Q2:Q3 = 6:3:2, %d runs per point, %d jobs.\n",
-              kRunsPerPoint, kJobs);
+              runs, kJobs);
   std::printf("==============================================================\n");
 }
 

@@ -8,8 +8,6 @@
 
 int main() {
   using namespace essat;
-  bench::print_header("Figure 5", "duty cycle (%) by node rank, 5 Hz, single run");
-
   harness::ScenarioConfig base = bench::paper_defaults();
   base.workload.base_rate_hz = 5.0;
   base.seed = 7;  // "a typical run"
@@ -17,6 +15,8 @@ int main() {
   spec.runs(1).axis_protocol({harness::Protocol::kDtsSs,
                               harness::Protocol::kStsSs,
                               harness::Protocol::kNtsSs});
+  bench::print_header("Figure 5", "duty cycle (%) by node rank, 5 Hz, single run",
+                      spec.runs_per_point());
   const auto results = bench::parallel_runner("fig5").run(spec);
 
   std::size_t max_ranks = 0;

@@ -10,9 +10,6 @@
 
 int main() {
   using namespace essat;
-  bench::print_header("Figure 8",
-                      "histogram of sleep intervals, T_BE = 0, 5 Hz, single run");
-
   harness::ScenarioConfig base = bench::paper_defaults();
   base.workload.base_rate_hz = 5.0;
   base.t_be = util::Time::zero();
@@ -21,6 +18,9 @@ int main() {
   spec.runs(1).axis_protocol({harness::Protocol::kDtsSs,
                               harness::Protocol::kStsSs,
                               harness::Protocol::kNtsSs});
+  bench::print_header("Figure 8",
+                      "histogram of sleep intervals, T_BE = 0, 5 Hz, single run",
+                      spec.runs_per_point());
   const auto results = bench::parallel_runner("fig8").run(spec);
 
   std::vector<energy::SleepHistogram> hists;

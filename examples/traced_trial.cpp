@@ -1,9 +1,9 @@
 // Traced trial: one Figure-2 point (STS-SS at deadline D = 0.2 s) on a
-// dense 160-node deployment, run with full observability on —
-// packet-lifecycle trace, per-node time-series sampling — then exported to
-// Perfetto JSON (chrome://tracing / ui.perfetto.dev) and JSONL, with the
-// conservation oracle checked in-process. CI runs this as the trace smoke
-// test and validates the exports with tools/trace_summary.py.
+// dense 160-node deployment, run with the packet-lifecycle and radio/sleep
+// records traced, then exported to Perfetto JSON (chrome://tracing /
+// ui.perfetto.dev) and JSONL, with the conservation oracle checked
+// in-process. CI runs this as the trace smoke test and validates the
+// exports with tools/trace_summary.py.
 //
 // Usage: traced_trial [perfetto.json] [trace.jsonl]   (defaults below)
 #include <cstdio>
@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
   // ~45k transmissions in the window, each fanning out to ~30 in-range
   // receivers (one deliver/drop record apiece) -> ~3M lifecycle records.
   config.trace.buffer_cap = 1 << 22;  // 4M records x 32 B = 128 MiB ceiling
-  config.trace.sample_period = util::Time::from_milliseconds(250.0);
   config.trace.perfetto_path = argc > 1 ? argv[1] : "traced_trial.perfetto.json";
   config.trace.jsonl_path = argc > 2 ? argv[2] : "traced_trial.jsonl";
 

@@ -2,9 +2,8 @@
 //
 // Layering (bottom to top):
 //   util    — time, RNG, statistics
-//   obs     — tracing & metrics: ring tracer, samplers, lifecycle oracle,
-//             Perfetto/JSONL exporters (record layer sits below sim; the
-//             sampler rides on it)
+//   obs     — tracing: ring tracer, conservation oracle, Perfetto/JSONL
+//             exporters (the record layer sits below sim)
 //   sim     — discrete-event kernel
 //   net     — topology, packets, wireless channel
 //   energy  — radio power-state machine and accounting
@@ -53,7 +52,6 @@
 #include "src/net/packet.h"
 #include "src/net/topology.h"
 #include "src/obs/lifecycle.h"
-#include "src/obs/sampler.h"
 #include "src/obs/trace_export.h"
 #include "src/obs/tracer.h"
 #include "src/query/query.h"

@@ -14,7 +14,6 @@
 #include "src/harness/power_manager.h"
 #include "src/mac/csma.h"
 #include "src/net/channel.h"
-#include "src/obs/sampler.h"
 #include "src/obs/trace_export.h"
 #include "src/query/query_agent.h"
 #include "src/query/workload.h"
@@ -44,8 +43,8 @@ struct NodeStack {
   std::unique_ptr<query::QueryAgent> agent;
 };
 
-// "{seed}" substitution for TraceSpec export paths, so a sweep's one traced
-// trial names its files after the trial.
+// "{seed}" substitution for TraceSpec export paths, so each traced trial of
+// a sweep names its files after its seed.
 std::string substitute_seed(std::string path, std::uint64_t seed) {
   const std::string token = "{seed}";
   for (std::size_t at = path.find(token); at != std::string::npos;
@@ -88,7 +87,6 @@ struct Trial::Impl {
   const net::NodeId root = topo.nearest(config.deployment.centre());
   sim::Simulator sim;
   std::unique_ptr<obs::Tracer> tracer;
-  std::unique_ptr<obs::NodeSampler> sampler;
   net::Channel channel{sim, topo, config.channel_params};
   // Link-quality feedback for parent selection: the estimator reads the
   // channel's loss statistics (and the loss model's own curve as a prior),
@@ -305,7 +303,7 @@ struct Trial::Impl {
         std::fprintf(stderr, "[WARN] trace export: cannot open %s\n",
                      path.c_str());
       } else if (configured == &config.trace.perfetto_path) {
-        obs::export_perfetto_json(*tracer, sampler.get(), f);
+        obs::export_perfetto_json(*tracer, f);
       } else {
         obs::export_jsonl(*tracer, f);
       }
@@ -411,7 +409,7 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
   // steady-state scheduling never reallocates slot/heap storage mid-run.
   sim.reserve_events(n * 8 + 64);
 
-  if (config.trace.active_for(config.seed)) {
+  if (config.trace.enabled) {
     if (!obs::kTracingCompiledIn) {
       std::fprintf(stderr,
                    "[WARN] TraceSpec.enabled but the library was built with "
@@ -439,30 +437,6 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
         sim, channel, *nodes[i].radio, id, config.mac_params, master.fork(100 + i));
     nodes[i].mac->set_rx_handler(
         [this, id](const net::Packet& p) { receive(id, p); });
-  }
-
-  // Per-node time-series sampling (duty cycle, send-queue depth, radio
-  // state) plus the run-global pending-event count. The sampler schedules
-  // its own probe events, so it runs only when the trial is traced AND a
-  // period was requested; untraced trials keep the exact legacy event
-  // stream.
-  if (tracer && config.trace.sample_period > util::Time::zero()) {
-    sampler = std::make_unique<obs::NodeSampler>(config.trace.series_cap);
-    sampler->add_channel("pending_events", -1, [this] {
-      return static_cast<double>(sim.pending_events());
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<std::int32_t>(i);
-      sampler->add_channel("duty_cycle", id,
-                           [this, i] { return nodes[i].radio->duty_cycle(); });
-      sampler->add_channel("queue_depth", id, [this, i] {
-        return static_cast<double>(nodes[i].mac->queue_depth());
-      });
-      sampler->add_channel("radio_state", id, [this, i] {
-        return static_cast<double>(static_cast<int>(nodes[i].radio->state()));
-      });
-    }
-    sampler->start(sim, config.trace.sample_period);
   }
 
   // Routing tree, built centrally before the experiment starts (§3). It

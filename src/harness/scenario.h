@@ -147,10 +147,10 @@ struct ScenarioConfig {
   // detection drives tree repair). Sweepable via exp::SweepSpec::axis_faults.
   fault::FaultSpec faults;
 
-  // Observability (src/obs): when trace.active_for(seed), the run gets a
-  // Tracer + optional per-node samplers and drives the configured exporters
-  // after the run. Off by default — the disabled path costs one predictable
-  // branch per instrumentation site.
+  // Observability (src/obs): when trace.enabled, the run gets a Tracer and
+  // drives the configured exporters after the run. Tracing only records, so
+  // no trace setting changes the trial. Off by default — the disabled path
+  // costs one predictable branch per instrumentation site.
   obs::TraceSpec trace;
 
   std::uint64_t seed = 1;

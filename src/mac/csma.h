@@ -108,10 +108,6 @@ class CsmaMac : public net::ChannelListener {
   // make_atim_packet without an allocation in the common case).
   net::AtimDestinations pending_destinations() const;
   bool has_pending() const { return !queue_.empty() || in_flight_.has_value(); }
-  // Frames waiting or in flight — the send-queue depth samplers report.
-  std::size_t queue_depth() const {
-    return queue_.size() + (in_flight_.has_value() ? 1 : 0);
-  }
 
   const MacStats& stats() const { return stats_; }
 

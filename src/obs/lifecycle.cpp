@@ -2,88 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace essat::obs {
-
-namespace {
-
-// Extracts the provenance id a record mentions, or 0 if the type carries
-// none. Keep in sync with the schema table in trace_record.h.
-std::uint64_t record_prov(const TraceRecord& r) {
-  switch (r.trace_type()) {
-    case TraceType::kMacEnqueue:
-    case TraceType::kMacBackoffStart:
-    case TraceType::kMacCcaDefer:
-    case TraceType::kMacTxAttempt:
-    case TraceType::kMacRetry:
-    case TraceType::kMacSendOk:
-    case TraceType::kMacSendFail:
-    case TraceType::kMacRxDeliver:
-    case TraceType::kMacRxDup:
-    case TraceType::kReportSubmit:
-    case TraceType::kReportFold:  // the *child* prov being folded
-    case TraceType::kRootDeliver:
-      return r.a;
-    case TraceType::kChanTxBegin:
-    case TraceType::kChanDeliver:
-    case TraceType::kChanDrop:
-      return r.b;
-    default:
-      return 0;
-  }
-}
-
-}  // namespace
-
-std::vector<TraceRecord> packet_lifecycle(
-    const std::vector<TraceRecord>& records, std::uint64_t prov) {
-  std::vector<TraceRecord> out;
-  if (prov == 0) return out;
-  for (const TraceRecord& r : records) {
-    if (record_prov(r) == prov) out.push_back(r);
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> provenance_chain(
-    const std::vector<TraceRecord>& records, std::uint64_t prov) {
-  // (node, query, epoch) of each kReportSubmit -> the prov it produced.
-  auto key = [](std::int32_t node, std::uint16_t query, std::uint64_t epoch) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node)) << 40) ^
-           (static_cast<std::uint64_t>(query) << 24) ^ epoch;
-  };
-  std::unordered_map<std::uint64_t, std::uint64_t> submit_prov;
-  for (const TraceRecord& r : records) {
-    if (r.trace_type() == TraceType::kReportSubmit) {
-      submit_prov[key(r.node, r.arg16, r.b)] = r.a;
-    }
-  }
-  // parent prov -> child provs folded into it.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> children;
-  for (const TraceRecord& r : records) {
-    if (r.trace_type() != TraceType::kReportFold) continue;
-    auto it = submit_prov.find(key(r.node, r.arg16, r.b));
-    if (it != submit_prov.end() && r.a != 0) {
-      children[it->second].push_back(r.a);
-    }
-  }
-  // Post-order walk so ancestors precede `prov` itself.
-  std::vector<std::uint64_t> out;
-  std::unordered_set<std::uint64_t> seen;
-  std::function<void(std::uint64_t)> walk = [&](std::uint64_t p) {
-    if (!seen.insert(p).second) return;
-    auto it = children.find(p);
-    if (it != children.end()) {
-      for (std::uint64_t c : it->second) walk(c);
-    }
-    out.push_back(p);
-  };
-  walk(prov);
-  return out;
-}
 
 ConservationReport check_conservation(const std::vector<TraceRecord>& records,
                                       util::Time grace) {

@@ -1,5 +1,4 @@
-// Packet-lifecycle consumers of a trace stream: hop-by-hop reconstruction
-// by provenance id, and the tx/rx-or-drop conservation checker used as a
+// The tx/rx-or-drop conservation checker over a trace stream, used as a
 // test oracle.
 #pragma once
 
@@ -10,19 +9,6 @@
 #include "src/obs/trace_record.h"
 
 namespace essat::obs {
-
-// Every record mentioning provenance id `prov` (MAC lifecycle, channel
-// deliver/drop, report submit/fold/root-deliver), in stream order — one
-// report's hop-by-hop story.
-std::vector<TraceRecord> packet_lifecycle(const std::vector<TraceRecord>& records,
-                                          std::uint64_t prov);
-
-// The provenance chain ending in `prov`: walks kReportFold records
-// backwards (child prov folded at the node/query/epoch whose kReportSubmit
-// produced the parent prov), returning [leaf-most ... prov]. A report
-// delivered at the root thus names every upstream report that fed it.
-std::vector<std::uint64_t> provenance_chain(
-    const std::vector<TraceRecord>& records, std::uint64_t prov);
 
 struct ConservationReport {
   bool ok = true;

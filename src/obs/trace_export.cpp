@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace essat::obs {
@@ -86,8 +85,7 @@ class EventWriter {
 
 }  // namespace
 
-void export_perfetto_json(const Tracer& tracer, const NodeSampler* sampler,
-                          std::ostream& out) {
+void export_perfetto_json(const Tracer& tracer, std::ostream& out) {
   const std::vector<TraceRecord> records = tracer.snapshot();
   EventWriter w(out);
   char buf[512];
@@ -96,11 +94,6 @@ void export_perfetto_json(const Tracer& tracer, const NodeSampler* sampler,
   std::vector<std::int32_t> nodes;
   for (const TraceRecord& r : records) {
     if (r.node >= 0) nodes.push_back(r.node);
-  }
-  if (sampler != nullptr) {
-    for (const auto& c : sampler->channels()) {
-      if (c.node >= 0) nodes.push_back(c.node);
-    }
   }
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
@@ -171,21 +164,6 @@ void export_perfetto_json(const Tracer& tracer, const NodeSampler* sampler,
     for (std::size_t i = 0; i < edges.size(); ++i) {
       const std::int64_t end = i + 1 < edges.size() ? edges[i + 1].t_ns : t_last;
       slice(edges[i].t_ns, end, edges[i].next);
-    }
-  }
-
-  if (sampler != nullptr) {
-    for (const auto& c : sampler->channels()) {
-      std::string counter = c.name;
-      if (c.node >= 0) counter += "@" + std::to_string(c.node);
-      for (const SeriesPoint& p : c.series.points()) {
-        std::snprintf(buf, sizeof buf,
-                      "{\"ph\":\"C\",\"pid\":1,\"tid\":%ld,\"ts\":%.3f,"
-                      "\"name\":\"%s\",\"args\":{\"value\":%g}}",
-                      tid_of(c.node), static_cast<double>(p.t_ns) / 1000.0,
-                      counter.c_str(), p.value);
-        w.emit(buf);
-      }
     }
   }
   w.finish();

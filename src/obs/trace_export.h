@@ -5,7 +5,6 @@
 
 #include <ostream>
 
-#include "src/obs/sampler.h"
 #include "src/obs/tracer.h"
 
 namespace essat::obs {
@@ -14,10 +13,8 @@ namespace essat::obs {
 // "sim" track (event-queue ops), tid node+2 is node <node>'s track. Radio
 // state records become duration ("X") slices named after the state; all
 // other records become instant ("i") events carrying their decoded payload
-// in args; sampler channels (optional) become counter ("C") tracks.
-// Timestamps are microseconds of simulation time.
-void export_perfetto_json(const Tracer& tracer, const NodeSampler* sampler,
-                          std::ostream& out);
+// in args. Timestamps are microseconds of simulation time.
+void export_perfetto_json(const Tracer& tracer, std::ostream& out);
 
 // One JSON object per record, in emission order:
 //   {"t_ns":..,"type":"..","node":..,"arg16":..,"a":..,"b":..}

@@ -2,8 +2,8 @@
 //
 // Every record is exactly 32 bytes so a ring of them is a flat, cache-
 // friendly array the hot path writes with one store sequence and no
-// allocation. The schema below is the contract shared by the in-process
-// consumers (obs/lifecycle.h), the exporters (obs/trace_export.h), and the
+// allocation. The schema below is the contract shared by the conservation
+// oracle (obs/lifecycle.h), the exporters (obs/trace_export.h), and the
 // offline tooling (tools/trace_summary.py) — keep all four in sync.
 //
 // Record schema (field meaning by TraceType; `-` means unused/zero):

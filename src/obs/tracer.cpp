@@ -64,21 +64,9 @@ const char* drop_reason_name(DropReason r) {
 }
 
 Tracer::Tracer(const TraceSpec& spec)
-    : spec_(spec),
-      ring_(round_up_pow2(std::max<std::size_t>(spec.buffer_cap, 64))),
+    : ring_(round_up_pow2(std::max<std::size_t>(spec.buffer_cap, 64))),
       mask_(ring_.size() - 1),
-      type_mask_(spec.type_mask),
-      begin_ns_(spec.begin.ns()),
-      end_ns_(spec.end.ns()) {
-  if (!spec.nodes.empty()) {
-    std::int32_t max_node = 0;
-    for (std::int32_t n : spec.nodes) max_node = std::max(max_node, n);
-    node_filter_.assign(static_cast<std::size_t>(max_node) + 1, 0);
-    for (std::int32_t n : spec.nodes) {
-      if (n >= 0) node_filter_[static_cast<std::size_t>(n)] = 1;
-    }
-  }
-}
+      type_mask_(spec.type_mask) {}
 
 std::vector<TraceRecord> Tracer::snapshot() const {
   std::vector<TraceRecord> out;

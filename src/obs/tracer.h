@@ -8,15 +8,15 @@
 // no tracer installed that is a single always-not-taken predictable branch;
 // with -DESSAT_TRACING=OFF the macro compiles to nothing at all.
 //
-// When a tracer IS installed, emit() applies the TraceSpec filters (type
-// mask, node set, time window) and appends to a preallocated ring: no
-// allocation, no locks (a run is single-threaded), overwrite-oldest on
-// overflow with a dropped-record count so truncation is always visible.
+// When a tracer IS installed, emit() tests the TraceSpec's type mask and
+// appends to a preallocated ring: no allocation, no locks (a run is
+// single-threaded), overwrite-oldest on overflow with a dropped-record
+// count so truncation is always visible. Tracing only records: it
+// schedules no event, so no TraceSpec value changes a trial.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,27 +28,13 @@ namespace essat::obs {
 class Tracer;
 
 // Declarative per-run tracing configuration, carried on ScenarioConfig so a
-// sweep can switch tracing on for exactly one trial and drive the exporters
-// without touching any code.
+// trial can be traced and its exporters driven without touching any code.
 struct TraceSpec {
   bool enabled = false;
   // Ring capacity in records (32 B each); rounded up to a power of two.
   std::size_t buffer_cap = 1 << 20;
   // Bit per TraceType (see trace_bit / kPacketLifecycleTypes).
   std::uint64_t type_mask = kAllTraceTypes;
-  // Only records from these nodes are kept (empty = all). Global records
-  // (node -1, event-queue ops) always pass the node filter.
-  std::vector<std::int32_t> nodes;
-  // Only records with begin <= t < end are kept.
-  util::Time begin = util::Time::zero();
-  util::Time end = util::Time::max();
-  // Per-node time-series sampling period (0 = no sampling); series are
-  // bounded by series_cap points each (decimating 2:1 when full).
-  util::Time sample_period = util::Time::zero();
-  std::size_t series_cap = 4096;
-  // Sweep gating: when set, tracing activates only for the trial whose
-  // effective seed matches — the rest of the grid runs untraced.
-  std::optional<std::uint64_t> only_seed;
   // Export destinations ("{seed}" is substituted with the trial seed);
   // empty = no file export.
   std::string perfetto_path;
@@ -56,27 +42,18 @@ struct TraceSpec {
   // In-process consumer, invoked with the finished tracer after the run
   // (before teardown). Used by tests and embedding harnesses.
   std::function<void(const Tracer&)> sink;
-
-  // Whether this spec traces the trial with the given effective seed.
-  bool active_for(std::uint64_t seed) const {
-    return enabled && (!only_seed.has_value() || *only_seed == seed);
-  }
 };
 
 class Tracer {
  public:
   explicit Tracer(const TraceSpec& spec);
 
-  // Appends a record if it passes the spec's filters. Hot path: a handful
-  // of compares and one 32-byte store; never allocates.
+  // Appends a record if its type is in the mask. Hot path: one test and
+  // one 32-byte store; never allocates.
   void emit(TraceType type, util::Time t, std::int32_t node,
             std::uint16_t arg16, std::uint64_t a, std::uint64_t b) {
     if (!(type_mask_ >> static_cast<int>(type) & 1)) return;
-    const std::int64_t ns = t.ns();
-    if (ns < begin_ns_ || ns >= end_ns_) return;
-    if (node >= 0 && !node_pass_(node)) return;
-    ring_[head_ & mask_] =
-        TraceRecord::make(type, t, node, arg16, a, b);
+    ring_[head_ & mask_] = TraceRecord::make(type, t, node, arg16, a, b);
     ++head_;
   }
 
@@ -85,7 +62,7 @@ class Tracer {
     return head_ < ring_.size() ? head_ : ring_.size();
   }
   std::size_t capacity() const { return ring_.size(); }
-  // Total records accepted past the filters; records beyond capacity()
+  // Total records accepted past the type mask; records beyond capacity()
   // overwrote the oldest.
   std::uint64_t emitted() const { return head_; }
   std::uint64_t overwritten() const {
@@ -96,23 +73,11 @@ class Tracer {
   // ring; O(size) copy — an export/teardown operation, not a hot path.
   std::vector<TraceRecord> snapshot() const;
 
-  const TraceSpec& spec() const { return spec_; }
-
  private:
-  bool node_pass_(std::int32_t node) const {
-    if (node_filter_.empty()) return true;
-    const auto idx = static_cast<std::size_t>(node);
-    return idx < node_filter_.size() && node_filter_[idx] != 0;
-  }
-
-  TraceSpec spec_;
   std::vector<TraceRecord> ring_;
   std::uint64_t head_ = 0;  // total accepted records; ring index = head & mask
   std::uint64_t mask_ = 0;
   std::uint64_t type_mask_ = kAllTraceTypes;
-  std::int64_t begin_ns_ = 0;
-  std::int64_t end_ns_ = 0;
-  std::vector<std::uint8_t> node_filter_;  // empty = all nodes pass
 };
 
 }  // namespace essat::obs

@@ -124,9 +124,7 @@ void fields(IO& io, Field<IO, mac::MacParams>& p) {
 // default-constructed on load.
 template <typename IO>
 void fields(IO& io, Field<IO, obs::TraceSpec>& t) {
-  io(t.enabled, t.buffer_cap, t.type_mask, t.nodes, t.begin, t.end,
-     t.sample_period, t.series_cap, t.only_seed, t.perfetto_path,
-     t.jsonl_path);
+  io(t.enabled, t.buffer_cap, t.type_mask, t.perfetto_path, t.jsonl_path);
 }
 
 // `trace` precedes `faults` on the wire, unlike in the struct.

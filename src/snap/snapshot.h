@@ -22,12 +22,19 @@
 
 namespace essat::snap {
 
+// Version 6: tracing only records. SCFG's TraceSpec keeps enabled,
+// buffer_cap, type_mask and the two export paths, and loses the node
+// filter, the time window, the sampling period, the series cap and the
+// one-seed gate. The per-node sampler that the period switched on scheduled
+// its own probe events, so a sampled trial's TRST and RunMetrics differed
+// from an untraced one's; now no trace setting changes a trial.
+//
 // Version 5: the distributed tree setup is gone (use_distributed_setup,
 // TreeSetupProtocol and the kSetup/kJoin/kRankReport/kDissemination
 // packets). SCFG loses that bool, TRST loses the setup-protocol flag, and
 // the PacketType values and payload tags renumber (kAtim 5 -> 2,
 // kPhaseRequest 6 -> 3).
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 enum class SnapshotKind : std::uint32_t {
   kTrial = 1,  // full mid-run simulator state + scenario config

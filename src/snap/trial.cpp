@@ -51,7 +51,7 @@ TrialImage decode_trial(const Snapshot& snapshot) {
   in.skip();  // the "TRST" section just copied out
   in.finish();
 
-  // Strip export side effects; keep the event-affecting trace fields.
+  // Strip export side effects; keep the recording trace fields.
   image.config.trace.perfetto_path.clear();
   image.config.trace.jsonl_path.clear();
   image.config.trace.sink = nullptr;

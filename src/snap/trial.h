@@ -45,9 +45,9 @@ TrialCapture capture_trial(const harness::ScenarioConfig& config,
 
 // A decoded trial snapshot. Export side effects are stripped from the
 // config (trace perfetto/jsonl paths; the sink never survives encoding) so
-// a resume is pure computation; the event-affecting trace fields (enabled,
-// filters, sample_period) are kept, so a traced capture replays its exact
-// stream. tools/replay re-points the export paths before resuming.
+// a resume is pure computation; the recording fields (enabled, buffer_cap,
+// type_mask) are kept, so a traced capture resumes with the same tracing.
+// tools/replay re-points the export paths before resuming.
 struct TrialImage {
   harness::ScenarioConfig config;
   util::Time barrier;

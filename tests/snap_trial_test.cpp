@@ -217,9 +217,7 @@ TEST(SnapTrial, ConfigCodecRoundTrip) {
   c.workload.extra_queries.push_back(
       query::Query{net::QueryId{9}, Time::seconds(3), Time::seconds(8), 2});
   c.trace.enabled = true;
-  c.trace.nodes = {0, 3};
-  c.trace.only_seed = 42;
-  c.trace.sample_period = Time::from_milliseconds(10);
+  c.trace.type_mask = obs::kPacketLifecycleTypes;
   c.trace.perfetto_path = "out-{seed}.json";
   c.seed = 99;
 
@@ -232,8 +230,7 @@ TEST(SnapTrial, ConfigCodecRoundTrip) {
   EXPECT_EQ(back.mobility.traces[0].points[1].second.x, 30.0);
   ASSERT_TRUE(back.sts_deadline.has_value());
   EXPECT_EQ(*back.sts_deadline, Time::from_milliseconds(750));
-  ASSERT_TRUE(back.trace.only_seed.has_value());
-  EXPECT_EQ(*back.trace.only_seed, 42u);
+  EXPECT_EQ(back.trace.type_mask, obs::kPacketLifecycleTypes);
   EXPECT_EQ(back.trace.perfetto_path, "out-{seed}.json");
   ASSERT_EQ(back.faults.churn.scheduled.size(), 1u);
   EXPECT_EQ(back.faults.churn.scheduled[0].node, 5);

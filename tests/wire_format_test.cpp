@@ -138,12 +138,6 @@ harness::ScenarioConfig full_config() {
   c.trace.enabled = true;
   c.trace.buffer_cap = 4096;
   c.trace.type_mask = 0x5a5a;
-  c.trace.nodes = {0, 3, 17};
-  c.trace.begin = Time::seconds(1);
-  c.trace.end = Time::seconds(60);
-  c.trace.sample_period = Time::milliseconds(250);
-  c.trace.series_cap = 512;
-  c.trace.only_seed = 99;
   c.trace.perfetto_path = "trace_{seed}.pftrace";
   c.trace.jsonl_path = "trace_{seed}.jsonl";
 
@@ -207,10 +201,10 @@ harness::RunMetrics full_metrics() {
 }
 
 TEST(WireFormat, ScenarioConfigBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 5u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 6u) << "re-record the constants below";
   const auto bytes = snap::scenario_config_to_bytes(full_config());
-  EXPECT_EQ(bytes.size(), 873u);
-  EXPECT_EQ(crc(bytes), 1864003302u);
+  EXPECT_EQ(bytes.size(), 812u);
+  EXPECT_EQ(crc(bytes), 726914565u);
   // The pinned bytes decode back to themselves.
   EXPECT_EQ(snap::scenario_config_to_bytes(
                 snap::scenario_config_from_bytes(bytes.data(), bytes.size())),
@@ -218,7 +212,7 @@ TEST(WireFormat, ScenarioConfigBytesPinned) {
 }
 
 TEST(WireFormat, RunMetricsBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 5u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 6u) << "re-record the constants below";
   const auto bytes = snap::run_metrics_to_bytes(full_metrics());
   EXPECT_EQ(bytes.size(), 559u);
   EXPECT_EQ(crc(bytes), 2152200120u);
@@ -226,7 +220,8 @@ TEST(WireFormat, RunMetricsBytesPinned) {
 
 // A traced trial with ETX parents, scheduled churn and battery death.
 // Unit-disc links, static placement and no stochastic churn keep libm out
-// of its bytes.
+// of its bytes. Tracing only records, so its state and metrics are the
+// untraced trial's, and the pins hold with tracing compiled out.
 harness::ScenarioConfig pinned_trial_config() {
   harness::ScenarioConfig c;
   c.deployment.num_nodes = 30;
@@ -241,7 +236,6 @@ harness::ScenarioConfig pinned_trial_config() {
   c.faults.battery.budget_mj = 5000.0;
   c.faults.battery.jitter_frac = 0.1;
   c.trace.enabled = true;
-  c.trace.sample_period = Time::milliseconds(100);
   c.workload.extra_queries.push_back(
       query::Query{net::kNoQuery, Time::seconds(2), Time::seconds(4), 1});
   return c;
@@ -253,26 +247,26 @@ harness::ScenarioConfig pinned_trial_config() {
 // bytes depend on the header and length only, so the payload CRC is pinned
 // as well.
 TEST(WireFormat, TrialSnapshotBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 5u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 6u) << "re-record the constants below";
   const harness::ScenarioConfig c = pinned_trial_config();
 
   const snap::TrialCapture at_zero = snap::capture_trial(c, Time::zero());
   const auto zero_bytes = at_zero.snapshot.to_bytes();
-  EXPECT_EQ(zero_bytes.size(), 243031u);
-  EXPECT_EQ(crc(zero_bytes), 2709275651u);
-  EXPECT_EQ(crc(at_zero.snapshot.payload), 550458842u);
+  EXPECT_EQ(zero_bytes.size(), 242966u);
+  EXPECT_EQ(crc(zero_bytes), 1715460804u);
+  EXPECT_EQ(crc(at_zero.snapshot.payload), 540028993u);
 
   // Mid-measurement: queued and in-flight reports, DTS phase state.
   const Time mid = harness::Trial{c}.measure_end() - c.measure_duration / 2;
   const snap::TrialCapture cap = snap::capture_trial(c, mid);
   const auto cap_bytes = cap.snapshot.to_bytes();
-  EXPECT_EQ(cap_bytes.size(), 267875u);
-  EXPECT_EQ(crc(cap_bytes), 3906911582u);
-  EXPECT_EQ(crc(cap.snapshot.payload), 3719704112u);
+  EXPECT_EQ(cap_bytes.size(), 267810u);
+  EXPECT_EQ(crc(cap_bytes), 3973174705u);
+  EXPECT_EQ(crc(cap.snapshot.payload), 942383013u);
 
   const auto metrics = snap::run_metrics_to_bytes(cap.metrics);
   EXPECT_EQ(metrics.size(), 2484u);
-  EXPECT_EQ(crc(metrics), 2488325269u);
+  EXPECT_EQ(crc(metrics), 3731486458u);
 }
 
 // Two runs whose every aggregated metric differs, so a swapped column or a

@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
     snap::TrialImage image = snap::decode_trial(snapshot);
     if (!trace_path.empty()) {
       image.config.trace.enabled = true;
-      image.config.trace.only_seed.reset();
       image.config.trace.perfetto_path = trace_path;
     }
     std::printf("resuming %s at t=%.9fs (%s, %d nodes, seed %llu)\n",

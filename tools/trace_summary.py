@@ -167,7 +167,6 @@ PHASE_FIELDS = {
     "M": ("name", "args"),
     "X": ("ts", "dur", "name"),
     "i": ("ts", "s", "name"),
-    "C": ("ts", "name", "args"),
 }
 
 
