@@ -404,11 +404,6 @@ struct Trial::Impl {
 };
 
 Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
-  // Pre-size the event queue for the expected concurrently-live event
-  // population (a handful of timers and in-flight frames per node), so
-  // steady-state scheduling never reallocates slot/heap storage mid-run.
-  sim.reserve_events(n * 8 + 64);
-
   if (config.trace.enabled) {
     if (!obs::kTracingCompiledIn) {
       std::fprintf(stderr,
@@ -445,6 +440,11 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
   tree = routing::build_policy_tree(topo, root,
                                     config.deployment.max_tree_dist_m,
                                     parent_policy.get());
+  // Pre-size the event queue for the expected concurrently-live event
+  // population (a handful of timers and in-flight frames per tree member;
+  // nodes outside the tree schedule nothing), so steady-state scheduling
+  // never reallocates slot/heap storage mid-run. Nothing is scheduled yet.
+  sim.reserve_events(tree.member_count() * 8 + 64);
 
   // Constructed (and its RNG stream forked) only when faults are configured:
   // Rng::fork is pure, so the conditional fork leaves every other stream's

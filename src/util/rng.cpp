@@ -18,7 +18,12 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 }  // namespace
 
-Rng::Rng(std::uint64_t seed) : seed_{seed}, gen_{splitmix64(seed)} {}
+Rng::Rng(std::uint64_t seed) : seed_{seed} {}
+
+std::mt19937_64& Rng::engine() {
+  if (!gen_) gen_ = std::make_unique<std::mt19937_64>(splitmix64(seed_));
+  return *gen_;
+}
 
 Rng Rng::fork(std::uint64_t stream) const {
   return Rng{splitmix64(seed_ ^ splitmix64(stream + 0x517cc1b727220a95ULL))};
@@ -26,12 +31,12 @@ Rng Rng::fork(std::uint64_t stream) const {
 
 double Rng::uniform(double lo, double hi) {
   std::uniform_real_distribution<double> d{lo, hi};
-  return d(gen_);
+  return d(engine());
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   std::uniform_int_distribution<std::int64_t> d{lo, hi};
-  return d(gen_);
+  return d(engine());
 }
 
 Time Rng::uniform_time(Time lo, Time hi) {
@@ -41,7 +46,7 @@ Time Rng::uniform_time(Time lo, Time hi) {
 
 double Rng::exponential(double mean) {
   std::exponential_distribution<double> d{1.0 / mean};
-  return d(gen_);
+  return d(engine());
 }
 
 double Rng::normal(double mean, double stddev) {
@@ -53,18 +58,22 @@ double Rng::normal(double mean, double stddev) {
     throw std::invalid_argument{"Rng::normal: stddev must be >= 0"};
   }
   std::normal_distribution<double> d{0.0, 1.0};
-  return d(gen_) * stddev + mean;
+  return d(engine()) * stddev + mean;
 }
 
 bool Rng::bernoulli(double p) {
   std::bernoulli_distribution d{p};
-  return d(gen_);
+  return d(engine());
 }
 
 void Rng::save_state(snap::Serializer& out) const {
   out.u64(seed_);
   std::ostringstream ss;
-  ss << gen_;
+  if (gen_) {
+    ss << *gen_;
+  } else {
+    ss << std::mt19937_64{splitmix64(seed_)};
+  }
   out.str(ss.str());
 }
 

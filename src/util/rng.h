@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 
 #include "src/util/time.h"
@@ -16,6 +17,11 @@ class Serializer;
 
 namespace essat::util {
 
+// A stream builds its mt19937_64 engine on its first draw: until then it is
+// just its seed (16 bytes, no seeding work). A city-scale trial gives every
+// node a MAC backoff stream, but only the routing tree's members ever draw
+// from theirs. Draws and snapshot bytes are those of an eagerly seeded
+// engine.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);
@@ -51,12 +57,16 @@ class Rng {
 
   // Snapshot hook (attestation only: restore replays). Every distribution
   // above is constructed fresh per call, so (seed_, engine state) is the
-  // complete stream state.
+  // complete stream state; an undrawn stream writes a freshly seeded
+  // engine's state.
   void save_state(snap::Serializer& out) const;
 
  private:
+  // The engine, built from the seed on first use.
+  std::mt19937_64& engine();
+
   std::uint64_t seed_;
-  std::mt19937_64 gen_;
+  std::unique_ptr<std::mt19937_64> gen_;
 };
 
 }  // namespace essat::util

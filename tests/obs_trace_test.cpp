@@ -2,7 +2,9 @@
 // accounting, the type mask, the zero-overhead discipline of the disabled
 // path, provenance threading, the conservation oracle across a protocol x
 // topology x rate grid, traced trials matching untraced ones byte for byte,
-// byte-identical traces across sweep thread counts, and the exporters.
+// byte-identical traces across sweep thread counts, and the exporters. With
+// tracing compiled out (-DESSAT_TRACING=OFF) the traced-trial tests check
+// instead that a traced config runs untraced.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -47,6 +49,41 @@ harness::ScenarioConfig small_config() {
   c.measure_duration = Time::seconds(10);
   c.seed = 7;
   return c;
+}
+
+// The mid-measurement state of every component, then the finished trial's
+// metrics.
+std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>
+state_and_metrics(const harness::ScenarioConfig& config) {
+  harness::Trial trial{config};
+  trial.advance_to(trial.measure_end() - config.measure_duration / 2);
+  snap::Serializer state;
+  trial.save_state(state);
+  return std::make_pair(state.take(),
+                        snap::run_metrics_to_bytes(trial.finish()));
+}
+
+// With tracing compiled out, Trial warns and runs a traced config untraced:
+// the sink never runs, none of `exports` (the config's expanded export
+// paths) is written, and the state and metrics are the untraced run's byte
+// for byte.
+void expect_runs_untraced(harness::ScenarioConfig config,
+                          const std::vector<std::string>& exports = {}) {
+  ASSERT_FALSE(obs::kTracingCompiledIn);
+  for (const std::string& path : exports) std::remove(path.c_str());
+  int sink_calls = 0;
+  config.trace.sink = [&sink_calls](const Tracer&) { ++sink_calls; };
+  harness::ScenarioConfig untraced_cfg = config;
+  untraced_cfg.trace = TraceSpec{};
+
+  const auto traced = state_and_metrics(config);
+  const auto untraced = state_and_metrics(untraced_cfg);
+  EXPECT_EQ(sink_calls, 0) << "the sink ran without a tracer";
+  for (const std::string& path : exports) {
+    EXPECT_FALSE(std::ifstream(path).good()) << path << " was written";
+  }
+  EXPECT_EQ(traced.first, untraced.first) << "trial state differs";
+  EXPECT_EQ(traced.second, untraced.second) << "RunMetrics differ";
 }
 
 // ------------------------------------------------------------ records
@@ -153,6 +190,10 @@ TEST(TracingOverhead, DisabledPathIsAPredictableBranch) {
 TEST(TracedRun, ReconstructsReportLifecycles) {
   harness::ScenarioConfig config = small_config();
   config.trace = basic_spec();
+  if (!obs::kTracingCompiledIn) {
+    expect_runs_untraced(config);
+    return;
+  }
   std::vector<TraceRecord> records;
   config.trace.sink = [&](const Tracer& tracer) {
     EXPECT_EQ(tracer.overwritten(), 0u);
@@ -207,6 +248,10 @@ TEST(TracedRun, ConservationHoldsAcrossProtocolTopologyRateGrid) {
         config.workload.base_rate_hz = rate;
         config.measure_duration = Time::seconds(5);
         config.trace = basic_spec();
+        if (!obs::kTracingCompiledIn) {
+          expect_runs_untraced(config);
+          continue;
+        }
         bool checked = false;
         config.trace.sink = [&](const Tracer& tracer) {
           ASSERT_EQ(tracer.overwritten(), 0u);
@@ -236,23 +281,18 @@ TEST(TracedRun, MetricsBitIdenticalToUntracedRun) {
   const std::string dir = ::testing::TempDir();
   traced_cfg.trace.perfetto_path = dir + "/obs_identical_{seed}.perfetto.json";
   traced_cfg.trace.jsonl_path = dir + "/obs_identical_{seed}.jsonl";
+  if (!obs::kTracingCompiledIn) {
+    expect_runs_untraced(traced_cfg, {dir + "/obs_identical_7.perfetto.json",
+                                      dir + "/obs_identical_7.jsonl"});
+    return;
+  }
   std::uint64_t recorded = 0;
   traced_cfg.trace.sink = [&](const Tracer& tracer) {
     recorded = tracer.emitted();
   };
 
-  // The mid-measurement state of every component, then the finished
-  // trial's metrics.
-  auto run = [](const harness::ScenarioConfig& config) {
-    harness::Trial trial{config};
-    trial.advance_to(trial.measure_end() - config.measure_duration / 2);
-    snap::Serializer state;
-    trial.save_state(state);
-    return std::make_pair(state.take(),
-                          snap::run_metrics_to_bytes(trial.finish()));
-  };
-  const auto untraced = run(base);
-  const auto traced = run(traced_cfg);
+  const auto untraced = state_and_metrics(base);
+  const auto traced = state_and_metrics(traced_cfg);
   EXPECT_GT(recorded, 0u) << "the traced trial recorded nothing";
 
   // Tracing only records: byte for byte, not within a tolerance.
@@ -295,12 +335,20 @@ TEST(TracedSweep, TraceByteIdenticalAcrossJobCounts) {
     spec.runs(1).axis("seed", seeds);
     exp::SweepRunner(options).run(spec);
     std::lock_guard<std::mutex> lock(mu);
-    EXPECT_EQ(sink_calls, 1) << "exactly one point is traced";
+    EXPECT_EQ(sink_calls, obs::kTracingCompiledIn ? 1 : 0)
+        << "exactly one point is traced, none with tracing compiled out";
     return captured;
   };
 
   const auto serial = run_with_jobs(1);
   const auto parallel = run_with_jobs(8);
+  if (!obs::kTracingCompiledIn) {
+    harness::ScenarioConfig point = base;
+    point.seed += 2;
+    point.trace = traced;
+    expect_runs_untraced(point);
+    return;
+  }
   ASSERT_FALSE(serial.empty());
   ASSERT_EQ(serial.size(), parallel.size());
   EXPECT_EQ(std::memcmp(serial.data(), parallel.data(),
@@ -318,11 +366,16 @@ TEST(TracedRun, ExportersProduceOutput) {
   const std::string dir = ::testing::TempDir();
   config.trace.perfetto_path = dir + "/obs_trace_{seed}.perfetto.json";
   config.trace.jsonl_path = dir + "/obs_trace_{seed}.jsonl";
+  // One crash and restart: fault records export under their own category.
+  config.faults.churn.scheduled = {{3, Time::seconds(1), Time::seconds(1)}};
+  if (!obs::kTracingCompiledIn) {
+    expect_runs_untraced(config, {dir + "/obs_trace_7.perfetto.json",
+                                  dir + "/obs_trace_7.jsonl"});
+    return;
+  }
   // An export left by an earlier run must not pass for this one's.
   std::remove((dir + "/obs_trace_7.perfetto.json").c_str());
   std::remove((dir + "/obs_trace_7.jsonl").c_str());
-  // One crash and restart: fault records export under their own category.
-  config.faults.churn.scheduled = {{3, Time::seconds(1), Time::seconds(1)}};
   harness::run_scenario(config);
 
   std::ifstream perfetto(dir + "/obs_trace_7.perfetto.json");

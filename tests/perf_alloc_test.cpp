@@ -331,6 +331,32 @@ TEST(SteadyStateAlloc, PacketPoolRecyclesBlocks) {
   EXPECT_EQ(pool.recycled_blocks(), 2u);
 }
 
+// A stream is its seed until its first draw builds the engine, so a node
+// that never draws (a MAC outside the routing tree) costs 16 bytes and no
+// seeding; after that first allocation, drawing stays off the heap.
+TEST(SteadyStateAlloc, RngEngineIsBuiltOnFirstDraw) {
+  EXPECT_LE(sizeof(util::Rng), 16u);
+  CountScope setup;
+  const util::Rng master{1};
+  util::Rng forked = master.fork(100);
+  util::Rng stream = std::move(forked);
+  EXPECT_EQ(setup.count(), 0u) << "constructing, forking or moving allocated";
+  std::int64_t sum = 0;
+  {
+    CountScope first;
+    sum += stream.uniform_int(0, 1 << 30);
+    const std::uint64_t bytes = first.bytes();  // before a failure allocates
+    EXPECT_EQ(first.count(), 1u) << "the first draw must build the engine";
+    EXPECT_EQ(bytes, sizeof(std::mt19937_64));
+  }
+  {
+    CountScope rest;
+    for (int i = 0; i < 1000; ++i) sum += stream.uniform_int(0, 1 << 30);
+    EXPECT_EQ(rest.count(), 0u) << "draws after the first allocated";
+  }
+  EXPECT_GT(sum, 0);
+}
+
 // Whole-trial budgets. They count allocations, not host time, so they hold
 // on any machine. The workload is DTS-SS with nodes uniform in a 500 m
 // square; 160 nodes are denser than the paper's 80, so arrival fan-out
