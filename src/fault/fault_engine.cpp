@@ -29,6 +29,13 @@ FaultEngine::FaultEngine(sim::Simulator& sim, FaultEngineParams params,
   battery_dead_.assign(n, 0);
   open_outage_.assign(n, -1);
 
+  for (net::NodeId id : params_.members) {
+    if (id != params_.root) targets_.push_back(id);
+  }
+  const auto is_target = [this](net::NodeId id) {
+    return std::binary_search(targets_.begin(), targets_.end(), id);
+  };
+
   const FaultSpec& spec = params_.spec;
 
   // --- Churn: the scheduled list first, then the stochastic draws ---------
@@ -41,23 +48,23 @@ FaultEngine::FaultEngine(sim::Simulator& sim, FaultEngineParams params,
                                   std::to_string(ev.node) + ", outside [0, " +
                                   std::to_string(n) + ")"};
     }
-    if (ev.node == params_.root) continue;  // the sink never dies
+    if (!is_target(ev.node)) continue;  // the root, or outside the tree
     planned_.push_back(PlannedFault{ev.node, params_.setup_end + ev.at,
                                     ev.down_for, FaultCause::kScheduled});
   }
   if (spec.churn.node_fraction > 0.0) {
     const util::Time window = params_.measure_end - params_.measure_start;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<net::NodeId>(i);
-      // One fork per node regardless of the outcome, so whether node i
-      // crashes never shifts node j's draws.
-      util::Rng node_rng = rng.fork(kChurnStream).fork(i);
+    for (net::NodeId id : targets_) {
+      // One fork per node, keyed by its index, regardless of the outcome,
+      // so whether node i crashes never shifts node j's draws.
+      util::Rng node_rng =
+          rng.fork(kChurnStream).fork(static_cast<std::uint64_t>(id));
       const bool crashes = node_rng.bernoulli(spec.churn.node_fraction);
       const util::Time at =
           params_.measure_start + node_rng.uniform_time(util::Time::zero(), window);
       const double downtime_s =
           node_rng.exponential(std::max(spec.churn.mean_downtime_s, 1e-9));
-      if (!crashes || id == params_.root) continue;
+      if (!crashes) continue;
       const util::Time down_for = spec.churn.restart
                                       ? util::Time::from_seconds(downtime_s)
                                       : util::Time::zero();
@@ -71,12 +78,12 @@ FaultEngine::FaultEngine(sim::Simulator& sim, FaultEngineParams params,
 
   // --- Battery budgets ----------------------------------------------------
   if (spec.battery.enabled()) {
-    battery_budget_mj_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      util::Rng node_rng = rng.fork(kBatteryStream).fork(i);
+    for (net::NodeId id : targets_) {
+      util::Rng node_rng =
+          rng.fork(kBatteryStream).fork(static_cast<std::uint64_t>(id));
       const double jitter =
           spec.battery.jitter_frac * node_rng.uniform(-1.0, 1.0);
-      battery_budget_mj_[i] = spec.battery.budget_mj * (1.0 + jitter);
+      battery_budget_mj_.push_back(spec.battery.budget_mj * (1.0 + jitter));
     }
   }
 
@@ -145,10 +152,11 @@ void FaultEngine::restart_(net::NodeId n) {
 }
 
 void FaultEngine::poll_battery_() {
-  for (std::size_t i = 0; i < battery_budget_mj_.size(); ++i) {
-    const auto id = static_cast<net::NodeId>(i);
-    if (down_[i] || battery_dead_[i] || id == params_.root) continue;
-    if (energy_probe_(id) >= battery_budget_mj_[i]) {
+  for (std::size_t j = 0; j < targets_.size(); ++j) {
+    const net::NodeId id = targets_[j];
+    const auto i = static_cast<std::size_t>(id);
+    if (down_[i] || battery_dead_[i]) continue;
+    if (energy_probe_(id) >= battery_budget_mj_[j]) {
       crash_(id, FaultCause::kBattery, util::Time::zero());
     }
   }

@@ -8,13 +8,19 @@
 // them as callbacks. This split keeps the engine policy-agnostic and the
 // harness free of RNG bookkeeping.
 //
+// Population: churn (scheduled and stochastic) and battery death strike
+// only the routing tree's members at t = 0, never the root (the sink is
+// mains-powered in the paper's deployment model). A node outside that
+// tree is outside the experiment and has no stack to tear down, so a
+// scheduled event naming one is skipped, as the root's is. Since only
+// members ever restart, no node joins the tree that it did not start in.
+//
 // Determinism: every random quantity (stochastic crash picks and times,
 // downtimes, battery jitter, drift skews/offsets) is pre-drawn in the
 // constructor from per-node streams forked off the engine's own master
-// stream (harness stream 7), in node order. Nothing is drawn at event time,
-// so the schedule is a pure function of (spec, seed, node count) — byte
-// identical for any ESSAT_JOBS. The root is never killed (the sink is
-// mains-powered in the paper's deployment model).
+// stream (harness stream 7), keyed by node index. Nothing is drawn at
+// event time, so the schedule is a pure function of (spec, seed, node
+// count, members) — byte identical for any ESSAT_JOBS.
 //
 // Battery: per-node budgets in millijoules against the radio's *lifetime*
 // energy (never reset by measurement windows, still draining across
@@ -50,6 +56,8 @@ struct FaultEngineParams {
   FaultSpec spec;
   std::size_t num_nodes = 0;
   net::NodeId root = net::kNoNode;
+  // The routing tree's members at t = 0, ascending, root included.
+  std::vector<net::NodeId> members;
   // Fault times in ChurnSpec are offsets from the end of the setup slot;
   // stochastic crash times are drawn uniformly inside the measurement
   // window so every churn rate perturbs the same measured region.
@@ -127,8 +135,10 @@ class FaultEngine {
   NodeFn restart_cb_;
   EnergyProbe energy_probe_;
 
+  // The non-root t = 0 members, ascending: the only nodes a fault strikes.
+  std::vector<net::NodeId> targets_;
   std::vector<PlannedFault> planned_;     // churn, sorted by (at, node)
-  std::vector<double> battery_budget_mj_; // empty when battery disabled
+  std::vector<double> battery_budget_mj_; // per target; empty when disabled
   std::vector<double> skew_ppm_;          // empty when drift disabled
   std::vector<util::Time> clock_offset_;
 

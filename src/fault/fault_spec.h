@@ -3,7 +3,9 @@
 // A spec describes *what* goes wrong — node churn (scheduled or
 // stochastic crash/restart), battery depletion (finite per-node energy
 // budgets), and clock drift (per-node skew/offset at the SafeSleep timer
-// boundary) — while src/fault/fault_engine.* owns *when and how*: all
+// boundary) — while src/fault/fault_engine.* owns *when and how*. Churn
+// and battery death strike only the routing tree's non-root members at
+// t = 0: a node outside that tree is outside the experiment. All
 // stochastic draws come from one forked RNG stream keyed per node, so a
 // fault schedule is a pure function of (config, seed) and is bit-identical
 // for any ESSAT_JOBS value. A default-constructed FaultSpec is disabled
@@ -25,8 +27,9 @@ namespace essat::fault {
 
 // One deterministic churn event: `node` goes down `at` after setup ends
 // and (when down_for > 0) restarts after `down_for`. A non-positive
-// down_for is a permanent death. The root is never killed; a node id
-// outside the deployment is rejected (std::invalid_argument).
+// down_for is a permanent death. An event naming the root or a node
+// outside the t = 0 tree is skipped; a node id outside the deployment is
+// rejected (std::invalid_argument).
 struct ChurnEvent {
   net::NodeId node = net::kNoNode;
   util::Time at = util::Time::zero();        // offset from end of setup
@@ -34,11 +37,13 @@ struct ChurnEvent {
 };
 
 struct ChurnSpec {
-  // Scheduled events, applied verbatim (root entries ignored). A permanent
-  // entry is how a scenario kills a node.
+  // Scheduled events, applied verbatim to t = 0 tree members (entries for
+  // the root or an outsider are skipped). A permanent entry is how a
+  // scenario kills a node.
   std::vector<ChurnEvent> scheduled;
-  // Stochastic churn: each non-root member independently crashes once with
-  // this probability, at a uniform time inside the measurement window.
+  // Stochastic churn: each non-root member of the t = 0 tree independently
+  // crashes once with this probability, at a uniform time inside the
+  // measurement window.
   double node_fraction = 0.0;
   // Mean of the exponential downtime for stochastic crashes; <= 0 makes
   // stochastic crashes permanent.
@@ -50,8 +55,9 @@ struct ChurnSpec {
 };
 
 struct BatterySpec {
-  // Per-node lifetime energy budget in millijoules; <= 0 disables battery
-  // death. Depletion is permanent (there is no recharge).
+  // Per-node lifetime energy budget in millijoules for each non-root
+  // member of the t = 0 tree; <= 0 disables battery death. Depletion is
+  // permanent (there is no recharge).
   double budget_mj = 0.0;
   // Per-node budget jitter: budget * (1 + jitter_frac * U(-1, 1)).
   double jitter_frac = 0.0;

@@ -35,7 +35,11 @@ namespace {
 
 // The policy-agnostic per-node substrate. Everything protocol-specific
 // (SafeSleep schedulers, beacon/backbone machinery) is owned by the
-// PowerManager make_power_manager built.
+// PowerManager make_power_manager built. Only the routing tree's members at
+// t = 0 get a stack; a node outside that tree is outside the experiment and
+// keeps an empty one: no radio, no MAC, no channel listener. Faults strike
+// only members (fault_engine.h), so no node ever needs a stack later, and a
+// member that maintenance removes keeps its stack, since it may rejoin.
 struct NodeStack {
   std::unique_ptr<energy::Radio> radio;
   std::unique_ptr<mac::CsmaMac> mac;
@@ -127,7 +131,10 @@ struct Trial::Impl {
   std::vector<char> awaiting_rejoin = std::vector<char>(n, 0);
 
   NodeStack& stack(net::NodeId id) { return nodes[static_cast<std::size_t>(id)]; }
-  bool alive(net::NodeId id) { return !stack(id).radio->failed(); }
+  bool alive(net::NodeId id) {
+    const NodeStack& node = stack(id);
+    return node.radio && !node.radio->failed();
+  }
 
   void build_one_stack(net::NodeId id) {
     NodeStack& node = stack(id);
@@ -278,6 +285,8 @@ struct Trial::Impl {
     link_estimator.save_state(out);
     out.u64(n);
     for (const NodeStack& node : nodes) {
+      out.boolean(node.radio != nullptr);
+      if (!node.radio) continue;  // outside the tree: no stack
       node.radio->save_state(out);
       node.mac->save_state(out);
       out.boolean(node.shaper != nullptr);
@@ -420,31 +429,36 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
   // Per-link frame statistics only cost something when a policy reads them.
   channel.set_link_stats_enabled(parent_policy->uses_link_estimator());
 
-  // Radio: transitions t_be/2 each way so that break-even == t_be.
-  energy::RadioParams radio_params;
-  radio_params.t_off_on = config.t_be / 2;
-  radio_params.t_on_off = config.t_be / 2;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<net::NodeId>(i);
-    nodes[i].radio = std::make_unique<energy::Radio>(sim, radio_params);
-    nodes[i].radio->set_trace_id(id);
-    nodes[i].mac = std::make_unique<mac::CsmaMac>(
-        sim, channel, *nodes[i].radio, id, config.mac_params, master.fork(100 + i));
-    nodes[i].mac->set_rx_handler(
-        [this, id](const net::Packet& p) { receive(id, p); });
-  }
-
   // Routing tree, built centrally before the experiment starts (§3). It
   // follows set_link_model because the ETX policy reads the loss model's
   // PRR prior.
   tree = routing::build_policy_tree(topo, root,
                                     config.deployment.max_tree_dist_m,
                                     parent_policy.get());
-  // Pre-size the event queue for the expected concurrently-live event
-  // population (a handful of timers and in-flight frames per tree member;
-  // nodes outside the tree schedule nothing), so steady-state scheduling
-  // never reallocates slot/heap storage mid-run. Nothing is scheduled yet.
-  sim.reserve_events(tree.member_count() * 8 + 64);
+  const std::vector<net::NodeId> members = tree.members();
+  // Pre-size the event queue for a handful of timers and in-flight frames
+  // per tree member (nodes outside the tree have no stack and schedule
+  // nothing). It is a starting size, not a bound: a dense trial's slot
+  // table can still double once (EventQueue::reserve). Nothing is
+  // scheduled yet.
+  sim.reserve_events(members.size() * 8 + 64);
+
+  // Radio: transitions t_be/2 each way so that break-even == t_be.
+  energy::RadioParams radio_params;
+  radio_params.t_off_on = config.t_be / 2;
+  radio_params.t_on_off = config.t_be / 2;
+  for (net::NodeId id : members) {
+    NodeStack& node = stack(id);
+    node.radio = std::make_unique<energy::Radio>(sim, radio_params);
+    node.radio->set_trace_id(id);
+    // Keyed by node index: a member's MAC stream does not depend on which
+    // other nodes are members.
+    node.mac = std::make_unique<mac::CsmaMac>(
+        sim, channel, *node.radio, id, config.mac_params,
+        master.fork(100 + static_cast<std::uint64_t>(id)));
+    node.mac->set_rx_handler(
+        [this, id](const net::Packet& p) { receive(id, p); });
+  }
 
   // Constructed (and its RNG stream forked) only when faults are configured:
   // Rng::fork is pure, so the conditional fork leaves every other stream's
@@ -453,7 +467,7 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
   if (config.faults.enabled()) {
     fault_engine = std::make_unique<fault::FaultEngine>(
         sim,
-        fault::FaultEngineParams{config.faults, n, root, setup_end,
+        fault::FaultEngineParams{config.faults, n, root, members, setup_end,
                                  measure_start, measure_end},
         master.fork(7));
   }
@@ -483,7 +497,9 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
     sim.schedule_in(topo.mobility_epoch(), [this] { mobility_tick(); });
   }
   sim.schedule_at(measure_start, [this] {
-    for (NodeStack& node : nodes) node.radio->begin_measurement();
+    for (NodeStack& node : nodes) {
+      if (node.radio) node.radio->begin_measurement();
+    }
   });
   // Fault schedule: started last, so a same-time churn event (offset zero)
   // fires after the setup-boundary query registration.

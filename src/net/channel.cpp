@@ -253,9 +253,11 @@ void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
     }
   } else {
     // No reception started and none in progress: the frame is lost to this
-    // receiver now. Attribute why, most specific condition first.
+    // receiver now. Attribute why, most specific condition first; a node
+    // with no listener has no radio at all, so it is not counted as asleep.
     ESSAT_TRACE(sim_, obs::TraceType::kChanDrop, receiver,
-                drop_arg(node.transmitting     ? obs::DropReason::kSelfTx
+                drop_arg(node.listener == nullptr ? obs::DropReason::kDetached
+                         : node.transmitting      ? obs::DropReason::kSelfTx
                          : node.arriving_count > 1 ? obs::DropReason::kBusy
                                                    : obs::DropReason::kRadioOff,
                          p->type),

@@ -113,6 +113,7 @@ enum class DropReason : std::uint8_t {
   kSelfTx,      // receiver was transmitting
   kRadioOff,    // receiver's radio was off / in transition at frame start
   kAbandoned,   // reception started but the radio left ON mid-frame
+  kDetached,    // receiver has no listener attached: it has no radio at all
 };
 
 struct TraceRecord {

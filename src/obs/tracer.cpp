@@ -59,6 +59,7 @@ const char* drop_reason_name(DropReason r) {
     case DropReason::kSelfTx: return "self_tx";
     case DropReason::kRadioOff: return "radio_off";
     case DropReason::kAbandoned: return "abandoned";
+    case DropReason::kDetached: return "detached";
   }
   return "?";
 }

@@ -84,8 +84,10 @@ class EventQueue {
   std::size_t peak_live() const { return peak_live_; }
 
   // Pre-sizes the slot table, free list, overflow list, and wheel-bucket
-  // capacities for `expected_events` concurrently-live events, so
-  // steady-state operation never reallocates.
+  // capacities for `expected_events` slots. A slot stays taken until the
+  // tombstones its rearms left have drained, so the table can outgrow a
+  // size taken from the live-event population and then doubles: a
+  // 1 000-node trial with 4 786 live events at its peak took 7 765 slots.
   void reserve(std::size_t expected_events);
 
   // Snapshot hook: serializes the live-event digest — every pending

@@ -49,7 +49,7 @@ class Simulator {
   std::uint64_t executed_events() const { return executed_; }
 
   // Pre-sizes the event queue for the expected concurrently-live event
-  // population so steady-state scheduling never reallocates.
+  // population (see EventQueue::reserve for what the size does not cover).
   void reserve_events(std::size_t expected_events) {
     queue_.reserve(expected_events);
   }

@@ -22,6 +22,12 @@
 
 namespace essat::snap {
 
+// Version 7: only the routing tree's members at t = 0 have a radio and a
+// MAC. TRST writes a presence flag before each node's stack, and a node
+// outside the tree writes nothing more. util::FlatMap places a key by the
+// high bits of key x phi instead of the low bits, so the sparse link-stat
+// and MAC duplicate tables serialize a different slot layout.
+//
 // Version 6: tracing only records. SCFG's TraceSpec keeps enabled,
 // buffer_cap, type_mask and the two export paths, and loses the node
 // filter, the time window, the sampling period, the series cap and the
@@ -34,7 +40,7 @@ namespace essat::snap {
 // packets). SCFG loses that bool, TRST loses the setup-protocol flag, and
 // the PacketType values and payload tags renumber (kAtim 5 -> 2,
 // kPhaseRequest 6 -> 3).
-inline constexpr std::uint32_t kFormatVersion = 6;
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 enum class SnapshotKind : std::uint32_t {
   kTrial = 1,  // full mid-run simulator state + scenario config

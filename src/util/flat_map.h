@@ -4,7 +4,7 @@
 // sentinel: one contiguous allocation, no per-entry nodes, no tombstones
 // (erase is deliberately unsupported — every current user only accumulates).
 // Compared to std::unordered_map this keeps a lookup to one multiply, one
-// mask, and a short contiguous probe run, and — more importantly for the
+// shift, and a short contiguous probe run, and — more importantly for the
 // city-scale topologies — makes memory O(inserted keys) with a small
 // constant instead of O(buckets + nodes + pointers).
 //
@@ -46,6 +46,17 @@ class FlatMap {
       ++size_;
     }
     return slots_[i].value;
+  }
+
+  // A key's home slot: the top log2(slots) bits of key x 2^64/phi
+  // (Fibonacci hashing). The low bits of that product depend only on the
+  // key's low bits, so a packed (src << 32 | dst) key would be placed by
+  // dst alone. Precondition: the table is non-empty. Public so tests can
+  // measure the spread.
+  std::size_t home_slot(Key key) const {
+    assert(!slots_.empty());
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift_);
   }
 
   Value* find(Key key) {
@@ -98,12 +109,7 @@ class FlatMap {
   // non-empty and below the 7/8 load ceiling, so the probe terminates.
   std::size_t probe_(Key key) const {
     const std::size_t mask = slots_.size() - 1;
-    // Fibonacci-style multiplicative scatter: adjacent packed (src,dst)
-    // keys land in unrelated slots, keeping probe runs short.
-    std::size_t i =
-        static_cast<std::size_t>(static_cast<std::uint64_t>(key) *
-                                 0x9E3779B97F4A7C15ull) &
-        mask;
+    std::size_t i = home_slot(key);
     while (slots_[i].key != kEmpty && slots_[i].key != key) i = (i + 1) & mask;
     return i;
   }
@@ -111,6 +117,7 @@ class FlatMap {
   void grow_() {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    shift_ = old.empty() ? 60 : shift_ - 1;  // 64 - log2(slots_.size())
     for (Slot& s : old) {
       if (s.key != kEmpty) {
         std::size_t i = probe_(s.key);
@@ -122,6 +129,7 @@ class FlatMap {
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
+  unsigned shift_ = 64;  // 64 - log2(slots_.size()) while slots_ is non-empty
 };
 
 }  // namespace essat::util

@@ -7,6 +7,9 @@
 //  * drifted clocks with a zero or 1 us break-even time finish without a
 //    sleep/wake livelock, and PSM and SYNC, which have no drifted timer,
 //    refuse drift;
+//  * faults strike only the routing tree's members at t = 0: under churn
+//    no node outside that tree ever becomes a member, and a scheduled
+//    fault naming an outsider is skipped;
 //  * fault schedules are byte-identical across ESSAT_JOBS values (the
 //    engine pre-draws everything from per-node forked streams);
 //  * SINR capture with the threshold at +inf reproduces the legacy
@@ -14,6 +17,7 @@
 //  * sinks emit the fault columns as zeros when faults are disabled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -24,6 +28,7 @@
 #include "src/exp/sweep_runner.h"
 #include "src/fault/fault_spec.h"
 #include "src/harness/scenario.h"
+#include "src/obs/tracer.h"
 #include "src/snap/metrics_codec.h"
 
 namespace essat {
@@ -137,6 +142,101 @@ TEST(FaultChurn, StochasticChurnIsDeterministicAndSparesRoot) {
   EXPECT_EQ(fingerprint(a), fingerprint(b));
   EXPECT_EQ(a.node_deaths, 11u);  // 12 nodes minus the root
   EXPECT_GT(a.downtime_s, 0.0);
+}
+
+// ------------------------------------------------------------ population
+
+// The paper's grid (80 nodes in 500 m, 125 m range, 300 m tree cap) with a
+// 60 s window. A rejoin does not check the cap, so an outsider that churned
+// and restarted would join from beyond it (307-356 m out in these runs).
+harness::ScenarioConfig paper_grid(harness::Protocol p, std::uint64_t seed) {
+  harness::ScenarioConfig c;
+  c.protocol = p;
+  c.measure_duration = Time::seconds(60);
+  c.seed = seed;
+  return c;
+}
+
+// The routing tree's members at t = 0, ascending: the members at the end
+// of a fault-free trial, whose tree never changes.
+std::vector<net::NodeId> members_at_zero(harness::ScenarioConfig c) {
+  c.faults = fault::FaultSpec{};
+  c.measure_duration = Time::seconds(1);
+  std::vector<net::NodeId> ids;
+  for (const auto& d : harness::run_scenario(c).per_node) ids.push_back(d.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// Under 10 % and 20 % churn with 10 s mean downtimes, every member at the
+// end was a member at t = 0. With tracing compiled in, so is every node a
+// repair attached or re-parented at any time, and every parent it chose.
+void expect_no_outsider_joins(harness::Protocol p) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::vector<net::NodeId> initial =
+        members_at_zero(paper_grid(p, seed));
+    ASSERT_LT(initial.size(), 80u) << "seed " << seed << " has no outsider";
+    const auto initial_member = [&initial](std::uint64_t id) {
+      return std::binary_search(initial.begin(), initial.end(),
+                                static_cast<net::NodeId>(id));
+    };
+    for (double fraction : {0.10, 0.20}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", churn " +
+                   std::to_string(fraction));
+      harness::ScenarioConfig c = paper_grid(p, seed);
+      c.faults.churn.node_fraction = fraction;
+      c.faults.churn.mean_downtime_s = 10.0;
+      c.trace.enabled = true;
+      c.trace.type_mask = obs::trace_bit(obs::TraceType::kParentChange);
+      std::vector<obs::TraceRecord> changes;
+      c.trace.sink = [&changes](const obs::Tracer& t) {
+        changes = t.snapshot();
+      };
+      const harness::RunMetrics m = harness::run_scenario(c);
+      EXPECT_GT(m.node_deaths, 0u);
+      for (const auto& d : m.per_node) {
+        EXPECT_TRUE(initial_member(static_cast<std::uint64_t>(d.id)))
+            << "node " << d.id << " joined from outside the tree";
+      }
+      for (const obs::TraceRecord& r : changes) {
+        EXPECT_TRUE(initial_member(static_cast<std::uint64_t>(r.node)))
+            << "node " << r.node << " attached at t=" << r.t_ns << " ns";
+        EXPECT_TRUE(initial_member(r.b))
+            << "parent " << r.b << " at t=" << r.t_ns << " ns";
+      }
+    }
+  }
+}
+
+TEST(FaultPopulation, ChurnAdmitsNoOutsiderDtsSs) {
+  expect_no_outsider_joins(harness::Protocol::kDtsSs);
+}
+
+TEST(FaultPopulation, ChurnAdmitsNoOutsiderPsm) {
+#ifndef NDEBUG
+  // A restarted PSM node starts its beacon schedule at the past setup
+  // boundary, which fails Timer::arm_at's assert in a debug build (ROADMAP
+  // item 1). Release clamps the arm to now.
+  GTEST_SKIP() << "PSM restarts abort debug builds until their lifecycle "
+                  "is fixed";
+#endif
+  expect_no_outsider_joins(harness::Protocol::kPsm);
+}
+
+TEST(FaultPopulation, ScheduledFaultOnOutsiderIsSkipped) {
+  harness::ScenarioConfig c = paper_grid(harness::Protocol::kDtsSs, 1);
+  c.measure_duration = Time::seconds(10);
+  const std::vector<net::NodeId> initial = members_at_zero(c);
+  net::NodeId outsider = 0;
+  while (std::binary_search(initial.begin(), initial.end(), outsider)) {
+    ++outsider;
+  }
+  ASSERT_LT(outsider, net::NodeId{80});
+  c.faults.churn.scheduled = {{outsider, Time::seconds(1), Time::zero()}};
+  const harness::RunMetrics m = harness::run_scenario(c);
+  EXPECT_EQ(m.node_deaths, 0u);
+  EXPECT_DOUBLE_EQ(m.downtime_s, 0.0);
+  EXPECT_EQ(static_cast<std::size_t>(m.tree_members), initial.size());
 }
 
 // ------------------------------------------------------------ battery

@@ -1,7 +1,8 @@
 // Tests for the observability layer (src/obs): record layout, ring
 // accounting, the type mask, the zero-overhead discipline of the disabled
 // path, provenance threading, the conservation oracle across a protocol x
-// topology x rate grid, traced trials matching untraced ones byte for byte,
+// topology x rate grid, drops at nodes outside the tree attributed as
+// detached, traced trials matching untraced ones byte for byte,
 // byte-identical traces across sweep thread counts, and the exporters. With
 // tracing compiled out (-DESSAT_TRACING=OFF) the traced-trial tests check
 // instead that a traced config runs untraced.
@@ -267,6 +268,50 @@ TEST(TracedRun, ConservationHoldsAcrossProtocolTopologyRateGrid) {
       }
     }
   }
+}
+
+// A grid whose corners lie beyond the tree cap. Nodes outside the tree
+// have no radio, so every arrival there is dropped as detached and none is
+// delivered; no member's drop is detached; conservation still balances.
+TEST(TracedRun, OutsidersDropEveryArrivalAsDetached) {
+  harness::ScenarioConfig config = small_config();
+  config.deployment.kind = net::TopologyKind::kGrid;
+  config.deployment.max_tree_dist_m = 120.0;
+  config.measure_duration = Time::seconds(5);
+  config.trace = basic_spec();
+  if (!obs::kTracingCompiledIn) {
+    expect_runs_untraced(config);
+    return;
+  }
+  std::vector<TraceRecord> records;
+  config.trace.sink = [&](const Tracer& tracer) {
+    EXPECT_EQ(tracer.overwritten(), 0u);
+    records = tracer.snapshot();
+  };
+  const harness::RunMetrics m = harness::run_scenario(config);
+  std::vector<char> member(30, 0);
+  for (const auto& d : m.per_node) member[static_cast<std::size_t>(d.id)] = 1;
+  ASSERT_LT(m.per_node.size(), 30u) << "the grid has no outsider";
+
+  std::size_t detached = 0;
+  for (const TraceRecord& r : records) {
+    const TraceType type = r.trace_type();
+    if (type != TraceType::kChanDeliver && type != TraceType::kChanDrop) {
+      continue;
+    }
+    const bool insider = member.at(static_cast<std::size_t>(r.node)) != 0;
+    if (type == TraceType::kChanDeliver) {
+      EXPECT_TRUE(insider) << "delivery at outsider " << r.node;
+    } else {
+      EXPECT_EQ(r.drop_reason() == DropReason::kDetached, !insider)
+          << "node " << r.node << " dropped tx " << r.a << " as "
+          << obs::drop_reason_name(r.drop_reason());
+      if (!insider) ++detached;
+    }
+  }
+  EXPECT_GT(detached, 0u) << "no frame reached an outsider";
+  const auto report = obs::check_conservation(records);
+  EXPECT_TRUE(report.ok) << report.detail;
 }
 
 // ------------------------------------------------------------ determinism

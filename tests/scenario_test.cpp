@@ -69,12 +69,19 @@ TEST(Scenario, SpanReportsBackbone) {
 TEST(Scenario, FailureInjectionReducesMembership) {
   auto c = small_config(Protocol::kNtsSs);
   const RunMetrics healthy = run_scenario(c);
-  // Kill three nodes mid-run (skip node ids that might be the root near
-  // the centre by picking perimeter-biased low ids).
-  c.faults.churn.scheduled = {
-      {1, Time::seconds(8)}, {2, Time::seconds(8)}, {3, Time::seconds(9)}};
+  // Kill three tree members mid-run. Faults strike only the tree's members
+  // at t = 0, never the root, so the victims come from the healthy run.
+  std::vector<net::NodeId> victims;
+  for (const RunMetrics::NodeDiag& d : healthy.per_node) {
+    if (d.level > 0 && victims.size() < 3) victims.push_back(d.id);
+  }
+  ASSERT_EQ(victims.size(), 3u);
+  c.faults.churn.scheduled = {{victims[0], Time::seconds(8)},
+                              {victims[1], Time::seconds(8)},
+                              {victims[2], Time::seconds(9)}};
   const RunMetrics m = run_scenario(c);
   EXPECT_EQ(m.node_deaths, 3u);
+  EXPECT_LT(m.tree_members, healthy.tree_members);
   EXPECT_LE(m.delivery_ratio, healthy.delivery_ratio + 1e-9);
 }
 

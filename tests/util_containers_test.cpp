@@ -3,11 +3,13 @@
 // the power-of-two RingQueue (MAC send queue).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "src/net/topology.h"
 #include "src/util/flat_map.h"
 #include "src/util/ring_queue.h"
 #include "src/util/rng.h"
@@ -68,6 +70,33 @@ TEST(FlatMap, AdjacentPackedKeysAllResolve) {
     ASSERT_NE(m.find(src | d), nullptr);
     EXPECT_EQ(*m.find(src | d), static_cast<int>(d));
   }
+}
+
+// The channel's sparse link statistics key a directed link as
+// src << 32 | dst. Take every in-range link of a 120-node grid (11 columns
+// 50 m apart, 125 m range, so a node hears up to 20 others). The home slot
+// is the high bits of key x phi, so the 1 942 links spread over 1 764 of
+// the 4 096 slots, at most 3 on one. The low bits of the product depend on
+// dst alone: they would give 120 home slots with up to 20 links each.
+TEST(FlatMap, PackedLinkKeysSpreadOverHomeSlots) {
+  const net::Topology grid = net::Topology::grid_area(120, 500.0, 125.0);
+  FlatMap<std::uint64_t, int> m;
+  std::vector<std::uint64_t> keys;
+  for (net::NodeId src = 0; src < 120; ++src) {
+    for (net::NodeId dst : grid.neighbors(src)) {
+      keys.push_back(static_cast<std::uint64_t>(src) << 32 |
+                     static_cast<std::uint32_t>(dst));
+      m[keys.back()] = 1;
+    }
+  }
+  ASSERT_EQ(keys.size(), 1942u);
+  ASSERT_EQ(m.size(), keys.size());
+  std::map<std::size_t, int> per_slot;
+  for (std::uint64_t k : keys) ++per_slot[m.home_slot(k)];
+  int most = 0;
+  for (const auto& [slot, count] : per_slot) most = std::max(most, count);
+  EXPECT_EQ(per_slot.size(), 1764u);
+  EXPECT_EQ(most, 3);
 }
 
 TEST(FlatMap, CapacityBytesGrowsGeometrically) {

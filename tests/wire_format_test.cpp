@@ -201,7 +201,7 @@ harness::RunMetrics full_metrics() {
 }
 
 TEST(WireFormat, ScenarioConfigBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 6u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 7u) << "re-record the constants below";
   const auto bytes = snap::scenario_config_to_bytes(full_config());
   EXPECT_EQ(bytes.size(), 812u);
   EXPECT_EQ(crc(bytes), 726914565u);
@@ -212,7 +212,7 @@ TEST(WireFormat, ScenarioConfigBytesPinned) {
 }
 
 TEST(WireFormat, RunMetricsBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 6u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 7u) << "re-record the constants below";
   const auto bytes = snap::run_metrics_to_bytes(full_metrics());
   EXPECT_EQ(bytes.size(), 559u);
   EXPECT_EQ(crc(bytes), 2152200120u);
@@ -247,22 +247,22 @@ harness::ScenarioConfig pinned_trial_config() {
 // bytes depend on the header and length only, so the payload CRC is pinned
 // as well.
 TEST(WireFormat, TrialSnapshotBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 6u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 7u) << "re-record the constants below";
   const harness::ScenarioConfig c = pinned_trial_config();
 
   const snap::TrialCapture at_zero = snap::capture_trial(c, Time::zero());
   const auto zero_bytes = at_zero.snapshot.to_bytes();
-  EXPECT_EQ(zero_bytes.size(), 242966u);
-  EXPECT_EQ(crc(zero_bytes), 1715460804u);
-  EXPECT_EQ(crc(at_zero.snapshot.payload), 540028993u);
+  EXPECT_EQ(zero_bytes.size(), 242996u);
+  EXPECT_EQ(crc(zero_bytes), 197826611u);
+  EXPECT_EQ(crc(at_zero.snapshot.payload), 2085385081u);
 
   // Mid-measurement: queued and in-flight reports, DTS phase state.
   const Time mid = harness::Trial{c}.measure_end() - c.measure_duration / 2;
   const snap::TrialCapture cap = snap::capture_trial(c, mid);
   const auto cap_bytes = cap.snapshot.to_bytes();
-  EXPECT_EQ(cap_bytes.size(), 267810u);
-  EXPECT_EQ(crc(cap_bytes), 3973174705u);
-  EXPECT_EQ(crc(cap.snapshot.payload), 942383013u);
+  EXPECT_EQ(cap_bytes.size(), 267840u);
+  EXPECT_EQ(crc(cap_bytes), 2512196057u);
+  EXPECT_EQ(crc(cap.snapshot.payload), 674983715u);
 
   const auto metrics = snap::run_metrics_to_bytes(cap.metrics);
   EXPECT_EQ(metrics.size(), 2484u);

@@ -4,7 +4,8 @@
 Summary mode (default) reads a JSONL trace (ScenarioConfig.trace.jsonl_path)
 and prints:
   * record counts by type
-  * channel drop breakdown by attributed reason
+  * channel drop breakdown by attributed reason; a reason outside
+    DROP_REASONS fails the run (exit 1)
   * per-hop MAC latency (mac_enqueue -> mac_send_ok, matched on the packet's
     provenance id at each hop): count / mean / p50 / p95 / max
   * fault-event breakdown: fault_down counts by attributed cause
@@ -38,6 +39,12 @@ from collections import Counter, defaultdict
 
 # fault_down.arg16 carries the FaultCause enum (src/fault/fault_engine.h).
 FAULT_CAUSES = {0: "scheduled", 1: "stochastic", 2: "battery"}
+
+# chan_drop reasons, as obs::drop_reason_name spells the DropReason enum
+# (src/obs/trace_record.h). "radio_off" is a tree member asleep at frame
+# start; "detached" is a node outside the routing tree, which has no radio.
+DROP_REASONS = ("collision", "captured", "model", "busy", "self_tx",
+                "radio_off", "abandoned", "detached")
 
 
 def percentile(sorted_vals, q):
@@ -76,6 +83,8 @@ def summarize(path, grace_ms):
         print("\nchannel drops by reason:")
         for reason, n in drops.most_common():
             print(f"  {reason:20s} {n}")
+    unknown_drops = sum(n for reason, n in drops.items()
+                        if reason not in DROP_REASONS)
 
     # Per-hop MAC latency: enqueue -> send_ok on the same (node, prov).
     enqueue_t = {}
@@ -157,6 +166,9 @@ def summarize(path, grace_ms):
         return 1
     if fault_fail:
         print("FAIL: fault attribution violated")
+        return 1
+    if unknown_drops:
+        print(f"FAIL: {unknown_drops} chan_drop record(s) with an unknown reason")
         return 1
     print("OK")
     return 0
