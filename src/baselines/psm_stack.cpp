@@ -1,20 +1,9 @@
 #include "src/baselines/psm_stack.h"
 
-#include <stdexcept>
-
 #include "src/core/nts.h"
-#include "src/harness/scenario.h"
 #include "src/snap/serializer.h"
 
 namespace essat::baselines {
-
-void PsmPowerManager::on_tree_ready(const harness::StackContext& ctx) {
-  if (ctx.config.faults.drift.enabled()) {
-    throw std::invalid_argument{
-        "faults.drift is not modelled for PSM: its beacon windows do not "
-        "follow per-node clocks"};
-  }
-}
 
 std::unique_ptr<query::TrafficShaper> PsmPowerManager::make_shaper(
     const harness::StackContext&, const harness::NodeHandles&) {

@@ -1,20 +1,9 @@
 #include "src/baselines/sync_stack.h"
 
-#include <stdexcept>
-
 #include "src/core/nts.h"
-#include "src/harness/scenario.h"
 #include "src/snap/serializer.h"
 
 namespace essat::baselines {
-
-void SyncPowerManager::on_tree_ready(const harness::StackContext& ctx) {
-  if (ctx.config.faults.drift.enabled()) {
-    throw std::invalid_argument{
-        "faults.drift is not modelled for SYNC: its duty windows do not "
-        "follow per-node clocks"};
-  }
-}
 
 std::unique_ptr<query::TrafficShaper> SyncPowerManager::make_shaper(
     const harness::StackContext&, const harness::NodeHandles&) {

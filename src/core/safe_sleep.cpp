@@ -81,8 +81,8 @@ void SafeSleep::check_state() {
     // registered that is earlier than the scheduled wake-up: bring the
     // wake-up forward so the no-delay-penalty guarantee holds.
     if (t_wakeup == util::Time::max()) return;
-    util::Time wake_at = std::max(now, t_wakeup - radio_.params().t_off_on);
-    if (wake_adjust_) wake_at = std::max(now, wake_adjust_(wake_at));
+    const util::Time wake_at =
+        std::max(now, t_wakeup - radio_.params().t_off_on);
     if (!wake_timer_.armed() || wake_at < wake_timer_.fire_time()) {
       wake_timer_.arm_at(wake_at, [this] { radio_.turn_on(); });
     }
@@ -103,16 +103,10 @@ void SafeSleep::check_state() {
   }
 
   // Wake early enough that the OFF->ON transition completes at t_wakeup.
-  // A drifted clock (wake_adjust_) misses that target — the delivery
-  // penalty that mispredicted wake-ups cost is exactly what the fault
-  // engine's drift axis measures.
   const util::Time t_sleep = t_wakeup - now;
-  util::Time wake_at = std::max(now, t_wakeup - radio_.params().t_off_on);
-  if (wake_adjust_) wake_at = wake_adjust_(wake_at);
-  // Stay on through a gap not worth the transition cost, and through one
-  // the drifted clock says is already over: sleeping would wake at once,
-  // and the wake-up's re-check would sleep again at the same instant.
-  if (t_sleep <= params_.t_be || (wake_adjust_ && wake_at <= now)) {
+  const util::Time wake_at = std::max(now, t_wakeup - radio_.params().t_off_on);
+  // Stay on through a gap not worth the transition cost.
+  if (t_sleep <= params_.t_be) {
     ++short_skips_;
     ESSAT_TRACE(sim_, obs::TraceType::kSleepSkip, mac_.self(), 0, 0,
                 static_cast<std::uint64_t>(t_sleep.ns()));

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <utility>
 
@@ -63,17 +62,6 @@ class SafeSleep final : public query::ExpectedTimeSink {
   // update and by the MAC idle callback; safe to call at any time.
   void check_state();
 
-  // Clock-drift hook (fault engine): maps an intended wake-up time to the
-  // time this node's skewed clock actually fires it. Applied wherever the
-  // wake timer is armed (never earlier than now). A radio that is on stays
-  // on when the drifted wake-up falls at or before now: the node's own
-  // clock says the communication is already due. Null means a perfect
-  // clock — the exact pre-hook behavior.
-  // essat-lint: allow(hot-path-alloc) — installed once per node at setup
-  void set_wake_adjust(std::function<util::Time(util::Time)> adjust) {
-    wake_adjust_ = std::move(adjust);
-  }
-
   // Permanently retires this scheduler (node crash). The radio observer and
   // MAC idle callback may keep firing — a replacement SafeSleep is built on
   // restart while this one stays alive in its policy's ownership list — so
@@ -87,8 +75,7 @@ class SafeSleep final : public query::ExpectedTimeSink {
   // Statistics.
   std::uint64_t sleeps_initiated() const { return sleeps_; }
   // Free intervals that were too short to sleep through (<= t_BE): the
-  // penalty-avoidance events Fig. 9 quantifies. Under drift, also those the
-  // drifted clock says are already over.
+  // penalty-avoidance events Fig. 9 quantifies.
   std::uint64_t sleeps_skipped_short() const { return short_skips_; }
 
   const SafeSleepParams& params() const { return params_; }
@@ -106,7 +93,6 @@ class SafeSleep final : public query::ExpectedTimeSink {
   std::map<net::QueryId, util::Time> next_send_;
   std::map<std::pair<net::QueryId, net::NodeId>, util::Time> next_receive_;
   sim::Timer wake_timer_;
-  std::function<util::Time(util::Time)> wake_adjust_;  // essat-lint: allow(hot-path-alloc)
   bool active_ = true;
   std::uint64_t sleeps_ = 0;
   std::uint64_t short_skips_ = 0;

@@ -40,9 +40,7 @@ void Radio::account_to_now_() {
     } else {
       on_accum_ += dt;
     }
-    const double spent_mj = current_power_mw_() * dt.to_seconds();
-    energy_mj_ += spent_mj;
-    lifetime_energy_mj_ += spent_mj;
+    energy_mj_ += current_power_mw_() * dt.to_seconds();
   }
   segment_start_ = now;
 }
@@ -190,11 +188,6 @@ double Radio::energy_mj() const {
   return energy_mj_;
 }
 
-double Radio::lifetime_energy_mj() const {
-  const_cast<Radio*>(this)->account_to_now_();
-  return lifetime_energy_mj_;
-}
-
 void Radio::save_state(snap::Serializer& out) const {
   out.begin("RADI");
   out.u8(static_cast<std::uint8_t>(state_));
@@ -209,7 +202,6 @@ void Radio::save_state(snap::Serializer& out) const {
   out.time(off_accum_);
   out.time(on_accum_);
   out.f64(energy_mj_);
-  out.f64(lifetime_energy_mj_);
   out.time(off_enter_time_);
   out.boolean(in_off_interval_);
   snap::Writer{out}(sleep_hist_);

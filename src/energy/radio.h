@@ -101,10 +101,6 @@ class Radio {
   double duty_cycle() const;
   // Energy spent in the window, in millijoules.
   double energy_mj() const;
-  // Energy spent since construction, in millijoules — unlike energy_mj()
-  // this survives begin_measurement(), so battery budgets (fault engine)
-  // drain across the whole run including setup.
-  double lifetime_energy_mj() const;
   // Completed OFF intervals (entering OFF to leaving OFF) counted within
   // the measurement window; one straddling the window start counts from it.
   // Paper Fig. 8.
@@ -138,7 +134,6 @@ class Radio {
   util::Time off_accum_;
   util::Time on_accum_;            // everything non-OFF
   double energy_mj_ = 0.0;
-  double lifetime_energy_mj_ = 0.0;  // never reset (battery budgets)
   util::Time off_enter_time_;      // start of the open sleep interval
   bool in_off_interval_ = false;
   SleepHistogram sleep_hist_;

@@ -12,9 +12,8 @@
 //   query   — periodic-query service with in-network aggregation
 //   core    — the paper's contribution: Safe Sleep + NTS/STS/DTS shapers
 //   baselines — SYNC, PSM, SPAN comparison protocols
-//   fault   — deterministic fault injection: node churn, battery
-//             depletion, clock drift (declarative FaultSpec, pre-drawn
-//             per-node schedules)
+//   fault   — deterministic fault injection: node churn (declarative
+//             FaultSpec, pre-drawn per-node schedules)
 //   harness — scenario assembly, per-run and averaged metrics
 //   exp     — parallel experiment-sweep engine (worker threads, parameter
 //             grids, deterministic seeding, aggregation, JSON-lines sink)

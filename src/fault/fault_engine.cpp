@@ -1,7 +1,6 @@
 #include "src/fault/fault_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -16,8 +15,6 @@ namespace {
 // Per-node sub-streams off the engine's master stream. Keyed by purpose so
 // adding a fault class never re-keys the others.
 constexpr std::uint64_t kChurnStream = 1;
-constexpr std::uint64_t kBatteryStream = 2;
-constexpr std::uint64_t kDriftStream = 3;
 
 }  // namespace
 
@@ -26,7 +23,6 @@ FaultEngine::FaultEngine(sim::Simulator& sim, FaultEngineParams params,
     : sim_{sim}, params_{std::move(params)} {
   const std::size_t n = params_.num_nodes;
   down_.assign(n, 0);
-  battery_dead_.assign(n, 0);
   open_outage_.assign(n, -1);
 
   for (net::NodeId id : params_.members) {
@@ -62,12 +58,13 @@ FaultEngine::FaultEngine(sim::Simulator& sim, FaultEngineParams params,
       const bool crashes = node_rng.bernoulli(spec.churn.node_fraction);
       const util::Time at =
           params_.measure_start + node_rng.uniform_time(util::Time::zero(), window);
-      const double downtime_s =
-          node_rng.exponential(std::max(spec.churn.mean_downtime_s, 1e-9));
+      // A non-positive mean is a permanent crash: down_for stays zero.
+      const util::Time down_for =
+          spec.churn.mean_downtime_s > 0.0
+              ? util::Time::from_seconds(
+                    node_rng.exponential(spec.churn.mean_downtime_s))
+              : util::Time::zero();
       if (!crashes) continue;
-      const util::Time down_for = spec.churn.restart
-                                      ? util::Time::from_seconds(downtime_s)
-                                      : util::Time::zero();
       planned_.push_back(PlannedFault{id, at, down_for, FaultCause::kStochastic});
     }
   }
@@ -75,53 +72,21 @@ FaultEngine::FaultEngine(sim::Simulator& sim, FaultEngineParams params,
             [](const PlannedFault& a, const PlannedFault& b) {
               return a.at != b.at ? a.at < b.at : a.node < b.node;
             });
-
-  // --- Battery budgets ----------------------------------------------------
-  if (spec.battery.enabled()) {
-    for (net::NodeId id : targets_) {
-      util::Rng node_rng =
-          rng.fork(kBatteryStream).fork(static_cast<std::uint64_t>(id));
-      const double jitter =
-          spec.battery.jitter_frac * node_rng.uniform(-1.0, 1.0);
-      battery_budget_mj_.push_back(spec.battery.budget_mj * (1.0 + jitter));
-    }
-  }
-
-  // --- Clock drift --------------------------------------------------------
-  if (spec.drift.enabled()) {
-    skew_ppm_.resize(n);
-    clock_offset_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      util::Rng node_rng = rng.fork(kDriftStream).fork(i);
-      skew_ppm_[i] = node_rng.normal(0.0, spec.drift.skew_sigma_ppm);
-      clock_offset_[i] = util::Time::from_milliseconds(
-          node_rng.uniform(-spec.drift.max_offset_ms, spec.drift.max_offset_ms));
-    }
-  }
 }
 
 void FaultEngine::start() {
   for (const PlannedFault& f : planned_) {
     sim_.schedule_at(f.at, [this, f] { crash_(f.node, f.cause, f.down_for); });
   }
-  if (params_.spec.battery.enabled() && energy_probe_) {
-    sim_.schedule_at(params_.setup_end + params_.spec.battery.check_period,
-                     [this] { poll_battery_(); });
-  }
 }
 
-util::Time FaultEngine::adjust_wake(net::NodeId n, util::Time t) const {
-  const auto i = static_cast<std::size_t>(n);
-  if (i >= skew_ppm_.size()) return t;
-  const double skewed_s = t.to_seconds() * skew_ppm_[i] * 1e-6;
-  return t + clock_offset_[i] + util::Time::from_seconds(skewed_s);
-}
-
-void FaultEngine::crash_(net::NodeId n, FaultCause cause, util::Time down_for) {
+// `cause` only labels the kFaultDown record, so it is unused when
+// ESSAT_TRACE compiles out under -DESSAT_TRACING=OFF.
+void FaultEngine::crash_(net::NodeId n, [[maybe_unused]] FaultCause cause,
+                         util::Time down_for) {
   const auto i = static_cast<std::size_t>(n);
   if (down_[i]) return;  // scheduled + stochastic overlap: first one wins
   down_[i] = 1;
-  if (cause == FaultCause::kBattery) battery_dead_[i] = 1;
   ++deaths_;
   open_outage_[i] = static_cast<int>(outages_.size());
   outages_.push_back(Outage{sim_.now(), util::Time::zero(), true});
@@ -131,16 +96,14 @@ void FaultEngine::crash_(net::NodeId n, FaultCause cause, util::Time down_for) {
                                              ? down_for.ns()
                                              : 0));
   if (crash_cb_) crash_cb_(n);
-  const bool permanent =
-      cause == FaultCause::kBattery || down_for <= util::Time::zero();
-  if (!permanent) {
+  if (down_for > util::Time::zero()) {
     sim_.schedule_in(down_for, [this, n] { restart_(n); });
   }
 }
 
 void FaultEngine::restart_(net::NodeId n) {
   const auto i = static_cast<std::size_t>(n);
-  if (!down_[i] || battery_dead_[i]) return;  // battery death outlasts churn
+  if (!down_[i]) return;
   down_[i] = 0;
   Outage& o = outages_[static_cast<std::size_t>(open_outage_[i])];
   o.up = sim_.now();
@@ -149,18 +112,6 @@ void FaultEngine::restart_(net::NodeId n) {
   ESSAT_TRACE(sim_, obs::TraceType::kFaultUp, static_cast<std::int32_t>(n), 0,
               static_cast<std::uint64_t>((o.up - o.down).ns()), 0);
   if (restart_cb_) restart_cb_(n);
-}
-
-void FaultEngine::poll_battery_() {
-  for (std::size_t j = 0; j < targets_.size(); ++j) {
-    const net::NodeId id = targets_[j];
-    const auto i = static_cast<std::size_t>(id);
-    if (down_[i] || battery_dead_[i]) continue;
-    if (energy_probe_(id) >= battery_budget_mj_[j]) {
-      crash_(id, FaultCause::kBattery, util::Time::zero());
-    }
-  }
-  sim_.schedule_in(params_.spec.battery.check_period, [this] { poll_battery_(); });
 }
 
 double FaultEngine::downtime_s() const {
@@ -187,7 +138,6 @@ void FaultEngine::save_state(snap::Serializer& out) const {
   out.u64(down_.size());
   for (std::size_t i = 0; i < down_.size(); ++i) {
     out.boolean(down_[i] != 0);
-    out.boolean(battery_dead_[i] != 0);
     out.i64(open_outage_[i]);
   }
   out.u64(outages_.size());

@@ -2,33 +2,25 @@
 // on harness::ScenarioConfig.
 //
 // The engine owns the *schedule*: which node goes down when, for how long,
-// and why (scheduled churn, stochastic churn, battery depletion). The
-// mechanics of dying and reviving — tearing the per-node stack down and
-// rebuilding it so the tree repairs — belong to the harness, which installs
-// them as callbacks. This split keeps the engine policy-agnostic and the
-// harness free of RNG bookkeeping.
+// and why (scheduled or stochastic churn). The mechanics of dying and
+// reviving — tearing the per-node stack down and rebuilding it so the tree
+// repairs — belong to the harness, which installs them as callbacks. This
+// split keeps the engine policy-agnostic and the harness free of RNG
+// bookkeeping.
 //
-// Population: churn (scheduled and stochastic) and battery death strike
-// only the routing tree's members at t = 0, never the root (the sink is
-// mains-powered in the paper's deployment model). A node outside that
-// tree is outside the experiment and has no stack to tear down, so a
-// scheduled event naming one is skipped, as the root's is. Since only
-// members ever restart, no node joins the tree that it did not start in.
+// Population: churn (scheduled and stochastic) strikes only the routing
+// tree's members at t = 0, never the root (the sink is mains-powered in
+// the paper's deployment model). A node outside that tree is outside the
+// experiment and has no stack to tear down, so a scheduled event naming
+// one is skipped, as the root's is. Since only members ever restart, no
+// node joins the tree that it did not start in.
 //
-// Determinism: every random quantity (stochastic crash picks and times,
-// downtimes, battery jitter, drift skews/offsets) is pre-drawn in the
-// constructor from per-node streams forked off the engine's own master
-// stream (harness stream 7), keyed by node index. Nothing is drawn at
-// event time, so the schedule is a pure function of (spec, seed, node
-// count, members) — byte identical for any ESSAT_JOBS.
-//
-// Battery: per-node budgets in millijoules against the radio's *lifetime*
-// energy (never reset by measurement windows, still draining across
-// restarts), probed on a fixed poll grid. Battery death is permanent.
-//
-// Drift: per-node clock skew (ppm) and offset applied at the SafeSleep
-// wake-timer boundary via adjust_wake() — the one place the paper's
-// schedule-driven protocols turn shared time into a local timer.
+// Determinism: every random quantity (stochastic crash picks, times and
+// downtimes) is pre-drawn in the constructor from per-node streams forked
+// off the engine's own master stream (harness stream 7), keyed by node
+// index. Nothing is drawn at event time, so the schedule is a pure
+// function of (spec, seed, node count, members) — byte identical for any
+// ESSAT_JOBS.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +41,8 @@ class Serializer;
 
 namespace essat::fault {
 
-// Why a node went down (kFaultDown trace arg16, NodeDown::cause).
-enum class FaultCause : std::uint8_t { kScheduled = 0, kStochastic = 1, kBattery = 2 };
+// Why a node went down (kFaultDown trace arg16).
+enum class FaultCause : std::uint8_t { kScheduled = 0, kStochastic = 1 };
 
 struct FaultEngineParams {
   FaultSpec spec;
@@ -70,8 +62,6 @@ class FaultEngine {
  public:
   // Tears down / rebuilds one node's stack; installed by the harness.
   using NodeFn = std::function<void(net::NodeId)>;
-  // Reads a node's lifetime radio energy in mJ (battery depletion probe).
-  using EnergyProbe = std::function<double(net::NodeId)>;
 
   // Throws std::invalid_argument when a scheduled churn entry names a node
   // outside [0, num_nodes).
@@ -79,24 +69,16 @@ class FaultEngine {
 
   void set_crash_callback(NodeFn fn) { crash_cb_ = std::move(fn); }
   void set_restart_callback(NodeFn fn) { restart_cb_ = std::move(fn); }
-  void set_energy_probe(EnergyProbe fn) { energy_probe_ = std::move(fn); }
 
-  // Schedules every pre-drawn fault event plus the battery poll grid. Call
-  // once, after the callbacks are installed and the harness has scheduled
-  // its own setup-boundary events (same-time events run in schedule order,
-  // so the workload is registered before a churn event at offset zero
-  // fires).
+  // Schedules every pre-drawn fault event. Call once, after the callbacks
+  // are installed and the harness has scheduled its own setup-boundary
+  // events (same-time events run in schedule order, so the workload is
+  // registered before a churn event at offset zero fires).
   void start();
 
   bool is_down(net::NodeId n) const {
     return down_[static_cast<std::size_t>(n)];
   }
-
-  // --- Clock drift --------------------------------------------------------
-  bool has_drift() const { return params_.spec.drift.enabled(); }
-  // Maps an ideal wake time to the node's drifted local clock:
-  //   t + offset_n + t * skew_n(ppm) * 1e-6.
-  util::Time adjust_wake(net::NodeId n, util::Time t) const;
 
   // --- Metrics ------------------------------------------------------------
   std::uint64_t node_deaths() const { return deaths_; }
@@ -127,23 +109,17 @@ class FaultEngine {
 
   void crash_(net::NodeId n, FaultCause cause, util::Time down_for);
   void restart_(net::NodeId n);
-  void poll_battery_();
 
   sim::Simulator& sim_;
   FaultEngineParams params_;
   NodeFn crash_cb_;
   NodeFn restart_cb_;
-  EnergyProbe energy_probe_;
 
   // The non-root t = 0 members, ascending: the only nodes a fault strikes.
   std::vector<net::NodeId> targets_;
   std::vector<PlannedFault> planned_;     // churn, sorted by (at, node)
-  std::vector<double> battery_budget_mj_; // per target; empty when disabled
-  std::vector<double> skew_ppm_;          // empty when drift disabled
-  std::vector<util::Time> clock_offset_;
 
   std::vector<char> down_;
-  std::vector<char> battery_dead_;
   std::vector<int> open_outage_;          // index into outages_, -1 if up
   std::vector<Outage> outages_;
   std::uint64_t deaths_ = 0;

@@ -85,7 +85,7 @@ struct RunMetrics {
   std::uint64_t peak_pending_events = 0;   // event-queue high-water mark
 
   // Fault injection (src/fault). All zero when FaultSpec is disabled.
-  std::uint64_t node_deaths = 0;        // churn + battery deaths
+  std::uint64_t node_deaths = 0;        // churn deaths
   double downtime_s = 0.0;              // node-seconds down in the window
   // Delivery ratio over the epochs that started while >= 1 node was down
   // (0 when no epoch overlapped an outage).

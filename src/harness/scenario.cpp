@@ -123,11 +123,10 @@ struct Trial::Impl {
   std::vector<query::Query> active_queries;
   routing::RepairService repair{topo, tree, {}};
   std::unique_ptr<core::MaintenanceService> maintenance;
-  // Churn and battery faults imply maintenance: without detection, a dead
-  // interior node would silently black-hole its subtree forever.
-  const bool maintenance_on = config.enable_maintenance ||
-                              config.faults.churn.enabled() ||
-                              config.faults.battery.enabled();
+  // Churn implies maintenance: without detection, a dead interior node
+  // would silently black-hole its subtree forever.
+  const bool maintenance_on =
+      config.enable_maintenance || config.faults.churn.enabled();
   std::vector<char> awaiting_rejoin = std::vector<char>(n, 0);
 
   NodeStack& stack(net::NodeId id) { return nodes[static_cast<std::size_t>(id)]; }
@@ -142,10 +141,6 @@ struct Trial::Impl {
     node.shaper = policy->make_shaper(stack_ctx, handles);
     core::SafeSleep* sleeper = policy->attach_node(stack_ctx, handles);
     sleepers[static_cast<std::size_t>(id)] = sleeper;
-    if (sleeper != nullptr && fault_engine && fault_engine->has_drift()) {
-      sleeper->set_wake_adjust(
-          [this, id](util::Time t) { return fault_engine->adjust_wake(id, t); });
-    }
     node.shaper->set_context(query::ShaperContext{&tree, id, sleeper});
     node.agent = std::make_unique<query::QueryAgent>(
         sim, *node.mac, tree, id, *node.shaper,
@@ -478,9 +473,6 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
   if (fault_engine) {
     fault_engine->set_crash_callback([this](net::NodeId id) { teardown_node(id); });
     fault_engine->set_restart_callback([this](net::NodeId id) { restart_node(id); });
-    fault_engine->set_energy_probe([this](net::NodeId id) {
-      return stack(id).radio->lifetime_energy_mj();
-    });
     // Rejoin retries ride a bounded exponential backoff with deterministic
     // jitter from stream 8 (forked only here — see the engine note above).
     repair.enable_retries(sim, master.fork(8),

@@ -99,8 +99,8 @@ struct ScenarioConfig {
   // exp::SweepSpec::axis_channel.
   net::ChannelModelSpec channel_model;
 
-  // Medium mechanics: propagation delay, capture, SINR, and the
-  // dense/sparse threshold for per-link statistics storage. Defaults
+  // Medium mechanics: propagation delay, capture, and the dense/sparse
+  // threshold for per-link statistics storage. Defaults
   // reproduce the paper's setup; the thresholds exist for the city-scale
   // benches and the dense-vs-sparse A/B equivalence tests.
   net::ChannelParams channel_params;
@@ -140,11 +140,11 @@ struct ScenarioConfig {
   // a permanent entry to faults.churn.scheduled.
   bool enable_maintenance = false;
 
-  // Unified fault injection (src/fault): churn with full stack teardown and
-  // restart, finite battery budgets, per-node clock drift. Disabled by
-  // default — the engine is then never constructed and the run executes the
-  // exact legacy event stream. Enabling faults implies maintenance (crash
-  // detection drives tree repair). Sweepable via exp::SweepSpec::axis_faults.
+  // Fault injection (src/fault): churn with full stack teardown and
+  // restart. Disabled by default — the engine is then never constructed
+  // and the run executes the exact legacy event stream. Enabling faults
+  // implies maintenance (crash detection drives tree repair). Sweepable via
+  // exp::SweepSpec::axis_faults.
   fault::FaultSpec faults;
 
   // Observability (src/obs): when trace.enabled, the run gets a Tracer and

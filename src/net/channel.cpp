@@ -1,7 +1,6 @@
 #include "src/net/channel.h"
 
 #include <cassert>
-#include <cmath>
 
 #include "src/snap/packet_codec.h"
 
@@ -22,35 +21,8 @@ Channel::Channel(sim::Simulator& sim, const Topology& topo, ChannelParams params
     : sim_{sim},
       topo_{topo},
       params_{params},
-      sinr_active_{params.sinr.enabled},
       dense_stats_{topo.num_nodes() < params.dense_link_stats_below},
-      nodes_(topo.num_nodes()) {
-  if (sinr_active_) {
-    noise_mw_ = std::pow(10.0, params_.sinr.noise_dbm / 10.0);
-    sinr_arrivals_.resize(topo.num_nodes());
-  }
-}
-
-double Channel::rx_power_mw_(NodeId src, NodeId dst) const {
-  // Log-distance path loss, clamped below 0.1 m so co-located nodes do not
-  // produce infinite power.
-  const double d =
-      std::max(distance(topo_.position(src), topo_.position(dst)), 0.1);
-  const double loss_db = params_.sinr.reference_loss_db +
-                         10.0 * params_.sinr.path_loss_exponent * std::log10(d);
-  return std::pow(10.0, (params_.sinr.tx_power_dbm - loss_db) / 10.0);
-}
-
-double Channel::sinr_total_power_mw_(NodeId receiver) const {
-  // Summed in arrival order (the vector is append/ordered-erase only), so
-  // the floating-point result is deterministic for a deterministic run.
-  double total = 0.0;
-  const auto& arrivals = sinr_arrivals_[static_cast<std::size_t>(receiver)];
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    total += arrivals[i].power_mw;
-  }
-  return total;
-}
+      nodes_(topo.num_nodes()) {}
 
 void Channel::set_link_model(std::unique_ptr<LinkModel> model) {
   link_model_ = std::move(model);
@@ -166,16 +138,6 @@ void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
   const bool busy_edge = node.arriving_count == 0 && !node.transmitting;
   ++node.arriving_count;
 
-  // SINR mode: every arriving frame's power joins the interference sum at
-  // this receiver for its whole airtime — including frames the link model
-  // drops below (energy without decodability, like the legacy gray zone).
-  double arrival_mw = 0.0;
-  if (sinr_active_) {
-    arrival_mw = rx_power_mw_(p->link_src, receiver);
-    sinr_arrivals_[static_cast<std::size_t>(receiver)].push_back(
-        SinrArrival{p->channel_tx_id, arrival_mw});
-  }
-
   // The link model decides, once per (directed link, frame), whether this
   // frame is decodable at `receiver`. An undecodable frame keeps occupying
   // the air (arriving_count, i.e. carrier sense) but neither starts a
@@ -207,24 +169,13 @@ void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
 
   if (node.rx.active) {
     // Overlap with an in-progress reception corrupts it — unless the new
-    // arrival is weak enough for the radio to capture the original frame.
-    // SINR mode judges the locked frame's signal against noise plus the
-    // full interference sum (new arrival included); legacy mode uses the
-    // distance-ratio heuristic.
-    bool captured;
-    if (sinr_active_) {
-      const double interference =
-          std::max(sinr_total_power_mw_(receiver) - node.rx.signal_mw, 0.0);
-      const double sinr_db =
-          10.0 * std::log10(node.rx.signal_mw / (noise_mw_ + interference));
-      captured = sinr_db >= params_.sinr.capture_threshold_db;
-    } else {
-      captured = params_.capture_distance_ratio > 0.0 &&
-                 sender_dist >=
-                     params_.capture_distance_ratio *
-                         distance(topo_.position(receiver),
-                                  topo_.position(node.rx.frame->link_src));
-    }
+    // arrival's sender is far enough away for the radio to capture the
+    // original frame (the distance-ratio rule of ChannelParams).
+    const bool captured =
+        params_.capture_distance_ratio > 0.0 &&
+        sender_dist >= params_.capture_distance_ratio *
+                           distance(topo_.position(receiver),
+                                    topo_.position(node.rx.frame->link_src));
     if (!captured) {
       node.rx.corrupted = true;
       ++collisions_;
@@ -237,20 +188,9 @@ void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
                          p->type),
                 p->channel_tx_id, p->prov);
   } else if (node.arriving_count == 1 && !node.transmitting && node.listening) {
-    if (sinr_active_ && 10.0 * std::log10(arrival_mw / noise_mw_) <
-                            params_.sinr.min_snr_db) {
-      // Below the lone-frame decode floor: model loss under the shared
-      // power model. The frame keeps occupying the air for carrier sense.
-      ++dropped_by_model_;
-      ESSAT_TRACE(sim_, obs::TraceType::kChanDrop, receiver,
-                  drop_arg(obs::DropReason::kModel, p->type), p->channel_tx_id,
-                  p->prov);
-    } else {
-      node.rx.active = true;
-      node.rx.corrupted = false;
-      node.rx.signal_mw = arrival_mw;
-      node.rx.frame = p;  // refcount bump, not a Packet copy
-    }
+    node.rx.active = true;
+    node.rx.corrupted = false;
+    node.rx.frame = p;  // refcount bump, not a Packet copy
   } else {
     // No reception started and none in progress: the frame is lost to this
     // receiver now. Attribute why, most specific condition first; a node
@@ -270,19 +210,6 @@ void Channel::end_arrival_(NodeId receiver, const PacketRef& p) {
   auto& node = node_(receiver);
   --node.arriving_count;
   assert(node.arriving_count >= 0);
-  if (sinr_active_) {
-    // Ordered erase keeps the interference-sum order deterministic.
-    auto& arrivals = sinr_arrivals_[static_cast<std::size_t>(receiver)];
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      if (arrivals[i].tx_id == p->channel_tx_id) {
-        for (std::size_t j = i; j + 1 < arrivals.size(); ++j) {
-          arrivals[j] = arrivals[j + 1];
-        }
-        arrivals.pop_back();
-        break;
-      }
-    }
-  }
   // Busy -> idle edge iff the air just went quiet at a non-transmitting
   // node; the MAC's contention resume (and its EIFS bookkeeping) hangs off
   // exactly this edge.
@@ -295,7 +222,6 @@ void Channel::end_arrival_(NodeId receiver, const PacketRef& p) {
     // channel (ACK replies start transmissions that clobber rx state).
     const PacketRef delivered_frame = std::move(node.rx.frame);
     node.rx.active = false;
-    node.rx.signal_mw = 0.0;
     if (ok) {
       ++delivered_;
       ESSAT_TRACE(sim_, obs::TraceType::kChanDeliver, receiver,
@@ -336,20 +262,6 @@ void Channel::save_state(snap::Serializer& out) const {
     const bool has_frame = n.rx.active && n.rx.frame != nullptr;
     out.boolean(has_frame);
     if (has_frame) snap::save_packet(out, *n.rx.frame);
-  }
-  // SINR mode only: in-flight powers (byte-attested like everything else).
-  // Gated on config-derived state, so the layout is symmetric across a
-  // capture/replay pair and disabled runs keep the legacy section shape.
-  if (sinr_active_) {
-    for (std::size_t i = 0; i < sinr_arrivals_.size(); ++i) {
-      out.f64(nodes_[i].rx.signal_mw);
-      const auto& arrivals = sinr_arrivals_[i];
-      out.u64(arrivals.size());
-      for (std::size_t j = 0; j < arrivals.size(); ++j) {
-        out.u64(arrivals[j].tx_id);
-        out.f64(arrivals[j].power_mw);
-      }
-    }
   }
   out.u64(transmissions_);
   out.u64(collisions_);

@@ -45,38 +45,12 @@
 #include "src/net/types.h"
 #include "src/sim/simulator.h"
 #include "src/util/flat_map.h"
-#include "src/util/small_vector.h"
 
 namespace essat::snap {
 class Serializer;
 }  // namespace essat::snap
 
 namespace essat::net {
-
-// Per-arrival SINR capture: one log-distance power model decides capture,
-// collisions, and noise-floor loss together (replacing the distance-ratio
-// capture heuristic when enabled). Every arriving frame contributes its
-// received power to the interference sum at each in-range receiver; an
-// in-progress reception survives overlap iff
-//
-//   10 log10(S / (N + I - S)) >= capture_threshold_db
-//
-// where S is the locked frame's power, N the noise floor, and I the total
-// arriving power (including S). A lone frame below min_snr_db of SNR is
-// dropped as model loss. Deterministic — no randomness is drawn — and
-// with capture_threshold_db -> +inf (and min_snr_db at its -inf default)
-// every overlap collides, byte-identical to capture_distance_ratio <= 0.
-struct SinrParams {
-  bool enabled = false;
-  double tx_power_dbm = 0.0;        // CC1000-class
-  double path_loss_exponent = 3.0;  // log-distance exponent
-  double reference_loss_db = 40.0;  // path loss at 1 m
-  double noise_dbm = -100.0;        // thermal noise floor
-  double capture_threshold_db = 10.0;
-  // Minimum lone-frame SNR to decode at all; the -1e9 default disables
-  // noise-floor loss (every in-range frame is decodable, like unit disc).
-  double min_snr_db = -1.0e9;
-};
 
 struct ChannelParams {
   // One-hop propagation delay (applied uniformly; 125 m of vacuum is ~0.4 us,
@@ -94,9 +68,6 @@ struct ChannelParams {
   // identical counters; set to 0 / SIZE_MAX to force sparse / dense for the
   // A/B equivalence tests.
   std::size_t dense_link_stats_below = 1024;
-  // SINR-based capture/loss (disabled by default: the distance-ratio
-  // capture heuristic above stays the legacy behavior).
-  SinrParams sinr;
 };
 
 // Receiver-side interface of the medium. One implementation per attached
@@ -191,7 +162,6 @@ class Channel {
   struct Reception {
     bool active = false;
     bool corrupted = false;
-    double signal_mw = 0.0;  // locked frame's rx power (SINR mode only)
     PacketRef frame;  // shared with the arrival events; never copied
   };
   struct PerNode {
@@ -205,9 +175,6 @@ class Channel {
   void begin_arrival_(NodeId receiver, const PacketRef& p);
   void end_arrival_(NodeId receiver, const PacketRef& p);
   void notify_(NodeId node);
-  // SINR-mode helpers (sinr_active_ only).
-  double rx_power_mw_(NodeId src, NodeId dst) const;
-  double sinr_total_power_mw_(NodeId receiver) const;
   // Unchecked per-node access for the per-arrival hot path (ids come from
   // the topology's neighbor lists, which are in range by construction).
   PerNode& node_(NodeId n) {
@@ -239,16 +206,6 @@ class Channel {
   ChannelParams params_;
   std::unique_ptr<LinkModel> link_model_;
   bool model_active_ = false;  // false also for installed lossless models
-  const bool sinr_active_;     // params_.sinr.enabled, frozen at construction
-  double noise_mw_ = 0.0;      // linear noise floor (SINR mode only)
-  // SINR mode: the frames currently arriving at each node with their
-  // received powers (a handful — the sender's interference neighborhood).
-  // Kept in arrival order so the interference sum is order-deterministic.
-  struct SinrArrival {
-    std::uint64_t tx_id = 0;
-    double power_mw = 0.0;
-  };
-  std::vector<util::SmallVector<SinrArrival, 4>> sinr_arrivals_;
   bool link_stats_enabled_ = true;
   const bool dense_stats_;  // storage choice, frozen at construction
   std::vector<PerNode> nodes_;

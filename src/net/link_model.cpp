@@ -114,61 +114,6 @@ bool PrrScaledModel::deliver(NodeId src, NodeId dst, double distance_m) {
   return base_->deliver(src, dst, distance_m) && thin_pass;
 }
 
-// ---------------------------------------------------------- PRR trace replay
-
-PrrTraceModel::PrrTraceModel(const std::vector<PrrTraceEntry>& entries,
-                             double default_prr, util::Rng&& rng)
-    : default_prr_{default_prr}, frame_rng_{std::move(rng)} {
-  prr_.reserve(entries.size());
-  for (const PrrTraceEntry& e : entries) {
-    prr_[link_key(e.src, e.dst)] = e.prr;
-  }
-}
-
-bool PrrTraceModel::deliver(NodeId src, NodeId dst, double distance_m) {
-  (void)distance_m;
-  return frame_rng_.bernoulli(lookup_(src, dst));
-}
-
-void PrrTraceModel::save_state(snap::Serializer& out) const {
-  out.begin("LMPT");
-  // The table is pure config (rebuilt from the spec on replay); only the
-  // per-frame stream advances.
-  frame_rng_.save_state(out);
-  out.end();
-}
-
-std::vector<PrrTraceEntry> parse_prr_trace(const std::string& text) {
-  std::vector<PrrTraceEntry> out;
-  std::size_t line_start = 0;
-  int line_no = 0;
-  while (line_start <= text.size()) {
-    std::size_t line_end = text.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = text.size();
-    std::string line = text.substr(line_start, line_end - line_start);
-    line_start = line_end + 1;
-    ++line_no;
-    if (const std::size_t hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    // Skip blank / whitespace-only lines.
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    long src = -1;
-    long dst = -1;
-    double prr = -1.0;
-    char trailing = '\0';
-    const int got =
-        std::sscanf(line.c_str(), " %ld %ld %lf %c", &src, &dst, &prr, &trailing);
-    if (got != 3 || src < 0 || dst < 0 || prr < 0.0 || prr > 1.0) {
-      throw std::invalid_argument{"parse_prr_trace: malformed line " +
-                                  std::to_string(line_no) + ": '" + line + "'"};
-    }
-    out.push_back(PrrTraceEntry{static_cast<NodeId>(src),
-                                static_cast<NodeId>(dst), prr});
-  }
-  return out;
-}
-
 // ----------------------------------------------------------------- the spec
 
 const char* link_model_kind_name(LinkModelKind k) {
@@ -176,7 +121,6 @@ const char* link_model_kind_name(LinkModelKind k) {
     case LinkModelKind::kUnitDisc: return "unit-disc";
     case LinkModelKind::kLogNormalShadowing: return "shadowing";
     case LinkModelKind::kGilbertElliott: return "gilbert-elliott";
-    case LinkModelKind::kPrrTrace: return "prr-trace";
   }
   throw std::invalid_argument{"link_model_kind_name: unknown kind"};
 }
@@ -203,7 +147,6 @@ std::unique_ptr<LinkModel> ChannelModelSpec::build(double range_m,
                                                            rng.fork(1));
           break;
         case LinkModelKind::kGilbertElliott:
-        case LinkModelKind::kPrrTrace:
           throw std::invalid_argument{
               "ChannelModelSpec: gilbert_base must be unit-disc or shadowing"};
       }
@@ -211,10 +154,6 @@ std::unique_ptr<LinkModel> ChannelModelSpec::build(double range_m,
                                                     rng.fork(2));
       break;
     }
-    case LinkModelKind::kPrrTrace:
-      model = std::make_unique<PrrTraceModel>(prr_trace, prr_trace_default,
-                                              rng.fork(4));
-      break;
   }
   if (prr_scale < 1.0) {
     model = std::make_unique<PrrScaledModel>(std::move(model), prr_scale,

@@ -18,7 +18,8 @@
 //    model; models time-varying bursty loss.
 //
 // Determinism: a model instance is built per trial from the trial's seed
-// (ChannelModelSpec::build takes a util::Rng by value). Per-link quantities
+// (ChannelModelSpec::build takes the trial's util::Rng stream by rvalue
+// reference). Per-link quantities
 // (shadowing gains, initial burst states) are drawn from streams forked by
 // link key, so they do not depend on traffic order; per-frame draws come
 // from the model's own stream, which the single-threaded simulator visits
@@ -29,7 +30,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/net/types.h"
 #include "src/util/rng.h"
@@ -201,49 +201,6 @@ class PrrScaledModel : public LinkModel {
   util::Rng rng_;
 };
 
-// One measured directed link: frames src -> dst are delivered with
-// probability `prr`. The unit of trace-driven replay (see PrrTraceModel).
-struct PrrTraceEntry {
-  NodeId src = kNoNode;
-  NodeId dst = kNoNode;
-  double prr = 1.0;
-};
-
-// Trace-driven PRR replay: per-directed-link reception rates measured on a
-// real deployment (e.g. a motelab / Indriya connectivity dump) are replayed
-// as independent Bernoulli(PRR) draws per frame. Links absent from the
-// trace fall back to `default_prr` (1.0 = the unit disc decides alone).
-// The table is config-static — only the frame stream is snapshot state.
-class PrrTraceModel : public LinkModel {
- public:
-  PrrTraceModel(const std::vector<PrrTraceEntry>& entries, double default_prr,
-                util::Rng&& rng);
-
-  bool deliver(NodeId src, NodeId dst, double distance_m) override;
-  const char* name() const override { return "prr-trace"; }
-  double expected_prr(NodeId src, NodeId dst, double distance_m) const override {
-    (void)distance_m;
-    return lookup_(src, dst);
-  }
-
-  void save_state(snap::Serializer& out) const override;
-
- private:
-  double lookup_(NodeId src, NodeId dst) const {
-    const auto it = prr_.find(link_key(src, dst));
-    return it != prr_.end() ? it->second : default_prr_;
-  }
-
-  std::unordered_map<std::uint64_t, double> prr_;
-  double default_prr_;
-  util::Rng frame_rng_;  // per-frame Bernoulli draws
-};
-
-// Parses a PRR trace from text: one `src dst prr` triple per line, `#`
-// starts a comment, blank lines ignored. Throws std::invalid_argument on
-// malformed lines or out-of-range PRRs.
-std::vector<PrrTraceEntry> parse_prr_trace(const std::string& text);
-
 // ---------------------------------------------------------------------------
 // Declarative channel-model description, sweepable as a unit
 // (exp::SweepSpec::axis_channel) and carried on harness::ScenarioConfig.
@@ -252,13 +209,10 @@ enum class LinkModelKind {
   kUnitDisc,
   kLogNormalShadowing,
   kGilbertElliott,
-  // Trace-driven replay of measured per-link PRRs (PrrTraceModel); the
-  // table lives on ChannelModelSpec::prr_trace.
-  kPrrTrace,
 };
 
-// Stable lower-case names ("unit-disc", "shadowing", "gilbert-elliott",
-// "prr-trace"). Throws std::invalid_argument on an out-of-range kind.
+// Stable lower-case names ("unit-disc", "shadowing", "gilbert-elliott").
+// Throws std::invalid_argument on an out-of-range kind.
 const char* link_model_kind_name(LinkModelKind k);
 
 struct ChannelModelSpec {
@@ -276,14 +230,9 @@ struct ChannelModelSpec {
   GilbertElliottParams gilbert;
   LinkModelKind gilbert_base = LinkModelKind::kUnitDisc;
 
-  // kPrrTrace knobs: the measured per-link table (see parse_prr_trace for
-  // the text format) and the PRR of in-range links the trace omits.
-  std::vector<PrrTraceEntry> prr_trace;
-  double prr_trace_default = 1.0;
-
   // Materializes the model for one trial. `range_m` is the deployment's
   // nominal radio range (the shadowing curve's reference distance); `rng`
-  // is the trial's channel stream, taken by value so the model owns it.
+  // is the trial's channel stream, which the model's layers fork from.
   std::unique_ptr<LinkModel> build(double range_m, util::Rng&& rng) const;
 
   // Sink/axis label: the kind name, with non-default thinning appended

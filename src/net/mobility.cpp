@@ -71,59 +71,12 @@ void RandomWaypointMobility::positions_at(util::Time t,
   }
 }
 
-// ------------------------------------------------------------ trace playback
-
-WaypointTraceMobility::WaypointTraceMobility(std::vector<Position> initial,
-                                             std::vector<WaypointTrace> traces)
-    : initial_{std::move(initial)}, points_(initial_.size()) {
-  for (WaypointTrace& tr : traces) {
-    if (tr.node < 0 || static_cast<std::size_t>(tr.node) >= initial_.size()) {
-      throw std::invalid_argument{"WaypointTraceMobility: trace for unknown node"};
-    }
-    for (std::size_t k = 1; k < tr.points.size(); ++k) {
-      if (tr.points[k].first <= tr.points[k - 1].first) {
-        throw std::invalid_argument{
-            "WaypointTraceMobility: checkpoints must be strictly increasing"};
-      }
-    }
-    points_[static_cast<std::size_t>(tr.node)] = std::move(tr.points);
-  }
-}
-
-void WaypointTraceMobility::positions_at(util::Time t,
-                                         std::vector<Position>& out) {
-  out = initial_;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const auto& pts = points_[i];
-    if (pts.empty()) continue;
-    if (t >= pts.back().first) {
-      out[i] = pts.back().second;
-      continue;
-    }
-    // First checkpoint past t; the segment starts at the previous one (or
-    // at the initial placement at t = 0).
-    const auto it = std::upper_bound(
-        pts.begin(), pts.end(), t,
-        [](util::Time v, const auto& p) { return v < p.first; });
-    const Position from = it == pts.begin() ? initial_[i] : (it - 1)->second;
-    const util::Time t0 = it == pts.begin() ? util::Time::zero() : (it - 1)->first;
-    if (t <= t0 || it->first <= t0) {
-      out[i] = from;
-      continue;
-    }
-    const double f = (t - t0) / (it->first - t0);
-    out[i] = Position{from.x + (it->second.x - from.x) * f,
-                      from.y + (it->second.y - from.y) * f};
-  }
-}
-
 // ----------------------------------------------------------------- the spec
 
 const char* mobility_kind_name(MobilityKind k) {
   switch (k) {
     case MobilityKind::kStatic: return "static";
     case MobilityKind::kRandomWaypoint: return "waypoint";
-    case MobilityKind::kWaypoints: return "trace";
   }
   throw std::invalid_argument{"mobility_kind_name: unknown kind"};
 }
@@ -138,8 +91,6 @@ std::unique_ptr<MobilityModel> MobilitySpec::build(std::vector<Position> initial
     case MobilityKind::kRandomWaypoint:
       return std::make_unique<RandomWaypointMobility>(
           std::move(initial), width_m, height_m, waypoint, rng.fork(1));
-    case MobilityKind::kWaypoints:
-      return std::make_unique<WaypointTraceMobility>(std::move(initial), traces);
   }
   throw std::invalid_argument{"MobilitySpec::build: unknown MobilityKind"};
 }

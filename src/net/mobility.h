@@ -9,25 +9,18 @@
 // geometry alone, which is exactly the stress the tree-repair and
 // link-quality-aware routing layers exist for.
 //
-// Shipping models:
-//  * StaticMobility       — returns the initial placement forever; installing
-//    it (and ticking) is behaviorally identical to no model at all.
-//  * RandomWaypointMobility — the classic random-waypoint process per node:
-//    pick a uniform target in the deployment rectangle, walk there at a
-//    uniform speed, pause, repeat. Per-node streams are forked by node id,
-//    so trajectories do not depend on query order.
-//  * WaypointTraceMobility — deterministic playback of explicit per-node
-//    (time, position) checkpoints with linear interpolation; nodes without
-//    a trace stay at their initial position.
+// The shipping model is RandomWaypointMobility, the classic random-waypoint
+// process per node: pick a uniform target in the deployment rectangle, walk
+// there at a uniform speed, pause, repeat. Per-node streams are forked by
+// node id, so trajectories do not depend on query order.
 //
 // Determinism: a model instance is built per trial from the trial's seed
-// (MobilitySpec::build takes a util::Rng by value), so sweeps are
-// bit-identical for any ESSAT_JOBS value.
+// (MobilitySpec::build takes the trial's util::Rng stream by rvalue
+// reference), so sweeps are bit-identical for any ESSAT_JOBS value.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/net/position.h"
@@ -52,23 +45,6 @@ class MobilityModel {
   // Snapshot hook: monotonic per-node state (legs, RNG streams). Models
   // whose output is a pure function of t write nothing.
   virtual void save_state(snap::Serializer& out) const { (void)out; }
-};
-
-// The frozen deployment as a model: positions_at returns the initial
-// placement at every t. Exists so the mobility plumbing itself can be
-// equivalence-tested against the no-model path.
-class StaticMobility : public MobilityModel {
- public:
-  explicit StaticMobility(std::vector<Position> positions)
-      : positions_{std::move(positions)} {}
-
-  void positions_at(util::Time, std::vector<Position>& out) override {
-    out = positions_;
-  }
-  const char* name() const override { return "static"; }
-
- private:
-  std::vector<Position> positions_;
 };
 
 struct RandomWaypointParams {
@@ -110,36 +86,13 @@ class RandomWaypointMobility : public MobilityModel {
   std::vector<Leg> legs_;
 };
 
-// One node's scripted trajectory: (time, position) checkpoints in strictly
-// increasing time order. Between checkpoints the node moves linearly; after
-// the last it holds position; before the first it interpolates from its
-// initial placement at t = 0.
-struct WaypointTrace {
-  NodeId node = kNoNode;
-  std::vector<std::pair<util::Time, Position>> points;
-};
-
-class WaypointTraceMobility : public MobilityModel {
- public:
-  WaypointTraceMobility(std::vector<Position> initial,
-                        std::vector<WaypointTrace> traces);
-
-  void positions_at(util::Time t, std::vector<Position>& out) override;
-  const char* name() const override { return "trace"; }
-
- private:
-  std::vector<Position> initial_;
-  // Indexed by node; empty vector = node never moves.
-  std::vector<std::vector<std::pair<util::Time, Position>>> points_;
-};
-
 // ---------------------------------------------------------------------------
 // Declarative mobility description, carried on harness::ScenarioConfig and
 // sweepable as a unit (exp::SweepSpec::axis_mobility).
 
-enum class MobilityKind { kStatic, kRandomWaypoint, kWaypoints };
+enum class MobilityKind { kStatic, kRandomWaypoint };
 
-// Stable lower-case names ("static", "waypoint", "trace"). Throws
+// Stable lower-case names ("static", "waypoint"). Throws
 // std::invalid_argument on an out-of-range kind.
 const char* mobility_kind_name(MobilityKind k);
 
@@ -153,22 +106,19 @@ struct MobilitySpec {
   // model and rebuilds neighbor lists once per epoch.
   double epoch_s = 5.0;
 
-  // kWaypoints trajectories.
-  std::vector<WaypointTrace> traces;
-
   // Materializes the model for one trial. `initial` is the deployed
   // placement, (width_m, height_m) the deployment rectangle (mobility
-  // bounds), `rng` the trial's mobility stream, taken by value so the model
-  // owns it. Returns nullptr for kStatic: the topology then stays frozen
-  // and the harness schedules no epoch ticks — the exact pre-mobility code
-  // path at zero cost.
+  // bounds), `rng` the trial's mobility stream, which the model forks its
+  // per-node streams from. Returns nullptr for kStatic: the topology then
+  // stays frozen and the harness schedules no epoch ticks — the exact
+  // pre-mobility code path at zero cost.
   std::unique_ptr<MobilityModel> build(std::vector<Position> initial,
                                        double width_m, double height_m,
                                        util::Rng&& rng) const;
 
   util::Time epoch() const { return util::Time::from_seconds(epoch_s); }
 
-  // Sink/axis label: "static", "waypoint@1.5mps" (top speed), "trace".
+  // Sink/axis label: "static" or "waypoint@1.5mps" (top speed).
   std::string label() const;
 };
 

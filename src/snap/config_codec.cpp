@@ -36,26 +36,13 @@ void fields(IO& io, Field<IO, net::GilbertElliottParams>& g) {
 }
 
 template <typename IO>
-void fields(IO& io, Field<IO, net::PrrTraceEntry>& e) {
-  io(e.src, e.dst, e.prr);
-}
-
-template <typename IO>
 void fields(IO& io, Field<IO, net::ChannelModelSpec>& m) {
-  io(m.kind, m.prr_scale, m.shadowing, m.gilbert, m.gilbert_base, m.prr_trace,
-     m.prr_trace_default);
-}
-
-template <typename IO>
-void fields(IO& io, Field<IO, net::SinrParams>& s) {
-  io(s.enabled, s.tx_power_dbm, s.path_loss_exponent, s.reference_loss_db,
-     s.noise_dbm, s.capture_threshold_db, s.min_snr_db);
+  io(m.kind, m.prr_scale, m.shadowing, m.gilbert, m.gilbert_base);
 }
 
 template <typename IO>
 void fields(IO& io, Field<IO, net::ChannelParams>& p) {
-  io(p.propagation_delay, p.capture_distance_ratio, p.dense_link_stats_below,
-     p.sinr);
+  io(p.propagation_delay, p.capture_distance_ratio, p.dense_link_stats_below);
 }
 
 template <typename IO>
@@ -65,22 +52,12 @@ void fields(IO& io, Field<IO, fault::ChurnEvent>& e) {
 
 template <typename IO>
 void fields(IO& io, Field<IO, fault::ChurnSpec>& c) {
-  io(c.scheduled, c.node_fraction, c.mean_downtime_s, c.restart);
-}
-
-template <typename IO>
-void fields(IO& io, Field<IO, fault::BatterySpec>& b) {
-  io(b.budget_mj, b.jitter_frac, b.check_period);
-}
-
-template <typename IO>
-void fields(IO& io, Field<IO, fault::DriftSpec>& d) {
-  io(d.skew_sigma_ppm, d.max_offset_ms);
+  io(c.scheduled, c.node_fraction, c.mean_downtime_s);
 }
 
 template <typename IO>
 void fields(IO& io, Field<IO, fault::FaultSpec>& f) {
-  io(f.churn, f.battery, f.drift);
+  io(f.churn);
 }
 
 template <typename IO>
@@ -89,18 +66,8 @@ void fields(IO& io, Field<IO, net::RandomWaypointParams>& w) {
 }
 
 template <typename IO>
-void fields(IO& io, Field<IO, net::Position>& p) {
-  io(p.x, p.y);
-}
-
-template <typename IO>
-void fields(IO& io, Field<IO, net::WaypointTrace>& t) {
-  io(t.node, t.points);
-}
-
-template <typename IO>
 void fields(IO& io, Field<IO, net::MobilitySpec>& m) {
-  io(m.kind, m.waypoint, m.epoch_s, m.traces);
+  io(m.kind, m.waypoint, m.epoch_s);
 }
 
 template <typename IO>

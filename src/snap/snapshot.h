@@ -22,6 +22,12 @@
 
 namespace essat::snap {
 
+// Version 8: the axes no figure runs are gone. SCFG loses the PRR-trace
+// table and its default, SINR capture's parameters, ChurnSpec's restart
+// flag, the battery and drift specs and the waypoint traces (114 bytes of
+// a config that leaves them at their defaults). FENG loses each node's
+// battery flag and RADI the radio's lifetime energy.
+//
 // Version 7: only the routing tree's members at t = 0 have a radio and a
 // MAC. TRST writes a presence flag before each node's stack, and a node
 // outside the tree writes nothing more. util::FlatMap places a key by the
@@ -40,7 +46,7 @@ namespace essat::snap {
 // packets). SCFG loses that bool, TRST loses the setup-protocol flag, and
 // the PacketType values and payload tags renumber (kAtim 5 -> 2,
 // kPhaseRequest 6 -> 3).
-inline constexpr std::uint32_t kFormatVersion = 7;
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 enum class SnapshotKind : std::uint32_t {
   kTrial = 1,  // full mid-run simulator state + scenario config

@@ -64,14 +64,12 @@ TEST(FaultSnapshot, CaptureAfterRestartResumesBitIdentically) {
                                       "post-restart barrier at 7s");
 }
 
-TEST(FaultSnapshot, StochasticChurnWithBatteryAndDriftResumes) {
+TEST(FaultSnapshot, StochasticChurnResumes) {
   harness::ScenarioConfig c = faulty_base();
   c.faults.churn.node_fraction = 0.3;
   c.faults.churn.mean_downtime_s = 1.0;
-  c.faults.battery.budget_mj = 400.0;
-  c.faults.drift.skew_sigma_ppm = 20.0;
   expect_capture_and_resume_identical(c, Time::seconds(6),
-                                      "all fault classes at 6s");
+                                      "scheduled and stochastic churn at 6s");
 }
 
 TEST(FaultSnapshot, MidOutageCaptureIsDeterministic) {
@@ -90,24 +88,11 @@ TEST(FaultSnapshot, AttestationCatchesTamperedFaultState) {
   EXPECT_THROW((void)resume_trial(image), SnapError);
 }
 
-// The config codec covers the new physical-layer and fault fields.
-TEST(FaultSnapshot, ConfigCodecRoundTripsFaultAndSinrFields) {
+// The config codec covers the churn fields.
+TEST(FaultSnapshot, ConfigCodecRoundTripsFaultFields) {
   harness::ScenarioConfig c = faulty_base();
   c.faults.churn.node_fraction = 0.15;
   c.faults.churn.mean_downtime_s = 7.5;
-  c.faults.churn.restart = false;
-  c.faults.battery.budget_mj = 123.25;
-  c.faults.battery.jitter_frac = 0.1;
-  c.faults.battery.check_period = Time::from_milliseconds(250);
-  c.faults.drift.skew_sigma_ppm = 40.0;
-  c.faults.drift.max_offset_ms = 3.0;
-  c.channel_params.sinr.enabled = true;
-  c.channel_params.sinr.capture_threshold_db = 6.0;
-  c.channel_params.sinr.min_snr_db = 4.0;
-  c.channel_model.kind = net::LinkModelKind::kPrrTrace;
-  c.channel_model.prr_trace = {{net::NodeId{0}, net::NodeId{1}, 0.75},
-                               {net::NodeId{1}, net::NodeId{0}, 0.5}};
-  c.channel_model.prr_trace_default = 0.9;
 
   const std::vector<std::uint8_t> bytes = scenario_config_to_bytes(c);
   const harness::ScenarioConfig back =
@@ -117,15 +102,7 @@ TEST(FaultSnapshot, ConfigCodecRoundTripsFaultAndSinrFields) {
   EXPECT_EQ(back.faults.churn.scheduled[0].node, 3);
   EXPECT_EQ(back.faults.churn.scheduled[0].down_for, Time::seconds(3));
   EXPECT_EQ(back.faults.churn.node_fraction, 0.15);
-  EXPECT_FALSE(back.faults.churn.restart);
-  EXPECT_EQ(back.faults.battery.budget_mj, 123.25);
-  EXPECT_EQ(back.faults.battery.check_period, Time::from_milliseconds(250));
-  EXPECT_EQ(back.faults.drift.max_offset_ms, 3.0);
-  EXPECT_TRUE(back.channel_params.sinr.enabled);
-  EXPECT_EQ(back.channel_params.sinr.min_snr_db, 4.0);
-  ASSERT_EQ(back.channel_model.prr_trace.size(), 2u);
-  EXPECT_EQ(back.channel_model.prr_trace[1].prr, 0.5);
-  EXPECT_EQ(back.channel_model.prr_trace_default, 0.9);
+  EXPECT_EQ(back.faults.churn.mean_downtime_s, 7.5);
 }
 
 }  // namespace

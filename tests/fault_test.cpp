@@ -1,19 +1,14 @@
 // Acceptance checks for the fault-injection axis (src/fault):
 //  * scheduled churn kills and restarts nodes, with downtime and death
 //    counts surfacing in RunMetrics, and rejects out-of-range node ids;
-//  * stochastic churn, battery depletion and clock drift are deterministic
-//    (same config -> bit-identical RunMetrics) and respect the root
-//    exemption;
-//  * drifted clocks with a zero or 1 us break-even time finish without a
-//    sleep/wake livelock, and PSM and SYNC, which have no drifted timer,
-//    refuse drift;
+//  * stochastic churn is deterministic (same config -> bit-identical
+//    RunMetrics), respects the root exemption, and is permanent at a
+//    non-positive mean downtime;
 //  * faults strike only the routing tree's members at t = 0: under churn
 //    no node outside that tree ever becomes a member, and a scheduled
 //    fault naming an outsider is skipped;
 //  * fault schedules are byte-identical across ESSAT_JOBS values (the
 //    engine pre-draws everything from per-node forked streams);
-//  * SINR capture with the threshold at +inf reproduces the legacy
-//    no-capture channel byte for byte;
 //  * sinks emit the fault columns as zeros when faults are disabled.
 #include <gtest/gtest.h>
 
@@ -61,8 +56,6 @@ TEST(FaultSpec, DefaultIsDisabledAndLabelledNone) {
   const fault::FaultSpec spec;
   EXPECT_FALSE(spec.enabled());
   EXPECT_FALSE(spec.churn.enabled());
-  EXPECT_FALSE(spec.battery.enabled());
-  EXPECT_FALSE(spec.drift.enabled());
   EXPECT_EQ(spec.label(), "none");
 }
 
@@ -71,9 +64,7 @@ TEST(FaultSpec, LabelNamesEachEnabledAxis) {
   spec.churn.scheduled.push_back({net::NodeId{3}, Time::seconds(1), Time::seconds(2)});
   EXPECT_EQ(spec.label(), "churn-sched1");
   spec.churn.node_fraction = 0.1;
-  spec.battery.budget_mj = 500.0;
-  spec.drift.skew_sigma_ppm = 50.0;
-  EXPECT_EQ(spec.label(), "churn-sched1+churn0.1+batt500mJ+drift50ppm");
+  EXPECT_EQ(spec.label(), "churn-sched1+churn0.1");
 }
 
 // ------------------------------------------------------------ churn
@@ -142,6 +133,39 @@ TEST(FaultChurn, StochasticChurnIsDeterministicAndSparesRoot) {
   EXPECT_EQ(fingerprint(a), fingerprint(b));
   EXPECT_EQ(a.node_deaths, 11u);  // 12 nodes minus the root
   EXPECT_GT(a.downtime_s, 0.0);
+}
+
+// A non-positive mean downtime makes every stochastic crash permanent: no
+// node restarts, so each outage lasts from its crash to the window's end.
+// Crash times are drawn before downtimes, so a mean so long that no
+// restart falls inside the window crashes every node at the same time and
+// must count the same downtime.
+TEST(FaultChurn, NonPositiveMeanDowntimeIsPermanent) {
+  harness::ScenarioConfig c = small_base();
+  c.faults.churn.node_fraction = 1.0;
+  c.faults.churn.mean_downtime_s = 0.0;
+  c.trace.enabled = true;
+  c.trace.type_mask = obs::trace_bit(obs::TraceType::kFaultDown) |
+                      obs::trace_bit(obs::TraceType::kFaultUp);
+  std::vector<obs::TraceRecord> records;
+  c.trace.sink = [&records](const obs::Tracer& t) { records = t.snapshot(); };
+  const harness::RunMetrics m = harness::run_scenario(c);
+  EXPECT_EQ(m.node_deaths, 11u);
+  if (obs::kTracingCompiledIn) {
+    EXPECT_EQ(records.size(), 11u);
+    for (const obs::TraceRecord& r : records) {
+      EXPECT_EQ(r.trace_type(), obs::TraceType::kFaultDown)
+          << "node " << r.node << " restarted at t=" << r.t_ns << " ns";
+    }
+  }
+
+  harness::ScenarioConfig outlasting = small_base();
+  outlasting.faults.churn.node_fraction = 1.0;
+  outlasting.faults.churn.mean_downtime_s = 1.0e9;
+  const harness::RunMetrics open = harness::run_scenario(outlasting);
+  EXPECT_EQ(open.node_deaths, 11u);
+  EXPECT_GT(m.downtime_s, 0.0);
+  EXPECT_DOUBLE_EQ(m.downtime_s, open.downtime_s);
 }
 
 // ------------------------------------------------------------ population
@@ -237,101 +261,6 @@ TEST(FaultPopulation, ScheduledFaultOnOutsiderIsSkipped) {
   EXPECT_EQ(m.node_deaths, 0u);
   EXPECT_DOUBLE_EQ(m.downtime_s, 0.0);
   EXPECT_EQ(static_cast<std::size_t>(m.tree_members), initial.size());
-}
-
-// ------------------------------------------------------------ battery
-
-TEST(FaultBattery, TinyBudgetKillsEveryNonRootNodePermanently) {
-  harness::ScenarioConfig c = small_base();
-  // 1 mJ dies at the very first poll (idle listen is ~24 mW): every
-  // non-root node is dead before the window opens, and battery death is
-  // permanent, so downtime is 11 nodes x the full 4 s window.
-  c.faults.battery.budget_mj = 1.0;
-  const harness::RunMetrics m = harness::run_scenario(c);
-  EXPECT_EQ(m.node_deaths, 11u);
-  EXPECT_DOUBLE_EQ(m.downtime_s, 44.0);
-  const harness::RunMetrics again = harness::run_scenario(c);
-  EXPECT_EQ(fingerprint(m), fingerprint(again));
-}
-
-// ------------------------------------------------------------ drift
-
-TEST(FaultDrift, DriftedClocksStillDeliverDeterministically) {
-  harness::ScenarioConfig c = small_base();
-  c.faults.drift.skew_sigma_ppm = 50.0;
-  c.faults.drift.max_offset_ms = 2.0;
-  const harness::RunMetrics a = harness::run_scenario(c);
-  const harness::RunMetrics b = harness::run_scenario(c);
-  EXPECT_EQ(fingerprint(a), fingerprint(b));
-  EXPECT_EQ(a.node_deaths, 0u);
-  EXPECT_DOUBLE_EQ(a.downtime_s, 0.0);
-  EXPECT_GT(a.delivery_ratio, 0.0);
-}
-
-// The default deployment with drifted clocks and a zero or tiny break-even
-// time: a wake-up the drifted clock would fire at or before now must keep
-// the radio on. Were it to sleep, the wake-up would fire at once and its
-// re-check would sleep again, so simulated time would advance by T_BE or
-// not at all. The 1 us run goes first and stops the test on failure, so a
-// regression fails on the event count before the T_BE = 0 run can exhaust
-// memory.
-TEST(FaultDrift, ZeroBreakEvenFinishesWithoutLivelock) {
-  for (harness::Protocol p : {harness::Protocol::kDtsSs, harness::Protocol::kStsSs,
-                              harness::Protocol::kNtsSs, harness::Protocol::kSpan}) {
-    for (Time t_be : {Time::microseconds(1), Time::zero()}) {
-      SCOPED_TRACE(std::string{harness::protocol_name(p)} + " T_BE " +
-                   t_be.to_string());
-      harness::ScenarioConfig c;
-      c.protocol = p;
-      c.seed = 11;
-      c.measure_duration = Time::seconds(30);
-      c.t_be = t_be;
-      c.faults.drift.skew_sigma_ppm = 20.0;
-      c.faults.drift.max_offset_ms = 2.0;
-      const harness::RunMetrics m = harness::run_scenario(c);
-      ASSERT_LT(m.sim_events, 1'000'000u);
-      EXPECT_GT(m.delivery_ratio, 0.0);
-    }
-  }
-}
-
-// Drift acts at the SafeSleep wake timer, and PSM and SYNC run none: a
-// drifted run would silently equal the undrifted one, so the trial is
-// refused before any event runs.
-TEST(FaultDrift, PsmAndSyncRejectDrift) {
-  for (harness::Protocol p :
-       {harness::Protocol::kPsm, harness::Protocol::kSync}) {
-    const std::string name = harness::protocol_name(p);
-    SCOPED_TRACE(name);
-    harness::ScenarioConfig c = small_base();
-    c.protocol = p;
-    c.faults.drift.skew_sigma_ppm = 100.0;
-    c.faults.drift.max_offset_ms = 20.0;
-    try {
-      harness::run_scenario(c);
-      ADD_FAILURE() << "drift accepted";
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("faults.drift"), std::string::npos) << what;
-      EXPECT_NE(what.find(name), std::string::npos) << what;
-    }
-  }
-}
-
-// ------------------------------------------------------------ SINR
-
-TEST(FaultSinr, InfiniteCaptureThresholdMatchesNoCaptureByteForByte) {
-  // The documented limit: capture_threshold_db -> +inf with min_snr_db at
-  // its -inf default means every overlap collides and no frame is below
-  // the noise floor — byte-identical to capture_distance_ratio <= 0.
-  harness::ScenarioConfig legacy = small_base();
-  legacy.workload.base_rate_hz = 4.0;  // enough traffic to collide
-  legacy.channel_params.capture_distance_ratio = 0.0;
-  harness::ScenarioConfig sinr = legacy;
-  sinr.channel_params.sinr.enabled = true;
-  sinr.channel_params.sinr.capture_threshold_db = 1.0e12;
-  EXPECT_EQ(fingerprint(harness::run_scenario(legacy)),
-            fingerprint(harness::run_scenario(sinr)));
 }
 
 // ------------------------------------------------------------ sweeps

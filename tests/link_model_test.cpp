@@ -312,81 +312,6 @@ TEST(ChannelWithLinkModel, DroppedFrameStillOccupiesAirForCarrierSense) {
   EXPECT_EQ(ch.dropped_by_model(), 1u);
 }
 
-// ------------------------------------------------------------- prr trace
-
-TEST(PrrTrace, ParsesEntriesCommentsAndBlankLines) {
-  const auto entries = parse_prr_trace(
-      "# measured testbed PRRs\n"
-      "0 1 0.85\n"
-      "\n"
-      "1 0 0.6   # reverse direction\n"
-      "2 1 1.0\n");
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].src, 0);
-  EXPECT_EQ(entries[0].dst, 1);
-  EXPECT_EQ(entries[0].prr, 0.85);
-  EXPECT_EQ(entries[1].prr, 0.6);
-  EXPECT_EQ(entries[2].src, 2);
-}
-
-TEST(PrrTrace, RejectsMalformedLines) {
-  EXPECT_THROW(parse_prr_trace("0 1\n"), std::invalid_argument);
-  EXPECT_THROW(parse_prr_trace("a b 0.5\n"), std::invalid_argument);
-  EXPECT_THROW(parse_prr_trace("0 1 1.5\n"), std::invalid_argument);
-  EXPECT_THROW(parse_prr_trace("0 1 -0.1\n"), std::invalid_argument);
-  EXPECT_THROW(parse_prr_trace("0 1 0.5 junk\n"), std::invalid_argument);
-}
-
-TEST(PrrTrace, ModelHonoursPerLinkRatesAndDefault) {
-  // prr 1 delivers always, prr 0 never; an unlisted link uses the default.
-  PrrTraceModel m{{{0, 1, 1.0}, {1, 0, 0.0}}, /*default_prr=*/0.0,
-                  util::Rng{5}};
-  EXPECT_STREQ(m.name(), "prr-trace");
-  EXPECT_EQ(m.expected_prr(0, 1, 100.0), 1.0);
-  EXPECT_EQ(m.expected_prr(1, 0, 100.0), 0.0);
-  EXPECT_EQ(m.expected_prr(5, 7, 100.0), 0.0);  // default
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(m.deliver(0, 1, 100.0));
-    EXPECT_FALSE(m.deliver(1, 0, 100.0));
-    EXPECT_FALSE(m.deliver(9, 3, 100.0));
-  }
-}
-
-TEST(PrrTrace, IntermediateRateLossesAreDeterministic) {
-  std::vector<int> delivered;
-  for (int pass = 0; pass < 2; ++pass) {
-    PrrTraceModel m{{{0, 1, 0.5}}, 1.0, util::Rng{42}};
-    int n = 0;
-    for (int i = 0; i < 400; ++i) n += m.deliver(0, 1, 100.0) ? 1 : 0;
-    delivered.push_back(n);
-  }
-  EXPECT_EQ(delivered[0], delivered[1]);
-  EXPECT_GT(delivered[0], 100);
-  EXPECT_LT(delivered[0], 300);
-}
-
-TEST(PrrTrace, SpecBuildsTraceModelOnChannel) {
-  const Topology topo = line_topo();
-  sim::Simulator sim;
-  Channel ch{sim, topo};
-  ChannelModelSpec spec;
-  spec.kind = LinkModelKind::kPrrTrace;
-  spec.prr_trace = {{0, 1, 0.0}};  // the only exercised link never decodes
-  spec.prr_trace_default = 1.0;
-  EXPECT_EQ(spec.label(), "prr-trace");
-  ch.set_link_model(spec.build(topo.range(), util::Rng{3}));
-  Listener l1;
-  l1.listen_on(ch, 1);
-  send_frames(sim, ch, 20);
-  EXPECT_EQ(ch.delivered(), 0u);
-  EXPECT_EQ(ch.dropped_by_model(), 20u);
-  EXPECT_EQ(ch.dropped_by_model(0, 1), 20u);
-}
-
-TEST(PrrTrace, KindNameRoundTrips) {
-  EXPECT_STREQ(link_model_kind_name(LinkModelKind::kPrrTrace), "prr-trace");
-}
-
 TEST(ChannelWithLinkModel, SameSeedSameLossSequence) {
   const Topology topo = line_topo();
   std::vector<std::uint64_t> delivered, dropped;

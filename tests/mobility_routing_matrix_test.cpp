@@ -1,6 +1,5 @@
 // Acceptance checks for the time-varying-topology / routing-policy
 // redesign:
-//  * An explicit static mobility model changes nothing.
 //  * Random-waypoint runs are bit-identical for any worker count.
 //  * ETX parent selection measurably improves delivery over min-hop on a
 //    gray-zone shadowing channel.
@@ -30,25 +29,6 @@ harness::ScenarioConfig small_base() {
   c.latency_grace = Time::seconds(1);
   c.seed = 7;
   return c;
-}
-
-// Installing an explicit StaticMobility model — epoch ticks, position
-// re-sampling, grid neighbor rebuilds and all — must change nothing either.
-TEST(MobilityRoutingMatrix, ExplicitStaticModelIdenticalToNoModel) {
-  harness::ScenarioConfig c = small_base();
-  harness::RunMetrics baseline = harness::run_scenario(c);
-
-  // kWaypoints with no traces: every node holds its initial position, but
-  // the whole time-varying machinery runs (ticks, rebuilds).
-  c.mobility.kind = net::MobilityKind::kWaypoints;
-  c.mobility.epoch_s = 1.0;
-  harness::RunMetrics ticked = harness::run_scenario(c);
-  // Epoch ticks are events of their own, so the two event-core counters
-  // legitimately differ; everything the protocols produced must not.
-  baseline.sim_events = ticked.sim_events = 0;
-  baseline.peak_pending_events = ticked.peak_pending_events = 0;
-  EXPECT_EQ(snap::run_metrics_to_bytes(baseline),
-            snap::run_metrics_to_bytes(ticked));
 }
 
 // Determinism: random-waypoint mobility + shadowing loss + maintenance,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/alloc_hook.h"
@@ -35,6 +36,44 @@ std::vector<std::vector<NodeId>> all_pairs_neighbors(
 std::vector<NodeId> copy_of(Topology::NeighborView v) {
   return std::vector<NodeId>(v.begin(), v.end());
 }
+
+// Scripted motion for the tests: each scripted node moves linearly from its
+// initial position at t = 0 through its (time, position) checkpoints, which
+// are in increasing time order, and holds the last one. Unscripted nodes,
+// and every node of a script with no paths, never move.
+class ScriptedMobility : public MobilityModel {
+ public:
+  struct Path {
+    NodeId node = kNoNode;
+    std::vector<std::pair<Time, Position>> points;
+  };
+
+  explicit ScriptedMobility(std::vector<Position> initial,
+                            std::vector<Path> paths = {})
+      : initial_{std::move(initial)}, paths_{std::move(paths)} {}
+
+  void positions_at(Time t, std::vector<Position>& out) override {
+    out = initial_;
+    for (const Path& path : paths_) {
+      Position& pos = out[static_cast<std::size_t>(path.node)];
+      Time from_t = Time::zero();
+      for (const auto& [to_t, to] : path.points) {
+        if (t < to_t) {
+          const double f = (t - from_t) / (to_t - from_t);
+          pos = Position{pos.x + (to.x - pos.x) * f, pos.y + (to.y - pos.y) * f};
+          break;
+        }
+        pos = to;
+        from_t = to_t;
+      }
+    }
+  }
+  const char* name() const override { return "scripted"; }
+
+ private:
+  std::vector<Position> initial_;
+  std::vector<Path> paths_;
+};
 
 // ------------------------------------------------------ grid spatial index
 
@@ -100,7 +139,7 @@ TEST(Mobility, StaticModelNeverMoves) {
   const std::vector<Position> before = topo.positions();
   const std::vector<NodeId> neighbors_before = copy_of(topo.neighbors(0));
 
-  topo.set_mobility_model(std::make_shared<StaticMobility>(before),
+  topo.set_mobility_model(std::make_shared<ScriptedMobility>(before),
                           Time::seconds(5));
   EXPECT_TRUE(topo.time_varying());
   topo.advance_to(Time::seconds(5));
@@ -112,7 +151,7 @@ TEST(Mobility, StaticModelNeverMoves) {
 TEST(Mobility, AdvanceRebuildsOncePerEpoch) {
   util::Rng rng{3};
   Topology topo = Topology::uniform_random(10, 300.0, 125.0, rng);
-  topo.set_mobility_model(std::make_shared<StaticMobility>(topo.positions()),
+  topo.set_mobility_model(std::make_shared<ScriptedMobility>(topo.positions()),
                           Time::seconds(5));
   const auto base = topo.neighbor_rebuilds();
   topo.advance_to(Time::seconds(2));           // still epoch 0
@@ -195,41 +234,6 @@ TEST(Mobility, RandomWaypointDeterministicPerSeedAndNode) {
   EXPECT_NE(run(5), run(6));
 }
 
-// --------------------------------------------------------- trace playback
-
-TEST(Mobility, TraceInterpolatesAndHolds) {
-  std::vector<Position> initial{Position{0.0, 0.0}, Position{50.0, 0.0}};
-  WaypointTrace tr;
-  tr.node = 0;
-  tr.points = {{Time::seconds(10), Position{100.0, 0.0}},
-               {Time::seconds(20), Position{100.0, 40.0}}};
-  WaypointTraceMobility model{initial, {tr}};
-
-  std::vector<Position> pos;
-  model.positions_at(Time::zero(), pos);
-  EXPECT_EQ(pos[0], (Position{0.0, 0.0}));
-  model.positions_at(Time::seconds(5), pos);  // halfway to the first point
-  EXPECT_NEAR(pos[0].x, 50.0, 1e-9);
-  model.positions_at(Time::seconds(15), pos);  // halfway between checkpoints
-  EXPECT_NEAR(pos[0].x, 100.0, 1e-9);
-  EXPECT_NEAR(pos[0].y, 20.0, 1e-9);
-  model.positions_at(Time::seconds(60), pos);  // past the last: hold
-  EXPECT_EQ(pos[0], (Position{100.0, 40.0}));
-  // Node 1 has no trace and never moves.
-  EXPECT_EQ(pos[1], (Position{50.0, 0.0}));
-}
-
-TEST(Mobility, TraceValidation) {
-  std::vector<Position> initial{Position{0.0, 0.0}};
-  WaypointTrace unknown;
-  unknown.node = 5;
-  EXPECT_THROW((WaypointTraceMobility{initial, {unknown}}), std::invalid_argument);
-  WaypointTrace unordered;
-  unordered.node = 0;
-  unordered.points = {{Time::seconds(10), Position{}}, {Time::seconds(10), Position{}}};
-  EXPECT_THROW((WaypointTraceMobility{initial, {unordered}}), std::invalid_argument);
-}
-
 // ------------------------------------------------------------- neighbors
 // track motion through advance_to
 
@@ -239,11 +243,10 @@ TEST(Mobility, AdvanceUpdatesNeighborSets) {
   Topology topo{initial, 125.0};
   EXPECT_TRUE(topo.neighbors(0).empty());
 
-  WaypointTrace tr;
-  tr.node = 1;
-  tr.points = {{Time::seconds(10), Position{100.0, 0.0}}};
   topo.set_mobility_model(
-      std::make_shared<WaypointTraceMobility>(initial, std::vector<WaypointTrace>{tr}),
+      std::make_shared<ScriptedMobility>(
+          initial, std::vector<ScriptedMobility::Path>{
+                       {1, {{Time::seconds(10), Position{100.0, 0.0}}}}}),
       Time::seconds(5));
 
   topo.advance_to(Time::seconds(5));  // halfway: still 150 m apart
@@ -259,11 +262,12 @@ TEST(Mobility, AdvanceUpdatesNeighborSets) {
 TEST(Mobility, ChannelSurvivesEpochTickMidFrame) {
   std::vector<Position> initial{Position{0.0, 0.0}, Position{100.0, 0.0}};
   Topology topo{initial, 125.0};
-  WaypointTrace tr;
-  tr.node = 1;  // walks out of range while the frame is on the air
-  tr.points = {{Time::from_milliseconds(1.0), Position{1000.0, 0.0}}};
+  // Node 1 walks out of range while the frame is on the air.
   topo.set_mobility_model(
-      std::make_shared<WaypointTraceMobility>(initial, std::vector<WaypointTrace>{tr}),
+      std::make_shared<ScriptedMobility>(
+          initial,
+          std::vector<ScriptedMobility::Path>{
+              {1, {{Time::from_milliseconds(1.0), Position{1000.0, 0.0}}}}}),
       Time::from_milliseconds(0.5));
 
   sim::Simulator sim;
@@ -343,14 +347,15 @@ TEST(MobilityVerlet, MovesFartherThanTheSkinInOneEpoch) {
   initial.push_back(Position{-300.0, 30.0});
   initial.push_back(Position{1000.0, 500.0});
   initial.push_back(Position{1200.0, 500.0});
-  WaypointTrace jumper{10, {{Time::seconds(1), Position{225.0, 30.0}},
-                            {Time::seconds(11), Position{625.0, 30.0}}}};
-  WaypointTrace left{11, {{Time::seconds(30), Position{1090.0, 500.0}}}};
-  WaypointTrace right{12, {{Time::seconds(30), Position{1110.0, 500.0}}}};
+  std::vector<ScriptedMobility::Path> paths{
+      {10, {{Time::seconds(1), Position{225.0, 30.0}},
+            {Time::seconds(11), Position{625.0, 30.0}}}},
+      {11, {{Time::seconds(30), Position{1090.0, 500.0}}}},
+      {12, {{Time::seconds(30), Position{1110.0, 500.0}}}}};
   Topology topo{initial, 125.0};
-  topo.set_mobility_model(std::make_shared<WaypointTraceMobility>(
-                              initial, std::vector<WaypointTrace>{jumper, left, right}),
-                          Time::seconds(1));
+  topo.set_mobility_model(
+      std::make_shared<ScriptedMobility>(initial, std::move(paths)),
+      Time::seconds(1));
   for (int k = 1; k <= 30; ++k) {
     topo.advance_to(Time::seconds(k));
     ASSERT_TRUE(matches_all_pairs(topo)) << "epoch " << k;
@@ -400,14 +405,15 @@ TEST(MobilityPinning, FramesSpanningRebuildsKeepTheirReceivers) {
   const std::vector<Position> initial{Position{0.0, 0.0}, Position{100.0, 0.0},
                                       Position{0.0, 1000.0}, Position{100.0, 1000.0},
                                       Position{0.0, 400.0}};
-  const std::vector<WaypointTrace> traces{
+  std::vector<ScriptedMobility::Path> paths{
       {1, {{Time::from_milliseconds(1.5), Position{1000.0, 0.0}}}},
       {3, {{Time::milliseconds(3), Position{100.0, 1000.0}},
            {Time::milliseconds(4), Position{100.0, 2000.0}}}},
       {4, {{Time::milliseconds(2), Position{0.0, 100.0}}}}};
   Topology topo{initial, 125.0};
   const Time epoch = Time::milliseconds(1);
-  topo.set_mobility_model(std::make_shared<WaypointTraceMobility>(initial, traces), epoch);
+  topo.set_mobility_model(
+      std::make_shared<ScriptedMobility>(initial, std::move(paths)), epoch);
 
   sim::Simulator sim;
   sim.reserve_events(256);
@@ -467,7 +473,6 @@ TEST(MobilityPinning, FramesSpanningRebuildsKeepTheirReceivers) {
 TEST(MobilitySpec, KindNamesRoundTrip) {
   EXPECT_STREQ(mobility_kind_name(MobilityKind::kStatic), "static");
   EXPECT_STREQ(mobility_kind_name(MobilityKind::kRandomWaypoint), "waypoint");
-  EXPECT_STREQ(mobility_kind_name(MobilityKind::kWaypoints), "trace");
   EXPECT_THROW(mobility_kind_name(static_cast<MobilityKind>(99)),
                std::invalid_argument);
 }
@@ -483,12 +488,6 @@ TEST(MobilitySpec, StaticBuildsNothingOthersBuild) {
   ASSERT_NE(waypoint, nullptr);
   EXPECT_STREQ(waypoint->name(), "waypoint");
   EXPECT_EQ(spec.label(), "waypoint@1.5mps");
-
-  spec.kind = MobilityKind::kWaypoints;
-  auto trace = spec.build(initial, 100.0, 100.0, util::Rng{1});
-  ASSERT_NE(trace, nullptr);
-  EXPECT_STREQ(trace->name(), "trace");
-  EXPECT_EQ(spec.label(), "trace");
 }
 
 TEST(MobilitySpec, DeploymentExtentIsShapeAware) {

@@ -205,11 +205,8 @@ TEST(SnapTrial, ConfigCodecRoundTrip) {
   c.channel_model.kind = net::LinkModelKind::kGilbertElliott;
   c.channel_model.gilbert_base = net::LinkModelKind::kLogNormalShadowing;
   c.channel_model.prr_scale = 0.9;
-  c.mobility.kind = net::MobilityKind::kWaypoints;
-  c.mobility.traces.push_back(net::WaypointTrace{
-      net::NodeId{2},
-      {{Time::seconds(1), net::Position{10.0, 20.0}},
-       {Time::seconds(3), net::Position{30.0, 5.0}}}});
+  c.mobility.kind = net::MobilityKind::kRandomWaypoint;
+  c.mobility.waypoint.speed_max_mps = 2.5;
   c.routing.policy = "etx";
   c.sts_deadline = Time::from_milliseconds(750);
   c.enable_maintenance = true;
@@ -226,8 +223,8 @@ TEST(SnapTrial, ConfigCodecRoundTrip) {
       scenario_config_from_bytes(bytes.data(), bytes.size());
   EXPECT_EQ(scenario_config_to_bytes(back), bytes);
   EXPECT_EQ(back.protocol.name, "SPAN");
-  EXPECT_EQ(back.mobility.traces.size(), 1u);
-  EXPECT_EQ(back.mobility.traces[0].points[1].second.x, 30.0);
+  EXPECT_EQ(back.mobility.kind, net::MobilityKind::kRandomWaypoint);
+  EXPECT_EQ(back.mobility.waypoint.speed_max_mps, 2.5);
   ASSERT_TRUE(back.sts_deadline.has_value());
   EXPECT_EQ(*back.sts_deadline, Time::from_milliseconds(750));
   EXPECT_EQ(back.trace.type_mask, obs::kPacketLifecycleTypes);

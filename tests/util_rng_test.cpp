@@ -90,8 +90,7 @@ TEST(Rng, ExponentialMean) {
 }
 
 // A zero spread is reachable from config (shadowing_sigma_db = 0,
-// skew_sigma_ppm = 0 with drift on, cluster_sigma_m = 0), but
-// std::normal_distribution requires stddev > 0.
+// cluster_sigma_m = 0), but std::normal_distribution requires stddev > 0.
 TEST(Rng, NormalZeroStddevReturnsMeanWithSameEngineDraws) {
   Rng zero{21};
   Rng spread{21};

@@ -72,30 +72,16 @@ harness::ScenarioConfig full_config() {
   c.channel_model.gilbert.prr_good = 0.96875;
   c.channel_model.gilbert.prr_bad = 0.125;
   c.channel_model.gilbert_base = net::LinkModelKind::kLogNormalShadowing;
-  c.channel_model.prr_trace = {{1, 2, 0.5}, {2, 1, 0.75}, {7, 3, 0.0}};
-  c.channel_model.prr_trace_default = 0.25;
 
   c.channel_params.propagation_delay = Time::microseconds(3);
   c.channel_params.capture_distance_ratio = 1.5;
   c.channel_params.dense_link_stats_below = 77;
-  c.channel_params.sinr.enabled = true;
-  c.channel_params.sinr.tx_power_dbm = 3.0;
-  c.channel_params.sinr.path_loss_exponent = 2.5;
-  c.channel_params.sinr.reference_loss_db = 41.0;
-  c.channel_params.sinr.noise_dbm = -97.5;
-  c.channel_params.sinr.capture_threshold_db = 8.5;
-  c.channel_params.sinr.min_snr_db = -3.0;
 
-  c.mobility.kind = net::MobilityKind::kWaypoints;
+  c.mobility.kind = net::MobilityKind::kRandomWaypoint;
   c.mobility.waypoint.speed_min_mps = 0.75;
   c.mobility.waypoint.speed_max_mps = 2.25;
   c.mobility.waypoint.pause_s = 4.5;
   c.mobility.epoch_s = 1.25;
-  net::WaypointTrace trace;
-  trace.node = 5;
-  trace.points = {{Time::seconds(1), {10.0, 20.0}},
-                  {Time::seconds(3), {30.5, 40.25}}};
-  c.mobility.traces = {trace};
 
   c.routing.policy = "etx";
   c.routing.etx.prior_weight = 6.0;
@@ -128,12 +114,6 @@ harness::ScenarioConfig full_config() {
                               {9, Time::seconds(8), Time::zero()}};
   c.faults.churn.node_fraction = 0.125;
   c.faults.churn.mean_downtime_s = 7.5;
-  c.faults.churn.restart = false;
-  c.faults.battery.budget_mj = 450.0;
-  c.faults.battery.jitter_frac = 0.25;
-  c.faults.battery.check_period = Time::milliseconds(500);
-  c.faults.drift.skew_sigma_ppm = 12.5;
-  c.faults.drift.max_offset_ms = 3.25;
 
   c.trace.enabled = true;
   c.trace.buffer_cap = 4096;
@@ -201,10 +181,10 @@ harness::RunMetrics full_metrics() {
 }
 
 TEST(WireFormat, ScenarioConfigBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 7u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 8u) << "re-record the constants below";
   const auto bytes = snap::scenario_config_to_bytes(full_config());
-  EXPECT_EQ(bytes.size(), 812u);
-  EXPECT_EQ(crc(bytes), 726914565u);
+  EXPECT_EQ(bytes.size(), 590u);
+  EXPECT_EQ(crc(bytes), 1643716630u);
   // The pinned bytes decode back to themselves.
   EXPECT_EQ(snap::scenario_config_to_bytes(
                 snap::scenario_config_from_bytes(bytes.data(), bytes.size())),
@@ -212,16 +192,16 @@ TEST(WireFormat, ScenarioConfigBytesPinned) {
 }
 
 TEST(WireFormat, RunMetricsBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 7u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 8u) << "re-record the constants below";
   const auto bytes = snap::run_metrics_to_bytes(full_metrics());
   EXPECT_EQ(bytes.size(), 559u);
   EXPECT_EQ(crc(bytes), 2152200120u);
 }
 
-// A traced trial with ETX parents, scheduled churn and battery death.
-// Unit-disc links, static placement and no stochastic churn keep libm out
-// of its bytes. Tracing only records, so its state and metrics are the
-// untraced trial's, and the pins hold with tracing compiled out.
+// A traced trial with ETX parents and scheduled churn. Unit-disc links,
+// static placement and no stochastic churn keep libm out of its bytes.
+// Tracing only records, so its state and metrics are the untraced
+// trial's, and the pins hold with tracing compiled out.
 harness::ScenarioConfig pinned_trial_config() {
   harness::ScenarioConfig c;
   c.deployment.num_nodes = 30;
@@ -233,8 +213,6 @@ harness::ScenarioConfig pinned_trial_config() {
   c.routing.policy = "etx";
   c.faults.churn.scheduled = {{4, Time::seconds(1), Time::seconds(2)},
                               {9, Time::seconds(3)}};
-  c.faults.battery.budget_mj = 5000.0;
-  c.faults.battery.jitter_frac = 0.1;
   c.trace.enabled = true;
   c.workload.extra_queries.push_back(
       query::Query{net::kNoQuery, Time::seconds(2), Time::seconds(4), 1});
@@ -247,26 +225,26 @@ harness::ScenarioConfig pinned_trial_config() {
 // bytes depend on the header and length only, so the payload CRC is pinned
 // as well.
 TEST(WireFormat, TrialSnapshotBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 7u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 8u) << "re-record the constants below";
   const harness::ScenarioConfig c = pinned_trial_config();
 
   const snap::TrialCapture at_zero = snap::capture_trial(c, Time::zero());
   const auto zero_bytes = at_zero.snapshot.to_bytes();
-  EXPECT_EQ(zero_bytes.size(), 242996u);
-  EXPECT_EQ(crc(zero_bytes), 197826611u);
-  EXPECT_EQ(crc(at_zero.snapshot.payload), 2085385081u);
+  EXPECT_EQ(zero_bytes.size(), 242596u);
+  EXPECT_EQ(crc(zero_bytes), 928784905u);
+  EXPECT_EQ(crc(at_zero.snapshot.payload), 3310102411u);
 
   // Mid-measurement: queued and in-flight reports, DTS phase state.
   const Time mid = harness::Trial{c}.measure_end() - c.measure_duration / 2;
   const snap::TrialCapture cap = snap::capture_trial(c, mid);
   const auto cap_bytes = cap.snapshot.to_bytes();
-  EXPECT_EQ(cap_bytes.size(), 267840u);
-  EXPECT_EQ(crc(cap_bytes), 2512196057u);
-  EXPECT_EQ(crc(cap.snapshot.payload), 674983715u);
+  EXPECT_EQ(cap_bytes.size(), 267440u);
+  EXPECT_EQ(crc(cap_bytes), 475174945u);
+  EXPECT_EQ(crc(cap.snapshot.payload), 3074412505u);
 
   const auto metrics = snap::run_metrics_to_bytes(cap.metrics);
   EXPECT_EQ(metrics.size(), 2484u);
-  EXPECT_EQ(crc(metrics), 3731486458u);
+  EXPECT_EQ(crc(metrics), 2755182717u);
 }
 
 // Two runs whose every aggregated metric differs, so a swapped column or a

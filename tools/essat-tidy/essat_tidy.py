@@ -45,7 +45,7 @@ A finding on a line carrying (or immediately preceded by a line carrying)
     // essat-lint: allow(<check-name>)
 
 is suppressed but counted. The total number of suppression comments in the
-scanned tree is capped (--max-suppressions, CI passes 10): suppressions
+scanned tree is capped (--max-suppressions, CI passes 6): suppressions
 are pressure-relief for deliberate API choices, not a bypass.
 
 Exit status: 0 clean; 1 unsuppressed findings or suppression cap exceeded;

@@ -9,7 +9,7 @@ and prints:
   * per-hop MAC latency (mac_enqueue -> mac_send_ok, matched on the packet's
     provenance id at each hop): count / mean / p50 / p95 / max
   * fault-event breakdown: fault_down counts by attributed cause
-    (scheduled / stochastic / battery, from arg16) plus fault_up pairing
+    (scheduled / stochastic, from arg16) plus fault_up pairing
     and total observed downtime
   * packet-conservation check: every chan_tx_begin announces its in-range
     receiver count (arg16); the matching chan_deliver/chan_drop records,
@@ -38,7 +38,7 @@ from collections import Counter, defaultdict
 
 
 # fault_down.arg16 carries the FaultCause enum (src/fault/fault_engine.h).
-FAULT_CAUSES = {0: "scheduled", 1: "stochastic", 2: "battery"}
+FAULT_CAUSES = {0: "scheduled", 1: "stochastic"}
 
 # chan_drop reasons, as obs::drop_reason_name spells the DropReason enum
 # (src/obs/trace_record.h). "radio_off" is a tree member asleep at frame
