@@ -173,9 +173,10 @@ void BM_ChannelBroadcast(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelBroadcast)->Arg(16)->Arg(64)->ArgNames({"nodes"});
 
-// Neighbor-set rebuild: the cost mobility pays once per epoch. Density is
-// held constant (~12 neighbors/node) as n grows, the regime where the grid
-// index inside Topology is expected O(n).
+// Neighbor-set build: index the nodes and build every list, as a trial
+// that reads them all does. Density is held constant (~12 neighbors/node)
+// as n grows, the regime where the grid index inside Topology is expected
+// O(n).
 std::vector<net::Position> scaled_positions(std::size_t n) {
   util::Rng rng{7};
   // Area grows with n so density stays fixed: ~n * pi * 125^2 / area = const.
@@ -193,7 +194,9 @@ void BM_NeighborRebuildGrid(benchmark::State& state) {
   const std::vector<net::Position> pos = scaled_positions(n);
   for (auto _ : state) {
     net::Topology topo{pos, 125.0};
-    benchmark::DoNotOptimize(topo.neighbors(0).size());
+    for (std::size_t i = 0; i < n; ++i) {
+      benchmark::DoNotOptimize(topo.neighbors(static_cast<net::NodeId>(i)).size());
+    }
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

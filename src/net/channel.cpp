@@ -40,7 +40,7 @@ void Channel::set_listening(NodeId node, bool listening) {
 }
 
 Channel::LinkCounters& Channel::link_stat_(NodeId src, NodeId dst) {
-  if (!dense_stats_) return sparse_stats_[link_key_(src, dst)];
+  if (!dense_stats_) return sparse_stats_[link_key(src, dst)];
   if (link_stats_.empty()) link_stats_.resize(nodes_.size());
   auto& row = link_stats_[static_cast<std::size_t>(src)];
   for (std::size_t i = 0; i < row.size(); ++i) {
@@ -64,7 +64,7 @@ Channel::LinkCounters& Channel::link_stat_(NodeId src, NodeId dst) {
 const Channel::LinkCounters* Channel::find_link_stat_(NodeId src,
                                                       NodeId dst) const {
   if (src < 0 || static_cast<std::size_t>(src) >= nodes_.size()) return nullptr;
-  if (!dense_stats_) return sparse_stats_.find(link_key_(src, dst));
+  if (!dense_stats_) return sparse_stats_.find(link_key(src, dst));
   if (link_stats_.empty()) return nullptr;
   for (const LinkStat& s : link_stats_[static_cast<std::size_t>(src)]) {
     if (s.dst == dst) return &s.counters;

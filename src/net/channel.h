@@ -195,10 +195,6 @@ class Channel {
     NodeId dst = kNoNode;
     LinkCounters counters;
   };
-  static std::uint64_t link_key_(NodeId src, NodeId dst) {
-    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32 |
-           static_cast<std::uint32_t>(dst);
-  }
   LinkCounters& link_stat_(NodeId src, NodeId dst);
   const LinkCounters* find_link_stat_(NodeId src, NodeId dst) const;
   sim::Simulator& sim_;

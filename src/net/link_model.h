@@ -40,7 +40,8 @@ class Serializer;
 
 namespace essat::net {
 
-// Key of a directed link, usable as an unordered_map key.
+// Packed key of a directed link (src in the high 32 bits, dst in the low):
+// the link model's cache and the channel's sparse link counters use it.
 inline std::uint64_t link_key(NodeId src, NodeId dst) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst));

@@ -1,6 +1,7 @@
 #include "src/net/topology.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -24,14 +25,40 @@ constexpr double kSkinPerRange = 0.08;
 // up memory.
 std::size_t max_grid_cells(std::size_t n) { return std::max<std::size_t>(64, 4 * n); }
 
+// Cells in a node's block, so ascending runs in a list under construction.
+constexpr std::size_t kBlockCells = 9;
+
+// Closes each run of a list under construction: it compares above every
+// id, so a merge step needs no bounds check.
+constexpr NodeId kRunEnd = std::numeric_limits<NodeId>::max();
+constexpr NodeId kEmptyRun[1] = {kRunEnd};
+
+// Merges the ascending runs at a and b, each closed by kRunEnd and together
+// holding `ids` ids, into `out`, closed by kRunEnd; returns the end. Each
+// step takes the smaller head by arithmetic rather than a branch: which
+// head is smaller follows no pattern.
+NodeId* merge_runs(const NodeId* a, const NodeId* b, std::size_t ids, NodeId* out) {
+  for (std::size_t t = 0; t < ids; ++t) {
+    const NodeId x = *a;
+    const NodeId y = *b;
+    const std::size_t take_b = y < x ? 1 : 0;
+    out[t] = y < x ? y : x;
+    a += 1 - take_b;
+    b += take_b;
+  }
+  out[ids] = kRunEnd;
+  return out + ids + 1;
+}
+
 }  // namespace
 
 Topology::Topology(std::vector<Position> positions, double range_m)
     : positions_{std::move(positions)}, range_m_{range_m}, buffers_(1) {
   if (range_m_ <= 0.0) throw std::invalid_argument{"Topology: range must be positive"};
-  // A local scratch: a static topology keeps nothing but its one buffer.
-  GridScratch grid;
-  fill_within_(range_m_, buffers_[0].lists, grid);
+  // The t = 0 lists are built on first read, from an index at the range.
+  buffers_[0].lazy = true;
+  if (!positions_.empty()) index_.build(positions_, range_m_);
+  slots_.resize(positions_.size());
   ++rebuilds_;
 }
 
@@ -136,7 +163,7 @@ void Topology::set_mobility_model(std::shared_ptr<MobilityModel> model,
   // The first epoch builds the candidates. The cell array is sized for the
   // largest grid up front, so a changing bounding box never regrows it.
   anchors_.clear();
-  if (mobility_) grid_.cell_start.reserve(max_grid_cells(positions_.size()) + 2);
+  if (mobility_) index_.start.reserve(max_grid_cells(positions_.size()) + 2);
 }
 
 void Topology::advance_to(util::Time t) {
@@ -145,6 +172,14 @@ void Topology::advance_to(util::Time t) {
   if (e == epoch_index_) return;
   epoch_index_ = e;
   const std::size_t n = positions_.size();
+  // The t = 0 lists come from the t = 0 positions and index, which this
+  // tick replaces. A frame in flight that pinned them may still read any
+  // of them, so build the rest first.
+  if (buffers_[0].lazy && buffers_[0].pins != 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (slots_[i].chunk == ListSlot::kUnbuilt) build_list_(i);
+    }
+  }
   mobility_->positions_at(t, positions_);
   if (positions_.size() != n) {
     // Consumers (channel, trees) size per-node state at construction; a
@@ -153,7 +188,7 @@ void Topology::advance_to(util::Time t) {
   }
   ++rebuilds_;
   if (candidates_stale_()) {
-    fill_within_(range_m_ * (1.0 + kSkinPerRange), candidates_, grid_);
+    fill_within_(range_m_ * (1.0 + kSkinPerRange), candidates_);
     anchors_ = positions_;
   }
   refilter_();
@@ -185,6 +220,13 @@ void Topology::refilter_() {
   std::size_t b = 0;
   while (b < buffers_.size() && buffers_[b].pins != 0) ++b;
   if (b == buffers_.size()) buffers_.emplace_back();
+  if (buffers_[b].lazy) {
+    // Nothing reads the t = 0 lists again.
+    buffers_[b].lazy = false;
+    slots_ = std::vector<ListSlot>{};
+    chunks_ = std::vector<std::vector<NodeId>>{};
+    chunk_used_ = 0;
+  }
   Csr& out = buffers_[b].lists;
   const std::size_t n = positions_.size();
   out.offsets.resize(n + 1);
@@ -209,23 +251,15 @@ void Topology::refilter_() {
   current_ = static_cast<std::uint32_t>(b);
 }
 
-void Topology::fill_within_(double radius, Csr& out, GridScratch& grid) const {
-  const std::size_t n = positions_.size();
-  out.offsets.resize(n + 1);
-  out.offsets[0] = 0;
-  if (n == 0) {
-    out.ids.clear();
-    return;
-  }
-
-  // Uniform-grid spatial index: bucket nodes into radius-sized cells and
-  // test only the 3x3 block around each node's cell — expected O(n) at
-  // bounded density, against an O(n^2) all-pairs scan. The exact distance
-  // test plus the sorting transpose keep every list identical to the
-  // all-pairs build (ascending node ids).
-  double min_x = positions_[0].x, max_x = min_x;
-  double min_y = positions_[0].y, max_y = min_y;
-  for (const Position& p : positions_) {
+void Topology::CellIndex::build(const std::vector<Position>& positions,
+                                double radius) {
+  // Bucketing nodes into radius-sized cells confines every pair within the
+  // radius to a 3x3 block: expected O(n) work at bounded density, against
+  // an O(n^2) all-pairs scan.
+  min_x = positions[0].x;
+  min_y = positions[0].y;
+  double max_x = min_x, max_y = min_y;
+  for (const Position& p : positions) {
     min_x = std::min(min_x, p.x);
     max_x = std::max(max_x, p.x);
     min_y = std::min(min_y, p.y);
@@ -234,67 +268,146 @@ void Topology::fill_within_(double radius, Csr& out, GridScratch& grid) const {
   // Cell size starts at the radius (the 3x3 block then provably covers
   // every pair within it) and doubles until the grid fits the cell budget;
   // larger cells only widen buckets, never miss a neighbor.
+  const std::size_t n = positions.size();
   const std::size_t max_cells = max_grid_cells(n);
-  double cell = radius;
-  std::size_t cols = 0, rows = 0;
   const auto dim = [max_cells](double extent, double c) {
     const double f = extent / c;  // compare as double: the cast is UB out of range
     return f >= static_cast<double>(max_cells) ? max_cells + 1
                                                : static_cast<std::size_t>(f) + 1;
   };
+  cell = radius;
   for (;;) {
     cols = dim(max_x - min_x, cell);
     rows = dim(max_y - min_y, cell);
     if (cols <= max_cells && rows <= max_cells && cols * rows <= max_cells) break;
     cell *= 2.0;
   }
-  const auto cell_x = [&](const Position& p) {
-    const auto c = static_cast<std::size_t>((p.x - min_x) / cell);
-    return c >= cols ? cols - 1 : c;  // FP guard at the max edge
-  };
-  const auto cell_y = [&](const Position& p) {
-    const auto c = static_cast<std::size_t>((p.y - min_y) / cell);
-    return c >= rows ? rows - 1 : c;
-  };
 
   // Counting sort by cell: cell c's count goes to start[c + 2]; after the
   // prefix sum start[c + 1] is c's first slot, and placing advances it to
   // c's end, which leaves cell c at [start[c], start[c + 1]). Placing in
   // ascending id order keeps each cell ascending.
-  std::vector<std::uint32_t>& start = grid.cell_start;
   start.assign(cols * rows + 2, 0);
-  grid.cell_ids.resize(n);
-  for (const Position& p : positions_) ++start[cell_y(p) * cols + cell_x(p) + 2];
+  ids.resize(n);
+  for (const Position& p : positions) ++start[cell_y(p) * cols + cell_x(p) + 2];
   for (std::size_t c = 2; c < start.size(); ++c) start[c] += start[c - 1];
   for (std::size_t i = 0; i < n; ++i) {
-    const Position& p = positions_[i];
-    grid.cell_ids[start[cell_y(p) * cols + cell_x(p) + 1]++] = static_cast<std::uint32_t>(i);
+    const Position& p = positions[i];
+    ids[start[cell_y(p) * cols + cell_x(p) + 1]++] = static_cast<std::uint32_t>(i);
   }
+}
 
-  // Scan: node i's block, unsorted, into found[offsets[i], offsets[i + 1]).
-  // The block's cells in one grid row are adjacent in cell order, so each
-  // row of the block is one contiguous run of cell_ids. Every block node
-  // is written and only those within the radius are kept, so the scan has
-  // no unpredictable branch.
-  std::vector<NodeId>& found = grid.found;
+std::size_t Topology::CellIndex::cell_x(const Position& p) const {
+  const auto c = static_cast<std::size_t>((p.x - min_x) / cell);
+  return c >= cols ? cols - 1 : c;  // FP guard at the max edge
+}
+
+std::size_t Topology::CellIndex::cell_y(const Position& p) const {
+  const auto c = static_cast<std::size_t>((p.y - min_y) / cell);
+  return c >= rows ? rows - 1 : c;
+}
+
+Topology::CellIndex::Block Topology::CellIndex::block(const Position& p) const {
+  const std::size_t cx = cell_x(p);
+  const std::size_t cy = cell_y(p);
+  Block b{cx > 0 ? cx - 1 : 0, std::min(cx + 1, cols - 1),
+          cy > 0 ? cy - 1 : 0, std::min(cy + 1, rows - 1), 0};
+  for (std::size_t by = b.y0; by <= b.y1; ++by) {
+    b.nodes += start[by * cols + b.x1 + 1] - start[by * cols + b.x0];
+  }
+  return b;
+}
+
+void Topology::build_list_(std::size_t i) const {
+  const Position& p = positions_[i];
+  const CellIndex::Block b = index_.block(p);
+  const std::vector<std::uint32_t>& start = index_.start;
+  const std::size_t cols = index_.cols;
+  // The scan writes up to b.nodes ids and a run end per cell, and the
+  // merge as many again after them; a chunk that lacks the room keeps its
+  // tail unused.
+  const std::size_t room = 2 * (b.nodes + kBlockCells);
+  if (chunks_.empty() || chunks_.back().size() - chunk_used_ < room) {
+    chunks_.emplace_back(std::max(kListChunkIds, room));
+    chunk_used_ = 0;
+  }
+  NodeId* const list = chunks_.back().data() + chunk_used_;
+
+  // Scan: each cell's in-range ids, kept as one ascending run per
+  // non-empty cell and closed by kRunEnd. Every block node is written and
+  // only those within range are kept, so the scan has no unpredictable
+  // branch.
+  std::array<std::uint32_t, kBlockCells + 1> runs{};  // run r: [runs[r], runs[r + 1])
+  std::size_t k = 0;
+  std::uint32_t w = 0;
+  for (std::size_t by = b.y0; by <= b.y1; ++by) {
+    for (std::size_t c = by * cols + b.x0; c <= by * cols + b.x1; ++c) {
+      for (std::uint32_t q = start[c]; q < start[c + 1]; ++q) {
+        const std::uint32_t j = index_.ids[q];
+        list[w] = static_cast<NodeId>(j);
+        w += j != i && distance(p, positions_[j]) <= range_m_ ? 1 : 0;
+      }
+      list[w] = kRunEnd;
+      const std::uint32_t kept = w > runs[k] ? 1 : 0;
+      w += kept;
+      k += kept;
+      runs[k] = w;
+    }
+  }
+  const std::uint32_t size = w - static_cast<std::uint32_t>(k);
+
+  // Merge adjacent runs pairwise, back and forth between the list and the
+  // slots after it, until one run is left: at most nine ascending runs
+  // take four rounds, cheaper than a general sort.
+  NodeId* from = list;
+  NodeId* to = list + w;
+  while (k > 1) {
+    NodeId* out = to;
+    std::size_t merged = 0;
+    for (std::size_t r = 0; r < k; r += 2) {
+      // A last odd run merges with an empty one, which copies it. Each
+      // run holds its ids and one kRunEnd.
+      const bool pair = r + 1 < k;
+      const NodeId* second = pair ? from + runs[r + 1] : kEmptyRun;
+      const std::uint32_t end = runs[pair ? r + 2 : r + 1];
+      out = merge_runs(from + runs[r], second, end - runs[r] - (pair ? 2 : 1), out);
+      runs[++merged] = static_cast<std::uint32_t>(out - to);
+    }
+    k = merged;
+    std::swap(from, to);
+  }
+  if (from != list) std::copy(from, from + size, list);
+  slots_[i] = ListSlot{static_cast<std::uint32_t>(chunks_.size() - 1),
+                       static_cast<std::uint32_t>(chunk_used_),
+                       static_cast<std::uint32_t>(chunk_used_ + size)};
+  chunk_used_ += size;
+}
+
+void Topology::fill_within_(double radius, Csr& out) {
+  const std::size_t n = positions_.size();
+  out.offsets.resize(n + 1);
+  out.offsets[0] = 0;
+  if (n == 0) {
+    out.ids.clear();
+    return;
+  }
+  index_.build(positions_, radius);
+  const std::vector<std::uint32_t>& start = index_.start;
+  const std::size_t cols = index_.cols;
+
+  // Scan: node i's block, unsorted, into found_[offsets[i], offsets[i + 1]).
+  // Each row of the block is one contiguous run of the index's ids. Every
+  // block node is written and only those within the radius are kept, so
+  // the scan has no unpredictable branch.
   std::size_t w = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Position& p = positions_[i];
-    const std::size_t cx = cell_x(p);
-    const std::size_t cy = cell_y(p);
-    const std::size_t x0 = cx > 0 ? cx - 1 : 0;
-    const std::size_t x1 = std::min(cx + 1, cols - 1);
-    const std::size_t y0 = cy > 0 ? cy - 1 : 0;
-    const std::size_t y1 = std::min(cy + 1, rows - 1);
-    std::size_t block = 0;
-    for (std::size_t by = y0; by <= y1; ++by) {
-      block += start[by * cols + x1 + 1] - start[by * cols + x0];
-    }
-    if (found.size() < w + block) found.resize(w + block);
-    for (std::size_t by = y0; by <= y1; ++by) {
-      for (std::uint32_t k = start[by * cols + x0]; k < start[by * cols + x1 + 1]; ++k) {
-        const std::uint32_t j = grid.cell_ids[k];
-        found[w] = static_cast<NodeId>(j);
+    const CellIndex::Block b = index_.block(p);
+    if (found_.size() < w + b.nodes) found_.resize(w + b.nodes);
+    for (std::size_t by = b.y0; by <= b.y1; ++by) {
+      for (std::uint32_t k = start[by * cols + b.x0]; k < start[by * cols + b.x1 + 1]; ++k) {
+        const std::uint32_t j = index_.ids[k];
+        found_[w] = static_cast<NodeId>(j);
         w += j != i && distance(p, positions_[j]) <= radius ? 1 : 0;
       }
     }
@@ -308,14 +421,14 @@ void Topology::fill_within_(double radius, Csr& out, GridScratch& grid) const {
   // ascending i, which leaves every list sorted without a sort. The
   // relation is symmetric (the same distance both ways, the same block
   // both ways), so list j holds exactly as many entries as j's scan found
-  // and `out` keeps the scan's offsets. cell_ids is free again, and serves
-  // as the write cursors.
-  std::vector<std::uint32_t>& cursor = grid.cell_ids;
+  // and `out` keeps the scan's offsets. The index's ids serve as the write
+  // cursors: nothing reads the index until the next candidate build.
+  std::vector<std::uint32_t>& cursor = index_.ids;
   std::copy(out.offsets.begin(), out.offsets.end() - 1, cursor.begin());
   out.ids.resize(w);  // from the old size: a reused buffer grows geometrically
   for (std::size_t i = 0; i < n; ++i) {
     for (std::uint32_t k = out.offsets[i]; k < out.offsets[i + 1]; ++k) {
-      const auto j = static_cast<std::size_t>(found[k]);
+      const auto j = static_cast<std::size_t>(found_[k]);
       assert(cursor[j] < out.offsets[j + 1]);
       out.ids[cursor[j]++] = static_cast<NodeId>(i);
     }

@@ -12,17 +12,23 @@
 // with it every link — drifts over time. Without a model the topology is
 // frozen, exactly the seed's behavior.
 //
-// Storage: the lists live in flat CSR buffers (one offsets array plus one
-// ids array per buffer), filled by a uniform-grid pass (expected O(n)) into
-// reused arrays, so a mobility epoch allocates nothing once warm. A static
-// topology runs that pass once, at the radio range, and keeps nothing else.
-// A mobile one keeps Verlet candidate lists (L. Verlet, Phys. Rev. 159, 98,
-// 1967): every pair within range + skin at the last candidate build. Each
-// epoch only re-filters the candidates with the exact range test; the
-// candidates are rebuilt once the two largest displacements since that
-// build sum to half the skin, before any pair outside them could reach
-// range. Every list is in ascending id order and equal to an all-pairs
-// scan.
+// Storage: a topology buckets its nodes into range-sized grid cells (a
+// counting sort, expected O(n)) and builds node n's list from its 3x3
+// cell block the first time anything reads it. A city trial thus lists
+// only the nodes its tree and channel touch. A built list is never moved:
+// lists live in fixed-size chunks, so a view stays valid while later reads
+// build more lists. Because a read may build a list, a const Topology is
+// not safe for two threads to read at once; every trial owns its own.
+// A mobile topology keeps those lazy t = 0 lists until its first epoch
+// tick. From then on it keeps Verlet candidate lists (L. Verlet, Phys.
+// Rev. 159, 98, 1967): every pair within range + skin at the last
+// candidate build, found by a grid pass over the same cell index and
+// stored in flat CSR buffers (one offsets array plus one ids array per
+// buffer) that a warm epoch reuses without allocating. Each epoch only
+// re-filters the candidates with the exact range test; the candidates are
+// rebuilt once the two largest displacements since that build sum to half
+// the skin, before any pair outside them could reach range. Every list is
+// in ascending id order and equal to an all-pairs scan.
 //
 // Views and pinning: neighbors(n) is a pointer pair into the current
 // buffer, valid until the next advance_to that enters a new epoch. A
@@ -89,7 +95,8 @@ class Topology {
 
   // Read-only view of one neighbor list, in ascending id order. It points
   // into the topology's buffers: valid until the next advance_to that
-  // enters a new epoch (copy it to keep it longer).
+  // enters a new epoch (copy it to keep it longer). Reading other lists,
+  // which may build them, never moves it.
   class NeighborView {
    public:
     NeighborView(const NodeId* begin, const NodeId* end) : begin_{begin}, end_{end} {}
@@ -117,12 +124,22 @@ class Topology {
   }
   void unpin_generation(std::uint32_t g) const { --buffers_[g].pins; }
   NeighborView neighbors(NodeId n, std::uint32_t g) const {
-    const Csr& lists = buffers_[g].lists;
     const auto i = static_cast<std::size_t>(n);
     if (i >= num_nodes()) throw std::out_of_range{"Topology::neighbors: no such node"};
-    return NeighborView{lists.ids.data() + lists.offsets[i],
-                        lists.ids.data() + lists.offsets[i + 1]};
+    const ListBuffer& b = buffers_[g];
+    if (b.lazy) {
+      if (slots_[i].chunk == ListSlot::kUnbuilt) build_list_(i);
+      const ListSlot& s = slots_[i];
+      const NodeId* ids = chunks_[s.chunk].data();
+      return NeighborView{ids + s.begin, ids + s.end};
+    }
+    return NeighborView{b.lists.ids.data() + b.lists.offsets[i],
+                        b.lists.ids.data() + b.lists.offsets[i + 1]};
   }
+
+  // Ids per chunk of the t = 0 lists; a list whose cell block needs more
+  // room than that gets a chunk of its own size.
+  static constexpr std::size_t kListChunkIds = 4096;
 
   // Node closest to the given point (the paper roots the tree at the node
   // nearest the centre of the area).
@@ -143,14 +160,15 @@ class Topology {
   // neighbor lists when `t` has entered a new epoch since the last call.
   // No-op for a static topology. `t` must be non-decreasing across calls.
   void advance_to(util::Time t);
-  // Neighbor-list refreshes so far: 1 after construction, plus one per
-  // epoch entered, whether it rebuilt the candidates or only re-filtered
-  // them.
+  // Neighbor-list refreshes so far: 1 after construction (the t = 0
+  // lists, however many have been read), plus one per epoch entered,
+  // whether it rebuilt the candidates or only re-filtered them.
   std::uint64_t neighbor_rebuilds() const { return rebuilds_; }
 
   // Snapshot hook: positions, neighbor lists, and the mobility epoch
   // cursor, plus the installed model's state. Buffers, pins and Verlet
   // candidates are storage, not state: the bytes do not depend on them.
+  // Every list is written, so any t = 0 list not yet read is built.
   void save_state(snap::Serializer& out) const;
 
  private:
@@ -161,19 +179,45 @@ class Topology {
   };
   struct ListBuffer {
     Csr lists;
-    mutable std::uint32_t pins = 0;  // frames in flight reading `lists`
+    bool lazy = false;  // the t = 0 lists, read through slots_ and chunks_
+    mutable std::uint32_t pins = 0;  // frames in flight reading this buffer
   };
-  // Reused arrays of the grid pass. Counting-sort buckets: the nodes of
-  // cell c are cell_ids[cell_start[c], cell_start[c + 1]), in ascending id
-  // order. `found` holds the unsorted lists before the transpose.
-  struct GridScratch {
-    std::vector<std::uint32_t> cell_start;
-    std::vector<std::uint32_t> cell_ids;
-    std::vector<NodeId> found;
+  // Uniform-grid spatial index: nodes bucketed into square cells at least
+  // `radius` wide, so every pair within the radius lies in a 3x3 block of
+  // cells. The nodes of cell c are ids[start[c], start[c + 1]), in
+  // ascending id order.
+  struct CellIndex {
+    double min_x = 0.0, min_y = 0.0, cell = 0.0;
+    std::size_t cols = 0, rows = 0;
+    std::vector<std::uint32_t> start;
+    std::vector<std::uint32_t> ids;
+
+    // Buckets `positions` (at least one) by a counting sort.
+    void build(const std::vector<Position>& positions, double radius);
+    std::size_t cell_x(const Position& p) const;
+    std::size_t cell_y(const Position& p) const;
+    // The block around p's cell, clipped to the grid: columns x0..x1 of
+    // rows y0..y1, holding `nodes` nodes. One block row's cells are
+    // adjacent in `ids`.
+    struct Block {
+      std::size_t x0, x1, y0, y1, nodes;
+    };
+    Block block(const Position& p) const;
+  };
+  // A lazily built list: chunks_[chunk][begin, end).
+  struct ListSlot {
+    static constexpr std::uint32_t kUnbuilt = 0xffffffffu;
+    std::uint32_t chunk = kUnbuilt;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
   };
 
-  // Fills `out` with every pair within `radius`, each list sorted.
-  void fill_within_(double radius, Csr& out, GridScratch& grid) const;
+  // Builds node i's t = 0 list from its cell block into the chunks.
+  void build_list_(std::size_t i) const;
+  // Fills `out` with every pair within `radius`, each list sorted. It
+  // re-buckets index_ at that radius, so it runs only once no t = 0 list
+  // is left to build: a tick builds those a pinned frame may still read.
+  void fill_within_(double radius, Csr& out);
   // True once the candidates may miss a pair now within range.
   bool candidates_stale_() const;
   // Writes the in-range subset of the candidates into an unpinned buffer
@@ -184,10 +228,17 @@ class Topology {
   double range_m_;
   std::vector<ListBuffer> buffers_;  // one, unless frames pinned others
   std::uint32_t current_ = 0;
+  CellIndex index_;  // at the range for the t = 0 lists, then range + skin
+  // The t = 0 lists, built on first read. A chunk never resizes, so a
+  // built list never moves; the last chunk's first chunk_used_ ids are
+  // taken.
+  mutable std::vector<ListSlot> slots_;
+  mutable std::vector<std::vector<NodeId>> chunks_;
+  mutable std::size_t chunk_used_ = 0;
   // Mobile topologies only; empty (no heap) for a static one.
   Csr candidates_;                 // pairs within range + skin at anchors_
   std::vector<Position> anchors_;  // positions at the last candidate build
-  GridScratch grid_;
+  std::vector<NodeId> found_;      // the grid pass's unsorted lists
   std::shared_ptr<MobilityModel> mobility_;
   util::Time epoch_ = util::Time::seconds(5);
   std::int64_t epoch_index_ = 0;

@@ -25,14 +25,18 @@ void Tree::set_root(net::NodeId root) {
   member_.at(idx(root)) = true;
   level_.at(idx(root)) = 0;
   rank_.at(idx(root)) = 0;
+  max_rank_ = kStale;
 }
 
 int Tree::max_rank() const {
-  int m = 0;
-  for (std::size_t i = 0; i < rank_.size(); ++i) {
-    if (member_[i]) m = std::max(m, rank_[i]);
+  if (max_rank_ == kStale) {
+    int m = 0;
+    for (std::size_t i = 0; i < rank_.size(); ++i) {
+      if (member_[i]) m = std::max(m, rank_[i]);
+    }
+    max_rank_ = m;
   }
-  return m;
+  return max_rank_;
 }
 
 std::vector<net::NodeId> Tree::members() const {
@@ -56,6 +60,7 @@ void Tree::add_node(net::NodeId n, net::NodeId parent) {
   children_.at(idx(parent)).push_back(n);
   level_.at(idx(n)) = level_.at(idx(parent)) + 1;
   rank_.at(idx(n)) = 0;
+  max_rank_ = kStale;
 }
 
 void Tree::change_parent(net::NodeId n, net::NodeId new_parent) {
@@ -115,6 +120,7 @@ std::vector<net::NodeId> Tree::remove_node(net::NodeId n) {
   children_.at(idx(n)).clear();
   level_.at(idx(n)) = -1;
   rank_.at(idx(n)) = -1;
+  max_rank_ = kStale;
   return orphans;
 }
 
@@ -124,6 +130,7 @@ int Tree::compute_rank_(net::NodeId n) {
     r = std::max(r, compute_rank_(c) + 1);
   }
   rank_.at(idx(n)) = r;
+  max_rank_ = kStale;
   return r;
 }
 

@@ -37,7 +37,8 @@ class Tree {
   bool is_leaf(net::NodeId n) const {
     return is_member(n) && children_.at(idx(n)).empty();
   }
-  // Maximum rank M (= rank of the root for a connected tree).
+  // Maximum rank M (= rank of the root for a connected tree). Cached: the
+  // shapers read it per report, and a scan covers every node.
   int max_rank() const;
 
   std::size_t num_nodes() const { return parent_.size(); }
@@ -68,12 +69,16 @@ class Tree {
   static std::size_t idx(net::NodeId n) { return static_cast<std::size_t>(n); }
   int compute_rank_(net::NodeId n);
 
+  static constexpr int kStale = -1;  // max_rank_ needs a scan
+
   net::NodeId root_ = net::kNoNode;
   std::vector<net::NodeId> parent_;
   std::vector<std::vector<net::NodeId>> children_;
   std::vector<int> level_;
   std::vector<int> rank_;
   std::vector<bool> member_;
+  // max_rank() as of the last write to rank_ or member_, or kStale.
+  mutable int max_rank_ = kStale;
 };
 
 // BFS min-hop tree from `root` over nodes within `max_dist_from_root`

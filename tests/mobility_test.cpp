@@ -107,6 +107,55 @@ TEST(TopologyGrid, MatchesAllPairsOnEverySpecKind) {
   }
 }
 
+// Lists are built on first read, in whatever order the reads come, and a
+// built list never moves: SPAN holds one node's list while it reads its
+// neighbors' lists. Besides every deployment kind, a 2 000-node uniform
+// deployment (past the channel's 1 024-node sparse threshold, spanning
+// several storage chunks) and a dense one whose cell blocks hold more ids
+// than half a chunk.
+TEST(TopologyGrid, ListsBuiltInAnyReadOrderMatchAllPairs) {
+  util::Rng rng{17};
+  std::vector<DeploymentSpec> specs;
+  for (TopologyKind kind :
+       {TopologyKind::kUniform, TopologyKind::kGrid, TopologyKind::kLine,
+        TopologyKind::kClustered, TopologyKind::kCorridor}) {
+    DeploymentSpec spec;
+    spec.kind = kind;
+    spec.num_nodes = 120;
+    specs.push_back(spec);
+  }
+  DeploymentSpec large;
+  large.num_nodes = 2000;
+  large.area_m = 500.0 * std::sqrt(2000.0 / 80.0);
+  specs.push_back(large);
+  DeploymentSpec dense;
+  dense.num_nodes = 3000;
+  dense.area_m = 300.0;
+  specs.push_back(dense);
+  for (const DeploymentSpec& spec : specs) {
+    const Topology topo = spec.build(rng);
+    const auto reference = all_pairs_neighbors(topo.positions(), topo.range());
+    std::vector<NodeId> order(topo.num_nodes());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<NodeId>(i);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<std::size_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    std::vector<bool> checked(topo.num_nodes(), false);
+    for (NodeId n : order) {
+      const Topology::NeighborView held = topo.neighbors(n);
+      for (NodeId m : held) {
+        if (checked[static_cast<std::size_t>(m)]) continue;
+        checked[static_cast<std::size_t>(m)] = true;
+        ASSERT_EQ(copy_of(topo.neighbors(m)), reference[static_cast<std::size_t>(m)])
+            << topology_kind_name(spec.kind) << " n=" << spec.num_nodes << " node " << m;
+      }
+      ASSERT_EQ(copy_of(held), reference[static_cast<std::size_t>(n)])
+          << topology_kind_name(spec.kind) << " n=" << spec.num_nodes << " node " << n;
+    }
+  }
+}
+
 TEST(TopologyGrid, DegenerateCases) {
   // Empty and single-node topologies, plus co-located nodes.
   const Topology empty{{}, 100.0};
@@ -469,6 +518,37 @@ TEST(MobilityPinning, FramesSpanningRebuildsKeepTheirReceivers) {
 }
 
 // ------------------------------------------------------------------ spec
+
+// A frame that pinned the t = 0 lists before any of them was read keeps
+// reading them after the first tick has moved the nodes and replaced the
+// cell index they are built from.
+TEST(MobilityPinning, FirstTickKeepsThePinnedT0Lists) {
+  util::Rng rng{23};
+  Topology topo = Topology::uniform_random(60, 400.0, 125.0, rng);
+  const std::vector<Position> initial = topo.positions();
+  const auto at_zero = all_pairs_neighbors(initial, topo.range());
+  std::vector<ScriptedMobility::Path> paths;
+  for (NodeId n = 0; n < 60; n += 3) {
+    paths.push_back({n, {{Time::seconds(1), Position{400.0 - initial[static_cast<std::size_t>(n)].x,
+                                                     initial[static_cast<std::size_t>(n)].y}}}});
+  }
+  topo.set_mobility_model(std::make_shared<ScriptedMobility>(initial, std::move(paths)),
+                          Time::seconds(1));
+  const std::uint32_t g = topo.pin_generation();
+  topo.advance_to(Time::seconds(1));
+  topo.advance_to(Time::seconds(2));
+  const auto now = all_pairs_neighbors(topo.positions(), topo.range());
+  ASSERT_NE(now, at_zero);
+  for (std::size_t n = 0; n < initial.size(); ++n) {
+    EXPECT_EQ(copy_of(topo.neighbors(static_cast<NodeId>(n), g)), at_zero[n]) << "node " << n;
+    EXPECT_EQ(copy_of(topo.neighbors(static_cast<NodeId>(n))), now[n]) << "node " << n;
+  }
+  topo.unpin_generation(g);
+  topo.advance_to(Time::seconds(3));
+  for (std::size_t n = 0; n < initial.size(); ++n) {
+    EXPECT_EQ(copy_of(topo.neighbors(static_cast<NodeId>(n))), now[n]) << "node " << n;
+  }
+}
 
 TEST(MobilitySpec, KindNamesRoundTrip) {
   EXPECT_STREQ(mobility_kind_name(MobilityKind::kStatic), "static");

@@ -2,7 +2,9 @@
 // deployment (80 nodes, 500x500 m^2, 125 m range, 300 m tree span).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
+#include <vector>
 
 #include "src/routing/tree.h"
 
@@ -98,6 +100,51 @@ TEST_P(TreeSeedSweep, RepeatedRankRecomputeIsIdempotent) {
   std::vector<int> after;
   for (net::NodeId n : tree_->members()) after.push_back(tree_->rank(n));
   EXPECT_EQ(before, after);
+}
+
+// max_rank() is cached; after every kind of edit it must still equal a
+// scan of the members' ranks, stale ranks between recomputes included.
+TEST_P(TreeSeedSweep, CachedMaxRankMatchesScanUnderRandomEdits) {
+  const auto scan = [this] {
+    int m = 0;
+    for (net::NodeId n : tree_->members()) m = std::max(m, tree_->rank(n));
+    return m;
+  };
+  util::Rng rng{GetParam() + 100};
+  const auto pick = [&rng](const std::vector<net::NodeId>& from) {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+  for (int step = 0; step < 400; ++step) {
+    (void)tree_->max_rank();  // fill the cache before the edit
+    std::vector<net::NodeId> members = tree_->members();
+    std::vector<net::NodeId> outside;
+    for (std::size_t i = 0; i < tree_->num_nodes(); ++i) {
+      if (!tree_->is_member(static_cast<net::NodeId>(i))) {
+        outside.push_back(static_cast<net::NodeId>(i));
+      }
+    }
+    members.erase(std::find(members.begin(), members.end(), root_));
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        if (!outside.empty()) tree_->add_node(pick(outside), pick(tree_->members()));
+        break;
+      case 1:
+        if (!members.empty()) {
+          const net::NodeId n = pick(members);
+          const net::NodeId p = pick(tree_->members());
+          if (!tree_->in_subtree(n, p)) tree_->change_parent(n, p);
+        }
+        break;
+      case 2:
+        if (!members.empty()) tree_->remove_node(pick(members));
+        break;
+      default:
+        tree_->recompute_ranks();
+        break;
+    }
+    ASSERT_EQ(tree_->max_rank(), scan()) << "step " << step;
+  }
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ A finding on a line carrying (or immediately preceded by a line carrying)
     // essat-lint: allow(<check-name>)
 
 is suppressed but counted. The total number of suppression comments in the
-scanned tree is capped (--max-suppressions, CI passes 6): suppressions
+scanned tree is capped (--max-suppressions, default 6): suppressions
 are pressure-relief for deliberate API choices, not a bypass.
 
 Exit status: 0 clean; 1 unsuppressed findings or suppression cap exceeded;
@@ -362,10 +362,10 @@ def main(argv: List[str]) -> int:
                              "this script)")
     parser.add_argument("--checks", default=",".join(CHECKS),
                         help="comma-separated subset of checks to run")
-    parser.add_argument("--max-suppressions", type=int, default=10,
+    parser.add_argument("--max-suppressions", type=int, default=6,
                         help="fail when more than N essat-lint:allow "
                              "comments exist in the scanned tree (default "
-                             "10)")
+                             "6)")
     parser.add_argument("--assume-hot-path", action="store_true",
                         help="treat every scanned file as hot-path "
                              "(fixture testing)")
