@@ -29,6 +29,7 @@ void Channel::set_link_model(std::unique_ptr<LinkModel> model) {
   // Lossless models are bypassed on the hot path: arrivals cost exactly as
   // much as with no model installed.
   model_active_ = link_model_ && !link_model_->always_delivers();
+  model_every_frame_ = model_active_ && link_model_->steps_every_frame();
 }
 
 void Channel::set_listening(NodeId node, bool listening) {
@@ -138,32 +139,44 @@ void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
   const bool busy_edge = node.arriving_count == 0 && !node.transmitting;
   ++node.arriving_count;
 
-  // The link model decides, once per (directed link, frame), whether this
-  // frame is decodable at `receiver`. An undecodable frame keeps occupying
-  // the air (arriving_count, i.e. carrier sense) but neither starts a
+  // The frame can change something here only if it would start a
+  // reception or would hit one in progress; only there does the link
+  // model's answer count. Its draws are keyed by (link, frame), so not
+  // asking moves no other draw. An undecodable frame keeps occupying the
+  // air (arriving_count, i.e. carrier sense) but neither starts a
   // reception nor corrupts one in progress.
+  const bool would_start = !node.rx.active && node.arriving_count == 1 &&
+                           !node.transmitting && node.listening;
+  const bool decodable_matters = would_start || node.rx.active;
+  // A model whose chains step every frame is asked at every receiver, to
+  // keep their clock.
+  const bool sample = model_active_ && (decodable_matters || model_every_frame_);
   const double sender_dist =
-      model_active_ || node.rx.active
+      sample || node.rx.active
           ? distance(topo_.position(p->link_src), topo_.position(receiver))
           : 0.0;
-  if (model_active_) {
-    // Per-link sample count, the denominator LinkEstimator pairs with
-    // dropped_by_model(src, dst) to turn observed losses into a PRR.
-    // Skipped when nothing will read it, so plain lossy runs keep the old
-    // hot path and never materialize the per-link storage.
-    LinkCounters* stat = nullptr;
-    if (link_stats_enabled_) {
-      stat = &link_stat_(p->link_src, receiver);
-      ++stat->frames;
-    }
-    if (!link_model_->deliver(p->link_src, receiver, sender_dist)) {
-      ++dropped_by_model_;
-      if (stat != nullptr) ++stat->drops;
-      ESSAT_TRACE(sim_, obs::TraceType::kChanDrop, receiver,
-                  drop_arg(obs::DropReason::kModel, p->type),
-                  p->channel_tx_id, p->prov);
-      if (busy_edge) notify_(receiver);
-      return;
+  if (sample) {
+    const bool decodable = link_model_->deliver(p->link_src, receiver,
+                                                sender_dist, p->channel_tx_id);
+    if (decodable_matters) {
+      // Per-link sample count, the denominator LinkEstimator pairs with
+      // dropped_by_model(src, dst) to turn observed losses into a PRR.
+      // Skipped when nothing will read it, so plain lossy runs never
+      // materialize the per-link storage.
+      LinkCounters* stat = nullptr;
+      if (link_stats_enabled_) {
+        stat = &link_stat_(p->link_src, receiver);
+        ++stat->frames;
+      }
+      if (!decodable) {
+        ++dropped_by_model_;
+        if (stat != nullptr) ++stat->drops;
+        ESSAT_TRACE(sim_, obs::TraceType::kChanDrop, receiver,
+                    drop_arg(obs::DropReason::kModel, p->type),
+                    p->channel_tx_id, p->prov);
+        if (busy_edge) notify_(receiver);
+        return;
+      }
     }
   }
 
@@ -187,7 +200,7 @@ void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
                                   : obs::DropReason::kCollision,
                          p->type),
                 p->channel_tx_id, p->prov);
-  } else if (node.arriving_count == 1 && !node.transmitting && node.listening) {
+  } else if (would_start) {
     node.rx.active = true;
     node.rx.corrupted = false;
     node.rx.frame = p;  // refcount bump, not a Packet copy

@@ -10,9 +10,13 @@
 //  * Carrier sense at node n reports busy while any in-range transmission is
 //    arriving at n, or while n itself transmits.
 //  * An optional LinkModel (see net/link_model.h) layers probabilistic loss
-//    on the unit disc: it is sampled once per (directed link, frame) and can
-//    declare a frame undecodable at a receiver without removing its energy
-//    from the air.
+//    on the unit disc: it can declare a frame undecodable at a receiver
+//    without removing its energy from the air. It is sampled only where
+//    its answer can matter — the receiver would start a reception, or one
+//    is in progress there; anywhere else the frame is lost for its real
+//    cause (radio off, busy, transmitting, detached). A model whose
+//    per-link state steps every frame is still asked for every in-range
+//    receiver, and its answer is ignored where it cannot matter.
 //
 // Hot-path shape (see README "Performance" and "Scalability"): each
 // transmission is moved once into a pooled shared slot (net/packet_pool.h);
@@ -92,8 +96,8 @@ class Channel {
   // Installs the per-link loss model. Until one is installed every in-range
   // frame is decodable; models reporting always_delivers() (the unit disc)
   // are bypassed on the hot path at the same zero cost.
-  // The model is sampled once per (directed link, frame) at frame-arrival
-  // time; a model-dropped frame still occupies the air for carrier sense
+  // The model is asked at frame-arrival time, where its answer matters (see
+  // above). A model-dropped frame still occupies the air for carrier sense
   // (energy above the detection threshold but below the decoding threshold
   // — the gray zone) but neither starts a reception nor corrupts one in
   // progress.
@@ -131,12 +135,14 @@ class Channel {
   std::uint64_t transmissions() const { return transmissions_; }
   std::uint64_t collisions() const { return collisions_; }
   std::uint64_t delivered() const { return delivered_; }
-  // (link, frame) samples the link model declared undecodable, in total.
-  // Counted for every in-range receiver of every transmission, listening
-  // or not.
+  // (link, frame) samples the link model declared undecodable, in total,
+  // counted only where the answer matters: a frame that reaches a sleeping,
+  // busy or transmitting receiver is lost for that reason instead.
   std::uint64_t dropped_by_model() const { return dropped_by_model_; }
   // Per-directed-link drop/offer counters, the numerator/denominator
-  // routing::LinkEstimator turns into an observed PRR. Dense mode (small
+  // routing::LinkEstimator turns into an observed PRR. Like the total,
+  // they count only the samples that matter, so a link's observed PRR is
+  // over frames its receiver could have decoded. Dense mode (small
   // topologies): a src-indexed table of contiguous degree-sized rows
   // scanned linearly — no hash probes on the delivery path. Sparse mode
   // (above ChannelParams::dense_link_stats_below): one open-addressed map
@@ -202,6 +208,7 @@ class Channel {
   ChannelParams params_;
   std::unique_ptr<LinkModel> link_model_;
   bool model_active_ = false;  // false also for installed lossless models
+  bool model_every_frame_ = false;  // the model's steps_every_frame()
   bool link_stats_enabled_ = true;
   const bool dense_stats_;  // storage choice, frozen at construction
   std::vector<PerNode> nodes_;

@@ -12,106 +12,133 @@
 
 namespace essat::net {
 
+namespace {
+
+// A link's statics: a pure function of the layer's seed and the link key.
+std::uint64_t link_bits(std::uint64_t seed, std::uint64_t key) {
+  return util::splitmix64(seed ^ util::splitmix64(key));
+}
+
+// One frame's draw on a link. Channel tx ids start at 1, and no tx id
+// mixes to zero, so a frame's bits never repeat its link's statics.
+std::uint64_t frame_bits(std::uint64_t seed, std::uint64_t key,
+                         std::uint64_t frame) {
+  return util::splitmix64(link_bits(seed, key) ^ util::splitmix64(frame));
+}
+
+// The top 53 bits as a double in [0, 1): `unit(bits) < p` is a
+// Bernoulli(p) draw, certain at p = 1 and impossible at p = 0.
+double unit(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+// A standard normal from one value's bits and their successor
+// (Box-Muller); the first uniform is taken as 1 - u so the log sees (0, 1].
+double standard_normal(std::uint64_t bits) {
+  constexpr double kTwoPi = 6.283185307179586;
+  const double radius = std::sqrt(-2.0 * std::log(1.0 - unit(bits)));
+  return radius * std::cos(kTwoPi * unit(util::splitmix64(bits)));
+}
+
+}  // namespace
+
 // ------------------------------------------------------- log-normal shadowing
 
 LogNormalShadowingModel::LogNormalShadowingModel(ShadowingParams params,
-                                                 double range_m, util::Rng&& rng)
-    : params_{params},
-      range_m_{range_m},
-      gain_rng_{rng.fork(1)},
-      frame_rng_{rng.fork(2)} {}
+                                                 double range_m,
+                                                 std::uint64_t seed)
+    : params_{params}, range_m_{range_m}, seed_{seed} {
+  if (!(params_.shadowing_sigma_db >= 0.0)) {
+    throw std::invalid_argument{
+        "LogNormalShadowingModel: shadowing_sigma_db must be >= 0"};
+  }
+}
 
 double LogNormalShadowingModel::link_prr(NodeId src, NodeId dst,
                                          double distance_m) const {
   const std::uint64_t key = link_key(src, dst);
-  auto it = links_.find(key);
-  if (it == links_.end()) {
-    // Static shadowing offset, forked by link key so the draw does not
-    // depend on which link happens to carry traffic first.
-    util::Rng link_rng = gain_rng_.fork(key);
-    it = links_
-             .emplace(key, LinkState{link_rng.normal(0.0, params_.shadowing_sigma_db),
-                                     -1.0, 0.0})
-             .first;
+  LinkCurve* link = links_.find(key);
+  if (link == nullptr) {
+    link = &links_[key];
+    link->gain_db =
+        params_.shadowing_sigma_db * standard_normal(link_bits(seed_, key));
   }
   // The PRR is memoized against the distance it was computed at: on a
-  // frozen topology the curve is evaluated once per link (the hot deliver()
-  // path then only does this lookup), while under mobility a changed
-  // distance — epoch-granular, via the channel's position reads —
-  // recomputes it so the PRR tracks geometry.
-  LinkState& link = it->second;
-  if (link.distance_m != distance_m) {
+  // frozen topology the curve is evaluated once per link, while under
+  // mobility a changed distance — epoch-granular, via the channel's
+  // position reads — recomputes it so the PRR tracks geometry.
+  if (link->distance_m != distance_m) {
     // Co-located nodes (distance 0) get an unbounded margin: PRR -> 1.
     const double d = distance_m > 1e-9 ? distance_m : 1e-9;
     const double margin_db = params_.range_margin_db +
                              10.0 * params_.path_loss_exponent *
                                  std::log10(range_m_ / d) +
-                             link.gain_db;
-    link.distance_m = distance_m;
-    link.prr = 1.0 / (1.0 + std::exp(-margin_db / params_.gray_zone_width_db));
+                             link->gain_db;
+    link->distance_m = distance_m;
+    link->prr = 1.0 / (1.0 + std::exp(-margin_db / params_.gray_zone_width_db));
   }
-  return link.prr;
+  return link->prr;
 }
 
-bool LogNormalShadowingModel::deliver(NodeId src, NodeId dst,
-                                      double distance_m) {
-  return frame_rng_.bernoulli(link_prr(src, dst, distance_m));
+bool LogNormalShadowingModel::deliver(NodeId src, NodeId dst, double distance_m,
+                                      std::uint64_t frame) {
+  return unit(frame_bits(seed_, link_key(src, dst), frame)) <
+         link_prr(src, dst, distance_m);
 }
 
 // ----------------------------------------------------------- gilbert-elliott
 
 GilbertElliottModel::GilbertElliottModel(GilbertElliottParams params,
                                          std::unique_ptr<LinkModel> base,
-                                         util::Rng&& rng)
-    : params_{params},
-      base_{std::move(base)},
-      init_rng_{rng.fork(1)},
-      frame_rng_{rng.fork(2)} {}
+                                         std::uint64_t seed)
+    : params_{params}, base_{std::move(base)}, seed_{seed} {}
 
-bool& GilbertElliottModel::link_state_(NodeId src, NodeId dst) {
-  const std::uint64_t key = link_key(src, dst);
-  const auto it = bad_.find(key);
-  if (it != bad_.end()) return it->second;
-  // Initial state from the chain's stationary distribution, forked by link
-  // key for traffic-order independence.
+double GilbertElliottModel::stationary_bad_() const {
   const double denom = params_.p_good_to_bad + params_.p_bad_to_good;
-  const double stationary_bad = denom > 0.0 ? params_.p_good_to_bad / denom : 0.0;
-  util::Rng link_rng = init_rng_.fork(key);
-  return bad_.emplace(key, link_rng.bernoulli(stationary_bad)).first->second;
+  return denom > 0.0 ? params_.p_good_to_bad / denom : 0.0;
+}
+
+bool& GilbertElliottModel::link_state_(std::uint64_t key) {
+  if (bool* bad = bad_.find(key)) return *bad;
+  // Initial state from the chain's stationary distribution.
+  bool& bad = bad_[key];
+  bad = unit(link_bits(seed_, key)) < stationary_bad_();
+  return bad;
 }
 
 double GilbertElliottModel::expected_prr(NodeId src, NodeId dst,
                                          double distance_m) const {
-  const double denom = params_.p_good_to_bad + params_.p_bad_to_good;
-  const double stationary_bad = denom > 0.0 ? params_.p_good_to_bad / denom : 0.0;
+  const double stationary_bad = stationary_bad_();
   const double own = (1.0 - stationary_bad) * params_.prr_good +
                      stationary_bad * params_.prr_bad;
   return own * (base_ ? base_->expected_prr(src, dst, distance_m) : 1.0);
 }
 
-bool GilbertElliottModel::deliver(NodeId src, NodeId dst, double distance_m) {
-  bool& bad = link_state_(src, dst);
-  const bool burst_pass =
-      frame_rng_.bernoulli(bad ? params_.prr_bad : params_.prr_good);
-  bad = frame_rng_.bernoulli(bad ? 1.0 - params_.p_bad_to_good
-                                 : params_.p_good_to_bad);
-  // Evaluate the base unconditionally: the burst chain above already
-  // stepped, and stateful bases must see the same per-frame clock.
-  const bool base_pass = !base_ || base_->deliver(src, dst, distance_m);
+bool GilbertElliottModel::deliver(NodeId src, NodeId dst, double distance_m,
+                                  std::uint64_t frame) {
+  const std::uint64_t key = link_key(src, dst);
+  bool& bad = link_state_(key);
+  const std::uint64_t bits = frame_bits(seed_, key, frame);
+  const bool burst_pass = unit(bits) < (bad ? params_.prr_bad : params_.prr_good);
+  // The step draws from the successor of the pass draw's bits.
+  bad = unit(util::splitmix64(bits)) <
+        (bad ? 1.0 - params_.p_bad_to_good : params_.p_good_to_bad);
+  const bool base_pass = !base_ || base_->deliver(src, dst, distance_m, frame);
   return base_pass && burst_pass;
 }
 
 // ------------------------------------------------------------- PRR thinning
 
 PrrScaledModel::PrrScaledModel(std::unique_ptr<LinkModel> base,
-                               double prr_scale, util::Rng&& rng)
-    : base_{std::move(base)}, prr_scale_{prr_scale}, rng_{std::move(rng)} {}
+                               double prr_scale, std::uint64_t seed)
+    : base_{std::move(base)}, prr_scale_{prr_scale}, seed_{seed} {}
 
-bool PrrScaledModel::deliver(NodeId src, NodeId dst, double distance_m) {
-  // Draw the thinning coin before the base so stateless and stateful bases
-  // alike see one draw per (link, frame) from this layer.
-  const bool thin_pass = rng_.bernoulli(prr_scale_);
-  return base_->deliver(src, dst, distance_m) && thin_pass;
+bool PrrScaledModel::deliver(NodeId src, NodeId dst, double distance_m,
+                             std::uint64_t frame) {
+  const bool thin_pass =
+      unit(frame_bits(seed_, link_key(src, dst), frame)) < prr_scale_;
+  // Evaluate the base unconditionally: a stepping base must see every frame.
+  return base_->deliver(src, dst, distance_m, frame) && thin_pass;
 }
 
 // ----------------------------------------------------------------- the spec
@@ -127,6 +154,8 @@ const char* link_model_kind_name(LinkModelKind k) {
 
 std::unique_ptr<LinkModel> ChannelModelSpec::build(double range_m,
                                                    util::Rng&& rng) const {
+  // One seed per layer, each keying that layer's draws.
+  const std::uint64_t shadowing_seed = rng.fork(1).seed();
   std::unique_ptr<LinkModel> model;
   switch (kind) {
     case LinkModelKind::kUnitDisc:
@@ -134,7 +163,7 @@ std::unique_ptr<LinkModel> ChannelModelSpec::build(double range_m,
       break;
     case LinkModelKind::kLogNormalShadowing:
       model = std::make_unique<LogNormalShadowingModel>(shadowing, range_m,
-                                                        rng.fork(1));
+                                                        shadowing_seed);
       break;
     case LinkModelKind::kGilbertElliott: {
       std::unique_ptr<LinkModel> base;
@@ -144,65 +173,51 @@ std::unique_ptr<LinkModel> ChannelModelSpec::build(double range_m,
           break;
         case LinkModelKind::kLogNormalShadowing:
           base = std::make_unique<LogNormalShadowingModel>(shadowing, range_m,
-                                                           rng.fork(1));
+                                                           shadowing_seed);
           break;
         case LinkModelKind::kGilbertElliott:
           throw std::invalid_argument{
               "ChannelModelSpec: gilbert_base must be unit-disc or shadowing"};
       }
       model = std::make_unique<GilbertElliottModel>(gilbert, std::move(base),
-                                                    rng.fork(2));
+                                                    rng.fork(2).seed());
       break;
     }
   }
   if (prr_scale < 1.0) {
     model = std::make_unique<PrrScaledModel>(std::move(model), prr_scale,
-                                             rng.fork(3));
+                                             rng.fork(3).seed());
   }
   return model;
 }
 
 void LogNormalShadowingModel::save_state(snap::Serializer& out) const {
   out.begin("LMSH");
-  // links_ is an unordered_map; serialize in sorted-key order so the bytes
-  // are a pure function of the logical state.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(links_.size());
-  for (const auto& [k, unused] : links_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  out.u64(keys.size());
-  for (std::uint64_t k : keys) {
-    const LinkState& s = links_.at(k);
-    out.u64(k);
-    out.f64(s.gain_db);
-    out.f64(s.distance_m);
-    out.f64(s.prr);
-  }
-  gain_rng_.save_state(out);
-  frame_rng_.save_state(out);
+  out.u64(seed_);
   out.end();
 }
 
 void GilbertElliottModel::save_state(snap::Serializer& out) const {
   out.begin("LMGE");
-  std::vector<std::uint64_t> keys;
-  keys.reserve(bad_.size());
-  for (const auto& [k, unused] : bad_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  out.u64(keys.size());
-  for (std::uint64_t k : keys) {
+  out.u64(seed_);
+  // Chain states in sorted-key order, so the bytes are a pure function of
+  // the logical state.
+  std::vector<std::pair<std::uint64_t, bool>> links;
+  links.reserve(bad_.size());
+  bad_.for_each([&links](std::uint64_t k, bool bad) { links.emplace_back(k, bad); });
+  std::sort(links.begin(), links.end());
+  out.u64(links.size());
+  for (const auto& [k, bad] : links) {
     out.u64(k);
-    out.boolean(bad_.at(k));
+    out.boolean(bad);
   }
-  init_rng_.save_state(out);
-  frame_rng_.save_state(out);
   if (base_ != nullptr) base_->save_state(out);
   out.end();
 }
 
 void PrrScaledModel::save_state(snap::Serializer& out) const {
   out.begin("LMPS");
-  rng_.save_state(out);
+  out.u64(seed_);
   base_->save_state(out);
   out.end();
 }

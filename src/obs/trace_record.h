@@ -108,7 +108,8 @@ enum class DropReason : std::uint8_t {
   kNone = 0,
   kCollision,   // overlapped another frame and neither captured
   kCaptured,    // lost to a stronger in-progress reception (capture effect)
-  kModel,       // link model declared the frame undecodable (gray zone)
+  kModel,       // link model declared the frame undecodable (gray zone) at
+                // a receiver that could have decoded it
   kBusy,        // arrived while other energy was on the air, no sync
   kSelfTx,      // receiver was transmitting
   kRadioOff,    // receiver's radio was off / in transition at frame start

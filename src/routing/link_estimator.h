@@ -12,8 +12,9 @@
 //    shadowing distance/PRR curve). Available before any traffic flows, so
 //    tree *construction* is already link-quality-aware.
 //  * frames/delivered — the channel's observed per-link loss statistics
-//    (Channel::link_frames / link_drops), which dominate once traffic has
-//    exercised a link. Frame counting follows
+//    (Channel::frames_on / dropped_by_model), which dominate once traffic
+//    has exercised a link. They count only frames the receiver could have
+//    decoded (listening, or mid-reception). Frame counting follows
 //    Channel::set_link_stats_enabled — the harness keeps it on exactly when
 //    the active ParentPolicy declares uses_link_estimator().
 //

@@ -22,6 +22,12 @@
 
 namespace essat::snap {
 
+// Version 9: the link models' draws are keyed by (seed, link[, frame]), so
+// a model holds seeds instead of streams. LMSH writes its seed instead of
+// its per-link cache and two util::Rng states (the cache is a function of
+// the seed); LMGE writes its seed and chain states without Rng text; LMPS
+// writes its seed instead of a util::Rng.
+//
 // Version 8: the axes no figure runs are gone. SCFG loses the PRR-trace
 // table and its default, SINR capture's parameters, ChurnSpec's restart
 // flag, the battery and drift specs and the waypoint traces (114 bytes of
@@ -46,7 +52,7 @@ namespace essat::snap {
 // packets). SCFG loses that bool, TRST loses the setup-protocol flag, and
 // the PacketType values and payload tags renumber (kAtim 5 -> 2,
 // kPhaseRequest 6 -> 3).
-inline constexpr std::uint32_t kFormatVersion = 8;
+inline constexpr std::uint32_t kFormatVersion = 9;
 
 enum class SnapshotKind : std::uint32_t {
   kTrial = 1,  // full mid-run simulator state + scenario config

@@ -6,17 +6,6 @@
 #include "src/snap/serializer.h"
 
 namespace essat::util {
-namespace {
-
-// SplitMix64: well-distributed seeding and stream derivation.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 Rng::Rng(std::uint64_t seed) : seed_{seed} {}
 
@@ -51,9 +40,9 @@ double Rng::exponential(double mean) {
 
 double Rng::normal(double mean, double stddev) {
   // std::normal_distribution requires stddev > 0, but a zero spread is a
-  // valid config (no shadowing, no clock skew, point-like clusters). Scaling
-  // a standard normal is libstdc++'s own last step, so draws and engine
-  // consumption match normal_distribution{mean, stddev} bit for bit.
+  // valid config (point-like clusters). Scaling a standard normal is
+  // libstdc++'s own last step, so draws and engine consumption match
+  // normal_distribution{mean, stddev} bit for bit.
   if (!(stddev >= 0.0)) {
     throw std::invalid_argument{"Rng::normal: stddev must be >= 0"};
   }

@@ -17,6 +17,17 @@ class Serializer;
 
 namespace essat::util {
 
+// SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+// generators", OOPSLA 2014): the one mixer behind seeding, `Rng::fork` and
+// the link models' keyed draws (net/link_model.cpp). util_rng_test pins a
+// few outputs, because an edit here moves every stream of every trial.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 // A stream builds its mt19937_64 engine on its first draw: until then it is
 // just its seed (16 bytes, no seeding work). A city-scale trial gives every
 // node a MAC backoff stream, but only the routing tree's members ever draw

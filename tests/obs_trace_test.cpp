@@ -1,8 +1,8 @@
 // Tests for the observability layer (src/obs): record layout, ring
 // accounting, the type mask, the zero-overhead discipline of the disabled
 // path, provenance threading, the conservation oracle across a protocol x
-// topology x rate grid, drops at nodes outside the tree attributed as
-// detached, traced trials matching untraced ones byte for byte,
+// topology x rate grid and on lossy links, drops at nodes outside the tree
+// attributed as detached, traced trials matching untraced ones byte for byte,
 // byte-identical traces across sweep thread counts, and the exporters. With
 // tracing compiled out (-DESSAT_TRACING=OFF) the traced-trial tests check
 // instead that a traced config runs untraced.
@@ -15,6 +15,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -234,6 +235,59 @@ TEST(TracedRun, ReconstructsReportLifecycles) {
   EXPECT_GT(folds, 0u) << "no report was aggregated";
 }
 
+// Drop counts of a lossy trace by reason, after checking that every `model`
+// drop names a receiver whose answer could matter: it was listening (its
+// last chan_listen) or a reception was in progress there. A reception of
+// tx X at node n spans X's arrival to its chan_deliver, or to a collision
+// or abandoned chan_drop recorded after the arrival (a collision recorded
+// at the arrival is the overlapping frame's own loss).
+std::vector<std::uint64_t> model_drops_where_decodable(
+    const std::vector<TraceRecord>& records, Time propagation_delay,
+    const std::string& cell) {
+  std::unordered_map<std::uint64_t, std::int64_t> arrival_ns;
+  for (const TraceRecord& r : records) {
+    if (r.trace_type() == TraceType::kChanTxBegin) {
+      arrival_ns[r.a] = r.t_ns + propagation_delay.ns();
+    }
+  }
+  struct Reception {
+    std::uint64_t tx;
+    std::int64_t begin_ns, end_ns;
+  };
+  std::unordered_map<std::int32_t, std::vector<Reception>> receptions;
+  for (const TraceRecord& r : records) {
+    const TraceType type = r.trace_type();
+    const bool ends_reception =
+        type == TraceType::kChanDeliver ||
+        (type == TraceType::kChanDrop &&
+         (r.drop_reason() == DropReason::kCollision ||
+          r.drop_reason() == DropReason::kAbandoned));
+    const auto it = arrival_ns.find(r.a);
+    if (ends_reception && it != arrival_ns.end() && r.t_ns > it->second) {
+      receptions[r.node].push_back({r.a, it->second, r.t_ns});
+    }
+  }
+  std::unordered_map<std::int32_t, bool> listening;
+  std::vector<std::uint64_t> by_reason(16, 0);
+  for (const TraceRecord& r : records) {
+    if (r.trace_type() == TraceType::kChanListen) {
+      listening[r.node] = r.arg16 != 0;
+      continue;
+    }
+    if (r.trace_type() != TraceType::kChanDrop) continue;
+    ++by_reason[static_cast<std::size_t>(r.drop_reason())];
+    if (r.drop_reason() != DropReason::kModel || listening[r.node]) continue;
+    bool in_progress = false;
+    for (const Reception& rx : receptions[r.node]) {
+      in_progress |= rx.tx != r.a && rx.begin_ns <= r.t_ns && r.t_ns <= rx.end_ns;
+    }
+    EXPECT_TRUE(in_progress)
+        << cell << ": node " << r.node << " dropped tx " << r.a << " at t="
+        << r.t_ns << " ns as model while it could not decode";
+  }
+  return by_reason;
+}
+
 TEST(TracedRun, ConservationHoldsAcrossProtocolTopologyRateGrid) {
   const harness::Protocol protocols[] = {harness::Protocol::kDtsSs,
                                          harness::Protocol::kNtsSs};
@@ -267,6 +321,43 @@ TEST(TracedRun, ConservationHoldsAcrossProtocolTopologyRateGrid) {
         EXPECT_TRUE(checked);
       }
     }
+  }
+
+  // Lossy cells. The channel asks the link model only where its answer can
+  // matter, so every in-range receiver must still report each frame once,
+  // and a receiver the model was not asked about drops for its real cause.
+  harness::ScenarioConfig shadowing_etx = small_config();
+  shadowing_etx.channel_model.kind = net::LinkModelKind::kLogNormalShadowing;
+  shadowing_etx.routing.policy = "etx";
+  harness::ScenarioConfig bursty = small_config();
+  bursty.channel_model.kind = net::LinkModelKind::kGilbertElliott;
+  bursty.channel_model.gilbert_base = net::LinkModelKind::kLogNormalShadowing;
+  for (harness::ScenarioConfig config : {shadowing_etx, bursty}) {
+    const std::string cell = config.channel_model.label() + " x " +
+                             config.routing.policy;
+    config.measure_duration = Time::seconds(5);
+    config.trace = basic_spec();
+    if (!obs::kTracingCompiledIn) {
+      expect_runs_untraced(config);
+      continue;
+    }
+    bool checked = false;
+    config.trace.sink = [&](const Tracer& tracer) {
+      ASSERT_EQ(tracer.overwritten(), 0u);
+      const auto records = tracer.snapshot();
+      const auto report = obs::check_conservation(records);
+      EXPECT_TRUE(report.ok) << cell << ": " << report.detail;
+      EXPECT_GT(report.transmissions, 0u) << cell;
+      const auto drops = model_drops_where_decodable(
+          records, config.channel_params.propagation_delay, cell);
+      EXPECT_GT(drops[static_cast<std::size_t>(DropReason::kModel)], 0u)
+          << cell << ": the model dropped nothing";
+      EXPECT_GT(drops[static_cast<std::size_t>(DropReason::kRadioOff)], 0u)
+          << cell << ": no frame reached a sleeping radio";
+      checked = true;
+    };
+    harness::run_scenario(config);
+    EXPECT_TRUE(checked) << cell;
   }
 }
 

@@ -111,7 +111,9 @@ TEST(PolicyTree, MinHopIdenticalToBfsOnRandomTopologies) {
 class FixedPrr : public net::LinkModel {
  public:
   explicit FixedPrr(double prr) : prr_{prr} {}
-  bool deliver(net::NodeId, net::NodeId, double) override { return true; }
+  bool deliver(net::NodeId, net::NodeId, double, std::uint64_t) override {
+    return true;
+  }
   const char* name() const override { return "fixed"; }
   double expected_prr(net::NodeId, net::NodeId, double) const override {
     return prr_;
@@ -142,10 +144,12 @@ TEST(LinkEstimator, UsesModelPriorBeforeTraffic) {
 
 TEST(LinkEstimator, ObservedLossesPullEstimateBelowPrior) {
   // Model claims PRR 1 but drops everything on 0 -> 1: after enough frames
-  // the observed statistics dominate the (wrong) prior.
+  // the observed statistics dominate the (wrong) prior. The channel counts
+  // only frames its receiver could decode, so node 1 listens throughout.
   class DropForward : public net::LinkModel {
    public:
-    bool deliver(net::NodeId src, net::NodeId dst, double) override {
+    bool deliver(net::NodeId src, net::NodeId dst, double,
+                 std::uint64_t) override {
       return !(src == 0 && dst == 1);
     }
     const char* name() const override { return "drop-fwd"; }
@@ -154,6 +158,12 @@ TEST(LinkEstimator, ObservedLossesPullEstimateBelowPrior) {
   sim::Simulator sim;
   net::Channel ch{sim, topo};
   ch.set_link_model(std::make_unique<DropForward>());
+  struct Ear : net::ChannelListener {
+    void on_rx_complete(const net::Packet&, bool) override {}
+    void on_channel_activity() override {}
+  } ear;
+  ch.attach(1, &ear);
+  ch.set_listening(1, true);
   for (int i = 0; i < 100; ++i) {
     sim.schedule_at(Time::milliseconds(2 * i), [&ch] {
       ch.start_tx(0, net::make_data_packet(0, 1, net::DataHeader{}),
@@ -191,8 +201,7 @@ TEST(ExpectedPrr, UnitDiscAndScaledAndGilbert) {
   net::UnitDiscModel unit;
   EXPECT_DOUBLE_EQ(unit.expected_prr(0, 1, 50.0), 1.0);
 
-  net::PrrScaledModel scaled{std::make_unique<net::UnitDiscModel>(), 0.8,
-                             util::Rng{1}};
+  net::PrrScaledModel scaled{std::make_unique<net::UnitDiscModel>(), 0.8, 1};
   EXPECT_DOUBLE_EQ(scaled.expected_prr(0, 1, 50.0), 0.8);
 
   net::GilbertElliottParams gp;
@@ -200,13 +209,13 @@ TEST(ExpectedPrr, UnitDiscAndScaledAndGilbert) {
   gp.p_bad_to_good = 0.3;
   gp.prr_good = 1.0;
   gp.prr_bad = 0.2;
-  net::GilbertElliottModel ge{gp, nullptr, util::Rng{1}};
+  net::GilbertElliottModel ge{gp, nullptr, 1};
   // Stationary bad = 0.1 / 0.4 = 0.25; expected = 0.75 * 1 + 0.25 * 0.2.
   EXPECT_NEAR(ge.expected_prr(0, 1, 50.0), 0.8, 1e-12);
 
   net::ShadowingParams sp;
   sp.shadowing_sigma_db = 0.0;
-  net::LogNormalShadowingModel shadow{sp, 125.0, util::Rng{1}};
+  net::LogNormalShadowingModel shadow{sp, 125.0, 1};
   EXPECT_DOUBLE_EQ(shadow.expected_prr(0, 1, 60.0), shadow.link_prr(0, 1, 60.0));
 }
 
@@ -228,7 +237,9 @@ struct GrayZoneWorld {
   // PRR 1 for hops <= 65 m, 0.2 beyond.
   class DistancePrr : public net::LinkModel {
    public:
-    bool deliver(net::NodeId, net::NodeId, double d) override { return d <= 65.0; }
+    bool deliver(net::NodeId, net::NodeId, double d, std::uint64_t) override {
+      return d <= 65.0;
+    }
     const char* name() const override { return "distance-prr"; }
     double expected_prr(net::NodeId, net::NodeId, double d) const override {
       return d <= 65.0 ? 1.0 : 0.2;

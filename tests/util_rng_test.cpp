@@ -9,6 +9,22 @@
 namespace essat::util {
 namespace {
 
+// The mixer behind seeding, stream derivation and the link models' keyed
+// draws. The first two are SplitMix64's published outputs for state 0; an
+// edit to the function moves every stream of every trial, and fails here.
+TEST(SplitMix64, OutputsPinned) {
+  static_assert(splitmix64(0) == 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix64(0x9e3779b97f4a7c15ULL), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(splitmix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(splitmix64(~0ULL), 0xe4d971771b652c20ULL);
+}
+
+// Stream derivation through that mixer: a trial's channel stream
+// (master.fork(5) of seed 1) keeps its seed.
+TEST(SplitMix64, ForkSeedPinned) {
+  EXPECT_EQ(Rng{1}.fork(5).seed(), 1145760708026774789ULL);
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a{12345};
   Rng b{12345};
@@ -89,8 +105,8 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / n, 2.0, 0.1);
 }
 
-// A zero spread is reachable from config (shadowing_sigma_db = 0,
-// cluster_sigma_m = 0), but std::normal_distribution requires stddev > 0.
+// A zero spread is reachable from config (cluster_sigma_m = 0), but
+// std::normal_distribution requires stddev > 0.
 TEST(Rng, NormalZeroStddevReturnsMeanWithSameEngineDraws) {
   Rng zero{21};
   Rng spread{21};

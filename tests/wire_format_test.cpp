@@ -181,7 +181,7 @@ harness::RunMetrics full_metrics() {
 }
 
 TEST(WireFormat, ScenarioConfigBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 8u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 9u) << "re-record the constants below";
   const auto bytes = snap::scenario_config_to_bytes(full_config());
   EXPECT_EQ(bytes.size(), 590u);
   EXPECT_EQ(crc(bytes), 1643716630u);
@@ -192,7 +192,7 @@ TEST(WireFormat, ScenarioConfigBytesPinned) {
 }
 
 TEST(WireFormat, RunMetricsBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 8u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 9u) << "re-record the constants below";
   const auto bytes = snap::run_metrics_to_bytes(full_metrics());
   EXPECT_EQ(bytes.size(), 559u);
   EXPECT_EQ(crc(bytes), 2152200120u);
@@ -225,13 +225,13 @@ harness::ScenarioConfig pinned_trial_config() {
 // bytes depend on the header and length only, so the payload CRC is pinned
 // as well.
 TEST(WireFormat, TrialSnapshotBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 8u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 9u) << "re-record the constants below";
   const harness::ScenarioConfig c = pinned_trial_config();
 
   const snap::TrialCapture at_zero = snap::capture_trial(c, Time::zero());
   const auto zero_bytes = at_zero.snapshot.to_bytes();
   EXPECT_EQ(zero_bytes.size(), 242596u);
-  EXPECT_EQ(crc(zero_bytes), 928784905u);
+  EXPECT_EQ(crc(zero_bytes), 1645764121u);
   EXPECT_EQ(crc(at_zero.snapshot.payload), 3310102411u);
 
   // Mid-measurement: queued and in-flight reports, DTS phase state.
@@ -239,7 +239,7 @@ TEST(WireFormat, TrialSnapshotBytesPinned) {
   const snap::TrialCapture cap = snap::capture_trial(c, mid);
   const auto cap_bytes = cap.snapshot.to_bytes();
   EXPECT_EQ(cap_bytes.size(), 267440u);
-  EXPECT_EQ(crc(cap_bytes), 475174945u);
+  EXPECT_EQ(crc(cap_bytes), 1167895466u);
   EXPECT_EQ(crc(cap.snapshot.payload), 3074412505u);
 
   const auto metrics = snap::run_metrics_to_bytes(cap.metrics);

@@ -43,6 +43,9 @@ FAULT_CAUSES = {0: "scheduled", 1: "stochastic"}
 # chan_drop reasons, as obs::drop_reason_name spells the DropReason enum
 # (src/obs/trace_record.h). "radio_off" is a tree member asleep at frame
 # start; "detached" is a node outside the routing tree, which has no radio.
+# "model" is recorded only at a receiver that could decode: one listening
+# on idle air, or one with a reception in progress. Elsewhere the link model
+# is not asked, and the frame drops for its real cause.
 DROP_REASONS = ("collision", "captured", "model", "busy", "self_tx",
                 "radio_off", "abandoned", "detached")
 
