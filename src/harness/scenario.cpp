@@ -433,9 +433,10 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
   const std::vector<net::NodeId> members = tree.members();
   // Pre-size the event queue for a handful of timers and in-flight frames
   // per tree member (nodes outside the tree have no stack and schedule
-  // nothing). It is a starting size, not a bound: a dense trial's slot
-  // table can still double once (EventQueue::reserve). Nothing is
-  // scheduled yet.
+  // nothing): its slot table, overflow list, bucket node pool and cursor
+  // bucket, each in one allocation. It is a starting size, not a bound: a
+  // dense trial's slot table can still double once (EventQueue::reserve).
+  // Nothing is scheduled yet.
   sim.reserve_events(members.size() * 8 + 64);
 
   // Radio: transitions t_be/2 each way so that break-even == t_be.

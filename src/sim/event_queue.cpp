@@ -11,29 +11,59 @@ namespace essat::sim {
 void EventQueue::file_(Entry e) const {
   const std::int64_t g = bucket_of_(e.time);
   if (g <= cur_g_) {
-    // At or behind the drain cursor: keep the current bucket's undrained
-    // tail sorted so the entry fires in (time, seq) order. When the bucket
-    // is awaiting its deferred bulk sort, appending is enough.
-    auto& b = buckets_[cur_slot_()];
+    // At or behind the drain cursor: keep the cursor bucket's undrained
+    // tail sorted so the entry fires in (time, seq) order.
     // Fast path: most cursor-bucket pushes (propagation-delay events a few
     // microseconds out) land at or past the bucket's current tail.
-    if (!cur_sorted_ || b.size() == drain_ || !e.before(b.back())) {
-      b.push_back(e);
+    if (cur_.size() == drain_ || !e.before(cur_.back())) {
+      cur_.push_back(e);
       return;
     }
     const auto it = std::upper_bound(
-        b.begin() + static_cast<std::ptrdiff_t>(drain_), b.end(), e,
+        cur_.begin() + static_cast<std::ptrdiff_t>(drain_), cur_.end(), e,
         [](const Entry& a, const Entry& c) { return a.before(c); });
-    b.insert(it, e);
+    cur_.insert(it, e);
     return;
   }
   if (epoch_of_(g) == epoch_of_(cur_g_)) {
-    const std::size_t slot = static_cast<std::size_t>(g) & (kBuckets - 1);
-    buckets_[slot].push_back(e);
-    bitmap_set_(slot);
+    list_push_(static_cast<std::size_t>(g) & (kBuckets - 1), e);
     return;
   }
   far_.push_back(e);
+}
+
+void EventQueue::list_push_(std::size_t slot, Entry e) const {
+  std::uint32_t link = free_node_;
+  if (link != 0) {
+    free_node_ = pool_[link - 1].next;
+  } else {
+    assert(pool_.size() < std::numeric_limits<std::uint32_t>::max());
+    pool_.emplace_back();
+    link = static_cast<std::uint32_t>(pool_.size());
+  }
+  pool_[link - 1] = Node{e, heads_[slot]};
+  heads_[slot] = link;
+  bitmap_set_(slot);
+}
+
+void EventQueue::take_cursor_bucket_() const {
+  assert(cur_.empty());
+  const std::size_t slot = cur_slot_();
+  for (std::uint32_t link = heads_[slot]; link != 0;) {
+    Node& n = pool_[link - 1];
+    cur_.push_back(n.entry);
+    const std::uint32_t next = n.next;
+    n.next = free_node_;
+    free_node_ = link;
+    link = next;
+  }
+  heads_[slot] = 0;
+  bitmap_clear_(slot);
+  // The list is newest-first; filing order is closer to (time, seq) order,
+  // which is the cheap case for the small-run sort.
+  std::reverse(cur_.begin(), cur_.end());
+  std::sort(cur_.begin(), cur_.end(),
+            [](const Entry& a, const Entry& c) { return a.before(c); });
 }
 
 std::size_t EventQueue::bitmap_find_from_(std::size_t from) const {
@@ -51,24 +81,15 @@ std::size_t EventQueue::bitmap_find_from_(std::size_t from) const {
 
 bool EventQueue::ensure_head_() const {
   for (;;) {
-    auto& b = buckets_[cur_slot_()];
-    if (drain_ < b.size()) {
-      if (!cur_sorted_) {
-        std::sort(b.begin() + static_cast<std::ptrdiff_t>(drain_), b.end(),
-                  [](const Entry& a, const Entry& c) { return a.before(c); });
-        cur_sorted_ = true;
-      }
-      return true;
-    }
-    // Current bucket exhausted: recycle it (capacity is kept, so the wheel
-    // stops allocating once warm) and hop to the next occupied bucket.
-    b.clear();
+    if (drain_ < cur_.size()) return true;
+    // Cursor bucket exhausted: keep the vector's capacity for the next
+    // bucket and hop to the next occupied one.
+    cur_.clear();
     drain_ = 0;
-    bitmap_clear_(cur_slot_());
     const std::size_t next = bitmap_find_from_(cur_slot_() + 1);
     if (next < kBuckets) {
       cur_g_ += static_cast<std::int64_t>(next - cur_slot_());
-      cur_sorted_ = false;
+      take_cursor_bucket_();
       continue;
     }
     // Epoch drained. Jump straight to the earliest overflow epoch and pull
@@ -79,19 +100,17 @@ bool EventQueue::ensure_head_() const {
       min_epoch = std::min(min_epoch, epoch_of_(bucket_of_(e.time)));
     }
     cur_g_ = min_epoch << kBucketsLog2;
-    cur_sorted_ = false;
     for (std::size_t i = 0; i < far_.size();) {
       const std::int64_t g = bucket_of_(far_[i].time);
       if (epoch_of_(g) == min_epoch) {
-        const std::size_t slot = static_cast<std::size_t>(g) & (kBuckets - 1);
-        buckets_[slot].push_back(far_[i]);
-        bitmap_set_(slot);
+        list_push_(static_cast<std::size_t>(g) & (kBuckets - 1), far_[i]);
         far_[i] = far_.back();
         far_.pop_back();
       } else {
         ++i;
       }
     }
+    take_cursor_bucket_();
   }
 }
 
@@ -100,13 +119,11 @@ void EventQueue::reserve(std::size_t expected_events) {
   cbs_.reserve(expected_events);
   free_slots_.reserve(expected_events);
   far_.reserve(expected_events);
-  // Seed every wheel bucket with a little capacity: bucket vectors keep
-  // their storage across epochs, so this one-time 64 KiB spend makes the
-  // first epoch as allocation-free as every later one (buckets only grow
-  // past it where the workload genuinely clusters, and then stay grown).
-  for (auto& b : buckets_) {
-    if (b.capacity() < 4) b.reserve(4);
-  }
+  // Every bucket draws its nodes from the one pool, so the wheel's storage
+  // tracks the entries it holds, not the largest cluster each bucket ever
+  // saw.
+  pool_.reserve(expected_events);
+  cur_.reserve(expected_events);
 }
 
 EventId EventQueue::push(util::Time t, Callback cb) {
@@ -232,8 +249,9 @@ bool EventQueue::pop_until(util::Time limit, util::Time& t, Callback& cb,
 void EventQueue::save_state(snap::Serializer& out) const {
   // Collect every live entry: an entry is live iff its slot is pending and
   // it carries the slot's current seq (rearm tombstones, cancelled, and
-  // already-fired entries fail the seq match). Walking all buckets plus the
-  // overflow list visits dead entries too; the filter drops them.
+  // already-fired entries fail the seq match). Walking the cursor bucket,
+  // every bucket list and the overflow list visits dead entries too; the
+  // filter drops them.
   std::vector<Entry> live;
   live.reserve(live_);
   auto consider = [&](const Entry& e) {
@@ -243,8 +261,11 @@ void EventQueue::save_state(snap::Serializer& out) const {
       live.push_back(e);
     }
   };
-  for (const auto& bucket : buckets_) {
-    for (const Entry& e : bucket) consider(e);
+  for (std::size_t i = drain_; i < cur_.size(); ++i) consider(cur_[i]);
+  for (const std::uint32_t head : heads_) {
+    for (std::uint32_t link = head; link != 0; link = pool_[link - 1].next) {
+      consider(pool_[link - 1].entry);
+    }
   }
   for (const Entry& e : far_) consider(e);
   assert(live.size() == live_);

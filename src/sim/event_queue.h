@@ -5,11 +5,16 @@
 //
 // Structure: virtual time is cut into fixed-width buckets (16.4 us — the
 // scale of MAC slots and inter-frame spaces); kBuckets consecutive buckets
-// form one wheel epoch. Entries are 16-byte PODs (time, packed seq+slot)
-// appended unsorted to their bucket; a bucket is sorted by (time, seq)
-// once, when the drain cursor reaches it, so ordering costs O(n log b)
-// over tiny contiguous runs instead of a binary heap's cache-hostile
-// sift per operation. Events beyond the current epoch wait in an unsorted
+// form one wheel epoch. Entries are 16-byte PODs (time, packed seq+slot).
+// A bucket ahead of the drain cursor is an unsorted singly-linked list
+// threaded through one node pool shared by every bucket, so its storage
+// follows its entries (Brown's calendar queue, CACM 31(10), 1988): a node
+// returns to the pool's LIFO free list when the cursor takes its bucket,
+// so the pool holds as many nodes as the lists ever held entries at once.
+// When the cursor reaches a bucket, its list moves into the one cursor
+// vector and is sorted by (time, seq) once, so ordering costs O(n log b)
+// over tiny contiguous runs instead of a binary heap's cache-hostile sift
+// per operation. Events beyond the current epoch wait in an unsorted
 // overflow list and migrate wheel-ward at epoch boundaries; an occupancy
 // bitmap skips empty buckets in O(1), so sparse stretches (sleeping
 // networks) cost nothing. The pop sequence is the total order (time, seq)
@@ -83,11 +88,12 @@ class EventQueue {
   // reserve() for on the next comparable run.
   std::size_t peak_live() const { return peak_live_; }
 
-  // Pre-sizes the slot table, free list, overflow list, and wheel-bucket
-  // capacities for `expected_events` slots. A slot stays taken until the
-  // tombstones its rearms left have drained, so the table can outgrow a
-  // size taken from the live-event population and then doubles: a
-  // 1 000-node trial with 4 786 live events at its peak took 7 765 slots.
+  // Pre-sizes the slot table, free list, overflow list, bucket node pool
+  // and cursor bucket for `expected_events` entries: a handful of
+  // allocations, none per bucket. A slot stays taken until the tombstones
+  // its rearms left have drained, so the table can outgrow a size taken
+  // from the live-event population and then doubles: a 1 000-node trial
+  // with 4 786 live events at its peak took 7 765 slots.
   void reserve(std::size_t expected_events);
 
   // Snapshot hook: serializes the live-event digest — every pending
@@ -175,8 +181,13 @@ class EventQueue {
   }
 
   // Files an entry into the wheel, the overflow list, or — for times at or
-  // behind the drain cursor — the sorted remainder of the current bucket.
+  // behind the drain cursor — the sorted remainder of the cursor bucket.
   void file_(Entry e) const;
+  // Prepends `e` to the list of bucket `slot`, ahead of the cursor.
+  void list_push_(std::size_t slot, Entry e) const;
+  // Moves the cursor bucket's list into the empty cur_, sorts it by
+  // (time, seq), and returns its nodes to the pool.
+  void take_cursor_bucket_() const;
   void bitmap_set_(std::size_t slot) const {
     occupancy_[slot >> 6] |= 1ull << (slot & 63);
   }
@@ -185,12 +196,12 @@ class EventQueue {
   }
   // First occupied bucket at position >= from, or kBuckets when none.
   std::size_t bitmap_find_from_(std::size_t from) const;
-  // Advances the drain cursor to the next entry (sorting its bucket on
-  // arrival, migrating overflow entries at epoch boundaries). Returns
-  // false when no entries remain anywhere.
+  // Advances the drain cursor to the next entry (taking and sorting its
+  // bucket on arrival, migrating overflow entries at epoch boundaries).
+  // Returns false when no entries remain anywhere.
   bool ensure_head_() const;
   // Precondition: ensure_head_() returned true.
-  const Entry& head_() const { return buckets_[cur_slot_()][drain_]; }
+  const Entry& head_() const { return cur_[drain_]; }
   void pop_head_() const { ++drain_; }
   std::size_t cur_slot_() const {
     return static_cast<std::size_t>(cur_g_) & (kBuckets - 1);
@@ -205,14 +216,26 @@ class EventQueue {
   void entry_surfaced_(std::uint32_t slot) const;
   void release_slot_(std::uint32_t slot) const;
 
-  mutable std::vector<std::vector<Entry>> buckets_{kBuckets};
+  // One entry of a bucket ahead of the cursor, or a free node. Links are
+  // pool index + 1, so 0 ends a list and a zeroed head is an empty bucket.
+  struct Node {
+    Entry entry;
+    std::uint32_t next = 0;
+  };
+
+  // Buckets ahead of the cursor: list heads into one node pool shared by
+  // every bucket; free nodes form a LIFO list from free_node_.
+  mutable std::uint32_t heads_[kBuckets] = {};
+  mutable std::vector<Node> pool_;
+  mutable std::uint32_t free_node_ = 0;
   mutable std::uint64_t occupancy_[kBitmapWords] = {};
   mutable std::vector<Entry> far_;     // entries beyond the current epoch
   mutable std::int64_t cur_g_ = 0;     // global bucket index being drained
-  mutable std::size_t drain_ = 0;      // next position in the current bucket
-  // The current bucket is sorted from drain_ onward — by insertion for
-  // entries filed at the cursor, or by the deferred bulk sort below.
-  mutable bool cur_sorted_ = true;
+  // The cursor bucket: its list's entries, sorted when the cursor
+  // arrives, plus those filed at or behind the cursor since, each
+  // inserted in order; drained from drain_ onward.
+  mutable std::vector<Entry> cur_;
+  mutable std::size_t drain_ = 0;  // next position in cur_
   mutable std::vector<SlotMeta> meta_;
   mutable std::vector<Callback> cbs_;  // parallel to meta_
   mutable std::vector<std::uint32_t> free_slots_;

@@ -33,7 +33,7 @@ TEST(SteadyStateAlloc, EventPushPopIsAllocationFree) {
   q.reserve(256);
   WideCapture w;
   std::uint64_t sink = 0;
-  // Warm-up: populate slots, bucket capacity, and the overflow list.
+  // Warm-up: populate slots, the entry pool, and the overflow list.
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 128; ++i) {
       w.k = static_cast<std::uint64_t>(i);
@@ -51,6 +51,40 @@ TEST(SteadyStateAlloc, EventPushPopIsAllocationFree) {
     EXPECT_EQ(scope.count(), 0u) << "event push/pop allocated after warm-up";
   }
   EXPECT_GT(sink, 0u);
+}
+
+// Every wheel bucket ahead of the drain cursor keeps its entries in one
+// shared node pool, and the cursor's bucket is one vector, so the wheel's
+// storage follows the entries it holds rather than the largest cluster
+// each bucket ever saw: once a 1 000-event cluster has drained, an equal
+// cluster in another bucket of a later epoch allocates nothing. Setting up
+// a queue costs a handful of allocations, none per bucket.
+TEST(SteadyStateAlloc, BucketsShareOneEntryPool) {
+  constexpr int kCluster = 1000;
+  {
+    CountScope setup;
+    sim::EventQueue reserved;
+    reserved.reserve(kCluster);
+    EXPECT_LE(setup.count(), 8u)
+        << "construction and reserve() allocated per bucket";
+  }
+  sim::EventQueue q;  // unreserved, so the first cluster sizes everything
+  std::uint64_t fired = 0;
+  auto cluster_at = [&](Time t) {
+    for (int i = 0; i < kCluster; ++i) q.push(t, [&fired] { ++fired; });
+    while (!q.empty()) q.pop().second();
+  };
+  // Wheel geometry: 2^14 ns buckets, 1 024 of them per 2^24 ns epoch.
+  const auto instant = [](std::int64_t epoch, std::int64_t bucket) {
+    return Time::nanoseconds(epoch << 24 | bucket << 14);
+  };
+  cluster_at(instant(2, 5));
+  {
+    CountScope scope;
+    cluster_at(instant(7, 700));
+    EXPECT_EQ(scope.count(), 0u) << "a cluster in a fresh bucket allocated";
+  }
+  EXPECT_EQ(fired, 2u * kCluster);
 }
 
 TEST(SteadyStateAlloc, TimerRearmIsAllocationFree) {
@@ -126,7 +160,7 @@ TEST(SteadyStateAlloc, BroadcastDeliveryIsAllocationFree) {
     }
     sim.run();
   };
-  broadcast(8);  // warm-up: packet pool, event slots, bucket capacity
+  broadcast(8);  // warm-up: packet pool, event slots, entry pool
   const int before = delivered;
   {
     CountScope scope;
@@ -148,14 +182,7 @@ TEST(SteadyStateAlloc, EpochRolloverIsAllocationFree) {
   const net::Topology topo = net::Topology::line(4, 100.0, 125.0);
   const routing::Tree tree = routing::build_bfs_tree(topo, 0, 10000.0);
   net::Channel ch{sim, topo};
-  // Zero contention window: the chain's transmissions are staggered by the
-  // shaper, so backoff only adds rng jitter that would smear the per-epoch
-  // event cluster across different wheel buckets each epoch and defeat the
-  // bucket-capacity warm-up.
-  mac::MacParams mp;
-  mp.cw_min = 0;
-  mp.cw_max = 0;
-  mp.initial_data_cw = 0;
+  const mac::MacParams mp;
   std::vector<std::unique_ptr<energy::Radio>> radios;
   std::vector<std::unique_ptr<mac::CsmaMac>> macs;
   std::vector<std::unique_ptr<core::NtsShaper>> shapers;
@@ -178,12 +205,9 @@ TEST(SteadyStateAlloc, EpochRolloverIsAllocationFree) {
       [&root_arrivals](const query::Query&, std::int64_t, Time, int) {
         ++root_arrivals;
       });
-  // Period a multiple of the calendar wheel's epoch (1024 buckets of
-  // 2^14 ns): every epoch's deterministic timer cluster (sends, deadlines)
-  // then lands in the same wheel buckets the warm-up epochs already grew,
-  // so the assertion checks the true steady state instead of racing bucket
-  // capacities against slot drift.
-  const Time period = Time::nanoseconds((std::int64_t{1} << 24) * 60);
+  // Backoff jitter lands each epoch's event cluster in different wheel
+  // buckets; they all share one entry pool, so that costs nothing.
+  const Time period = Time::seconds(1);
   query::Query q;
   q.id = 0;
   q.period = period;
@@ -212,8 +236,8 @@ TEST(SteadyStateAlloc, MacQueueChurnIsAllocationFree) {
   energy::Radio r0{sim, energy::RadioParams{}};
   energy::Radio r1{sim, energy::RadioParams{}};
   // Single sender, so backoff never resolves contention here — zero the
-  // contention window to keep each burst's event times identical modulo
-  // the wheel epoch (see the spacing note below).
+  // contention window so that every burst stacks the queue to the same
+  // depth, the one the warm-up bursts reach.
   mac::MacParams mp;
   mp.cw_min = 0;
   mp.cw_max = 0;
@@ -223,11 +247,8 @@ TEST(SteadyStateAlloc, MacQueueChurnIsAllocationFree) {
   int received = 0;
   m1.set_rx_handler([&received](const net::Packet&) { ++received; });
 
-  // Burst spacing = one full wheel epoch (1024 buckets of 2^14 ns), so
-  // every burst's event cluster reuses the wheel buckets the warm-up
-  // bursts grew; see EpochRolloverIsAllocationFree.
-  const Time spacing = Time::nanoseconds(std::int64_t{1} << 24);
-  int round = 0;  // bursts at absolute times round*spacing: always aligned
+  const Time spacing = Time::milliseconds(10);
+  int round = 0;  // bursts at absolute times round*spacing
   auto burst = [&](int rounds) {
     for (int i = 0; i < rounds; ++i) {
       sim.schedule_at(spacing * round++, [&m0] {
@@ -409,13 +430,13 @@ double trial_alloc_bytes(int num_nodes) {
 // Bytes per node at 1000 nodes bound the per-node footprint; differencing
 // 1000 against 160 nodes cancels the fixed harness overhead and leaves the
 // marginal cost of one stack (radio, MAC, tree state, agent, channel slot).
-// The budgets are 1.25x the 27 802 and 29 851 B measured with neighbor
-// lists built on first read.
+// The budgets are 1.25x the 17 851 and 19 442 B measured with the event
+// queue's wheel buckets in one shared entry pool.
 TEST(SteadyStateAlloc, PerNodeFootprintWithinBudget) {
   const double bytes_160 = trial_alloc_bytes(160);
   const double bytes_1000 = trial_alloc_bytes(1000);
-  EXPECT_LE(bytes_1000 / 1000.0, 34753.0);
-  EXPECT_LE((bytes_1000 - bytes_160) / (1000.0 - 160.0), 37314.0);
+  EXPECT_LE(bytes_1000 / 1000.0, 22314.0);
+  EXPECT_LE((bytes_1000 - bytes_160) / (1000.0 - 160.0), 24303.0);
 }
 
 // Same seed, 2 s and 4 s windows at 4 Hz: setup and teardown allocations

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -187,39 +188,74 @@ TEST(EventQueue, ReserveDoesNotDisturbBehavior) {
   EXPECT_EQ(popped, 100u);
 }
 
-// Randomized A/B against a reference model (sorted (time, seq) list with
-// the same cancel/rearm semantics): the calendar-wheel queue must pop the
-// exact same sequence for arbitrary interleavings of push, cancel, rearm,
-// and pop across bucket and epoch boundaries.
-TEST(EventQueue, MatchesReferenceModelOnRandomOps) {
-  struct RefEvent {
+// Reference model for the A/B tests below: the live events in a flat list,
+// with the queue's cancel and rearm semantics, popped by a linear scan for
+// the least (time, seq).
+class RefQueue {
+ public:
+  void push(std::int64_t time_ns, int tag) {
+    live_.push_back(Event{time_ns, next_seq_++, tag});
+  }
+  bool holds(int tag) const { return find_(tag) < live_.size(); }
+  void cancel(int tag) {
+    const std::size_t i = find_(tag);
+    if (i < live_.size()) {
+      live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  }
+  // Retimes a live event with a fresh seq, as cancel+push would.
+  void rearm(int tag, std::int64_t time_ns) {
+    const std::size_t i = find_(tag);
+    if (i == live_.size()) return;
+    live_[i].time_ns = time_ns;
+    live_[i].seq = next_seq_++;
+  }
+  // Removes the least (time, seq) and returns its tag. Precondition:
+  // !empty().
+  int pop_min() {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < live_.size(); ++i) {
+      if (live_[i].time_ns < live_[best].time_ns ||
+          (live_[i].time_ns == live_[best].time_ns &&
+           live_[i].seq < live_[best].seq)) {
+        best = i;
+      }
+    }
+    const int tag = live_[best].tag;
+    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(best));
+    return tag;
+  }
+  bool empty() const { return live_.empty(); }
+  std::size_t size() const { return live_.size(); }
+
+ private:
+  struct Event {
     std::int64_t time_ns;
     std::uint64_t seq;
     int tag;
   };
+  std::size_t find_(int tag) const {
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      if (live_[i].tag == tag) return i;
+    }
+    return live_.size();
+  }
+  std::vector<Event> live_;
+  std::uint64_t next_seq_ = 0;
+};
+
+// Randomized A/B against the reference model: the calendar-wheel queue
+// must pop the exact same sequence for arbitrary interleavings of push,
+// cancel, rearm, and pop across bucket and epoch boundaries.
+TEST(EventQueue, MatchesReferenceModelOnRandomOps) {
   util::Rng rng{1234};
   for (int trial = 0; trial < 20; ++trial) {
     EventQueue q;
-    std::vector<RefEvent> ref;  // live reference events
+    RefQueue ref;
     std::vector<std::pair<EventId, int>> handles;
-    std::uint64_t ref_seq = 0;
     std::vector<int> got, want;
     int next_tag = 0;
     std::int64_t now_ns = 0;
-
-    auto ref_pop_min = [&]() -> int {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < ref.size(); ++i) {
-        if (ref[i].time_ns < ref[best].time_ns ||
-            (ref[i].time_ns == ref[best].time_ns &&
-             ref[i].seq < ref[best].seq)) {
-          best = i;
-        }
-      }
-      const RefEvent e = ref[best];
-      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(best));
-      return e.tag;
-    };
 
     for (int op = 0; op < 400; ++op) {
       const int kind = static_cast<int>(rng.uniform_int(0, 9));
@@ -231,7 +267,7 @@ TEST(EventQueue, MatchesReferenceModelOnRandomOps) {
         const int tag = next_tag++;
         const EventId id =
             q.push(Time::nanoseconds(t), [tag, &got] { got.push_back(tag); });
-        ref.push_back(RefEvent{t, ref_seq++, tag});
+        ref.push(t, tag);
         handles.emplace_back(id, tag);
       } else if (kind <= 6) {
         // Cancel a random (possibly stale) handle.
@@ -239,12 +275,7 @@ TEST(EventQueue, MatchesReferenceModelOnRandomOps) {
             handles[static_cast<std::size_t>(rng.uniform_int(
                 0, static_cast<std::int64_t>(handles.size()) - 1))];
         q.cancel(id);
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-          if (ref[i].tag == tag) {
-            ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
-            break;
-          }
-        }
+        ref.cancel(tag);
       } else if (kind == 7) {
         // Rearm a random handle; mirrors cancel+push with a fresh seq.
         const auto& [id, tag] =
@@ -252,31 +283,114 @@ TEST(EventQueue, MatchesReferenceModelOnRandomOps) {
                 0, static_cast<std::int64_t>(handles.size()) - 1))];
         const std::int64_t t =
             now_ns + rng.uniform_int(0, 200'000'000);
-        if (q.rearm(id, Time::nanoseconds(t))) {
-          for (auto& e : ref) {
-            if (e.tag == tag) {
-              e.time_ns = t;
-              e.seq = ref_seq;
-              break;
-            }
-          }
-          ++ref_seq;
-        }
+        if (q.rearm(id, Time::nanoseconds(t))) ref.rearm(tag, t);
       } else {
         // Pop one event; virtual time advances to it.
         ASSERT_FALSE(q.empty());
         auto [t, cb] = q.pop();
         now_ns = t.ns();
         cb();
-        want.push_back(ref_pop_min());
+        want.push_back(ref.pop_min());
       }
     }
     while (!q.empty()) {
       q.pop().second();
-      want.push_back(ref_pop_min());
+      want.push_back(ref.pop_min());
     }
     EXPECT_TRUE(ref.empty());
     EXPECT_EQ(got, want) << "trial " << trial;
+  }
+}
+
+// The same A/B where simulations actually stress the wheel: clusters. Most
+// pushes and rearms land on a few hot instants (many events at one ns, so
+// one bucket), which sit at the drain cursor, later in its epoch, or past
+// it; the rest land just behind the cursor or anywhere in the next few
+// epochs. Cancels and rearms hit the clusters, and pops run in bursts that
+// carry the cursor across epoch boundaries.
+TEST(EventQueue, MatchesReferenceModelOnClusteredOps) {
+  constexpr std::int64_t kBucketNs = std::int64_t{1} << 14;
+  constexpr std::int64_t kEpochNs = std::int64_t{1} << 24;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng{seed};
+    EventQueue q;
+    RefQueue ref;
+    std::vector<std::pair<EventId, int>> handles;
+    std::vector<int> got, want;
+    int next_tag = 0;
+    std::int64_t cursor_ns = 0;  // latest popped time
+
+    // A hot instant the cursor has passed is replaced by a new one at the
+    // cursor, later in its bucket, later in its epoch, or 1-3 epochs out.
+    std::int64_t hot[4] = {0, 0, 0, 0};
+    auto fresh_hot = [&]() -> std::int64_t {
+      const std::int64_t where = rng.uniform_int(0, 3);
+      if (where == 0) return cursor_ns;
+      if (where == 1) return cursor_ns + rng.uniform_int(0, kBucketNs - 1);
+      if (where == 2) return cursor_ns + rng.uniform_int(kBucketNs, kEpochNs);
+      return cursor_ns + rng.uniform_int(kEpochNs, 3 * kEpochNs);
+    };
+    auto pick_time = [&]() -> std::int64_t {
+      const std::int64_t r = rng.uniform_int(0, 9);
+      if (r < 7) {
+        std::int64_t& h = hot[rng.uniform_int(0, 3)];
+        if (h < cursor_ns) h = fresh_hot();
+        return h;
+      }
+      if (r == 7) {  // behind the cursor, within one bucket of it
+        return std::max<std::int64_t>(
+            0, cursor_ns - rng.uniform_int(1, kBucketNs));
+      }
+      return cursor_ns + rng.uniform_int(0, 3 * kEpochNs);
+    };
+    // Mostly recent handles, which are likely still pending in a cluster.
+    auto pick_handle = [&]() -> const std::pair<EventId, int>& {
+      const auto n = static_cast<std::int64_t>(handles.size());
+      const std::int64_t lo =
+          rng.uniform_int(0, 3) == 0 ? 0 : std::max<std::int64_t>(0, n - 32);
+      return handles[static_cast<std::size_t>(rng.uniform_int(lo, n - 1))];
+    };
+
+    for (int op = 0; op < 3000; ++op) {
+      const std::int64_t kind = rng.uniform_int(0, 19);
+      if (kind < 9 || ref.empty()) {
+        const std::int64_t t = pick_time();
+        const int tag = next_tag++;
+        const EventId id =
+            q.push(Time::nanoseconds(t), [tag, &got] { got.push_back(tag); });
+        ref.push(t, tag);
+        handles.emplace_back(id, tag);
+      } else if (kind < 12) {
+        const auto [id, tag] = pick_handle();
+        q.cancel(id);
+        ref.cancel(tag);
+      } else if (kind < 15) {
+        // Rearm, refused exactly when the reference no longer holds the
+        // event.
+        const auto [id, tag] = pick_handle();
+        const std::int64_t t = pick_time();
+        ASSERT_EQ(q.rearm(id, Time::nanoseconds(t)), ref.holds(tag));
+        ref.rearm(tag, t);
+      } else {
+        // A burst of pops; virtual time advances with them.
+        const std::int64_t burst = rng.uniform_int(1, 24);
+        for (std::int64_t k = 0; k < burst && !ref.empty(); ++k) {
+          ASSERT_FALSE(q.empty());
+          auto [t, cb] = q.pop();
+          cursor_ns = std::max(cursor_ns, t.ns());
+          cb();
+          want.push_back(ref.pop_min());
+        }
+      }
+      ASSERT_EQ(q.size(), ref.size()) << "seed " << seed << " op " << op;
+    }
+    while (!q.empty()) {
+      q.pop().second();
+      want.push_back(ref.pop_min());
+    }
+    EXPECT_TRUE(ref.empty());
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_GT(cursor_ns, 4 * kEpochNs) << "the cursor crossed few epochs";
   }
 }
 
