@@ -62,5 +62,6 @@
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
 #include "src/util/rng.h"
+#include "src/util/slot_index.h"
 #include "src/util/stats.h"
 #include "src/util/time.h"

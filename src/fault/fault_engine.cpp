@@ -22,8 +22,8 @@ FaultEngine::FaultEngine(sim::Simulator& sim, FaultEngineParams params,
                          util::Rng&& rng)
     : sim_{sim}, params_{std::move(params)} {
   const std::size_t n = params_.num_nodes;
-  down_.assign(n, 0);
-  open_outage_.assign(n, -1);
+  down_.assign(params_.members.size(), 0);
+  open_outage_.assign(params_.members.size(), -1);
 
   for (net::NodeId id : params_.members) {
     if (id != params_.root) targets_.push_back(id);
@@ -74,6 +74,12 @@ FaultEngine::FaultEngine(sim::Simulator& sim, FaultEngineParams params,
             });
 }
 
+std::size_t FaultEngine::member_index_(net::NodeId n) const {
+  const auto& members = params_.members;
+  return static_cast<std::size_t>(
+      std::lower_bound(members.begin(), members.end(), n) - members.begin());
+}
+
 void FaultEngine::start() {
   for (const PlannedFault& f : planned_) {
     sim_.schedule_at(f.at, [this, f] { crash_(f.node, f.cause, f.down_for); });
@@ -84,7 +90,7 @@ void FaultEngine::start() {
 // ESSAT_TRACE compiles out under -DESSAT_TRACING=OFF.
 void FaultEngine::crash_(net::NodeId n, [[maybe_unused]] FaultCause cause,
                          util::Time down_for) {
-  const auto i = static_cast<std::size_t>(n);
+  const std::size_t i = member_index_(n);
   if (down_[i]) return;  // scheduled + stochastic overlap: first one wins
   down_[i] = 1;
   ++deaths_;
@@ -102,7 +108,7 @@ void FaultEngine::crash_(net::NodeId n, [[maybe_unused]] FaultCause cause,
 }
 
 void FaultEngine::restart_(net::NodeId n) {
-  const auto i = static_cast<std::size_t>(n);
+  const std::size_t i = member_index_(n);
   if (!down_[i]) return;
   down_[i] = 0;
   Outage& o = outages_[static_cast<std::size_t>(open_outage_[i])];

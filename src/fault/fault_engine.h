@@ -76,10 +76,6 @@ class FaultEngine {
   // registered before a churn event at offset zero fires).
   void start();
 
-  bool is_down(net::NodeId n) const {
-    return down_[static_cast<std::size_t>(n)];
-  }
-
   // --- Metrics ------------------------------------------------------------
   std::uint64_t node_deaths() const { return deaths_; }
   // Total node-seconds of downtime overlapping the measurement window;
@@ -109,6 +105,8 @@ class FaultEngine {
 
   void crash_(net::NodeId n, FaultCause cause, util::Time down_for);
   void restart_(net::NodeId n);
+  // `n`'s index in params_.members (`n` is a target, so a member).
+  std::size_t member_index_(net::NodeId n) const;
 
   sim::Simulator& sim_;
   FaultEngineParams params_;
@@ -119,6 +117,7 @@ class FaultEngine {
   std::vector<net::NodeId> targets_;
   std::vector<PlannedFault> planned_;     // churn, sorted by (at, node)
 
+  // By index in params_.members.
   std::vector<char> down_;
   std::vector<int> open_outage_;          // index into outages_, -1 if up
   std::vector<Outage> outages_;

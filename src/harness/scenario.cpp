@@ -24,6 +24,7 @@
 #include "src/snap/hook.h"
 #include "src/snap/serializer.h"
 #include "src/util/rng.h"
+#include "src/util/slot_index.h"
 
 namespace essat::harness {
 
@@ -35,16 +36,22 @@ namespace {
 
 // The policy-agnostic per-node substrate. Everything protocol-specific
 // (SafeSleep schedulers, beacon/backbone machinery) is owned by the
-// PowerManager make_power_manager built. Only the routing tree's members at
-// t = 0 get a stack; a node outside that tree is outside the experiment and
-// keeps an empty one: no radio, no MAC, no channel listener. Faults strike
-// only members (fault_engine.h), so no node ever needs a stack later, and a
+// PowerManager make_power_manager built. Only the trial's roster, the
+// routing tree's members at t = 0, has stacks; a node outside it is outside
+// the experiment: no radio, no MAC, no channel listener, and no per-node
+// state beyond the topology's and the roster index's. Faults strike only
+// members (fault_engine.h), so no node ever needs a stack later, and a
 // member that maintenance removes keeps its stack, since it may rejoin.
 struct NodeStack {
   std::unique_ptr<energy::Radio> radio;
   std::unique_ptr<mac::CsmaMac> mac;
   std::unique_ptr<query::TrafficShaper> shaper;
   std::unique_ptr<query::QueryAgent> agent;
+  // The active SafeSleep (nullptr for policies without one); a crash
+  // deactivates it, a restart replaces it.
+  core::SafeSleep* sleeper = nullptr;
+  // Restarted after maintenance removed it; rebuilt once repair re-attaches it.
+  bool awaiting_rejoin = false;
 };
 
 // "{seed}" substitution for TraceSpec export paths, so each traced trial of
@@ -89,18 +96,21 @@ struct Trial::Impl {
   util::Rng policy_rng = master.fork(3);
   net::Topology topo = build_topology(config, placement_rng, master);
   const net::NodeId root = topo.nearest(config.deployment.centre());
+  // The roster: the t = 0 tree's members, which any parent policy reaches.
+  // Every per-node array of the trial is sized by it.
+  const std::shared_ptr<const util::SlotIndex> roster =
+      routing::tree_roster(topo, root, config.deployment.max_tree_dist_m);
   sim::Simulator sim;
   std::unique_ptr<obs::Tracer> tracer;
-  net::Channel channel{sim, topo, config.channel_params};
+  net::Channel channel{sim, topo, roster, config.channel_params};
   // Link-quality feedback for parent selection: the estimator reads the
   // channel's loss statistics (and the loss model's own curve as a prior),
   // the policy ranks candidate parents by it.
   const routing::LinkEstimator link_estimator{channel, topo, config.routing.etx};
   std::unique_ptr<routing::ParentPolicy> parent_policy = config.routing.build(
       routing::PolicyContext{&topo, &link_estimator, config.routing.etx});
-  const std::size_t n = topo.num_nodes();
-  std::vector<NodeStack> nodes = std::vector<NodeStack>(n);
-  routing::Tree tree{n};
+  routing::Tree tree = build_tree();
+  std::vector<NodeStack> nodes = std::vector<NodeStack>(roster->size());
   // Phasing: the setup slot, then query starts over the start window, then
   // the measurement window (after all queries have started).
   const util::Time setup_end = config.setup_duration;
@@ -115,9 +125,6 @@ struct Trial::Impl {
   const StackContext stack_ctx{sim,    topo,      tree,      root,
                                config, setup_end, policy_rng};
   LatencyCollector latency;
-  // The active SafeSleep per node (nullptr for policies without one); a
-  // crash deactivates it, a restart replaces it.
-  std::vector<core::SafeSleep*> sleepers = std::vector<core::SafeSleep*>(n);
   // The materialized workload, kept for restarts: a revived node re-registers
   // every query with the epoch chain resuming after its outage.
   std::vector<query::Query> active_queries;
@@ -127,9 +134,26 @@ struct Trial::Impl {
   // would silently black-hole its subtree forever.
   const bool maintenance_on =
       config.enable_maintenance || config.faults.churn.enabled();
-  std::vector<char> awaiting_rejoin = std::vector<char>(n, 0);
 
-  NodeStack& stack(net::NodeId id) { return nodes[static_cast<std::size_t>(id)]; }
+  // Routing tree, built centrally before the experiment starts (§3). The
+  // channel's loss model goes in first: the ETX policy reads its PRR prior.
+  routing::Tree build_tree() {
+    // The loss model draws from its own forked stream, so installing (or
+    // changing) it never perturbs placement/workload/MAC randomness.
+    channel.set_link_model(
+        config.channel_model.build(topo.range(), master.fork(5)));
+    // Per-link frame statistics only cost something when a policy reads them.
+    channel.set_link_stats_enabled(parent_policy->uses_link_estimator());
+    return routing::build_policy_tree(topo, roster, root, parent_policy.get());
+  }
+
+  // A roster node's stack.
+  NodeStack& stack(net::NodeId id) {
+    return nodes[static_cast<std::size_t>(roster->slot(id))];
+  }
+  const NodeStack& stack(net::NodeId id) const {
+    return nodes[static_cast<std::size_t>(roster->slot(id))];
+  }
   bool alive(net::NodeId id) {
     const NodeStack& node = stack(id);
     return node.radio && !node.radio->failed();
@@ -139,9 +163,8 @@ struct Trial::Impl {
     NodeStack& node = stack(id);
     const NodeHandles handles{id, *node.radio, *node.mac};
     node.shaper = policy->make_shaper(stack_ctx, handles);
-    core::SafeSleep* sleeper = policy->attach_node(stack_ctx, handles);
-    sleepers[static_cast<std::size_t>(id)] = sleeper;
-    node.shaper->set_context(query::ShaperContext{&tree, id, sleeper});
+    node.sleeper = policy->attach_node(stack_ctx, handles);
+    node.shaper->set_context(query::ShaperContext{&tree, id, node.sleeper});
     node.agent = std::make_unique<query::QueryAgent>(
         sim, *node.mac, tree, id, *node.shaper,
         query::QueryAgentParams{.t_comp = config.t_comp});
@@ -210,13 +233,12 @@ struct Trial::Impl {
   // and the query agent. Maintenance forgets the node's counters; neighbors
   // detect the death organically via child misses / send failures (§4.3).
   void teardown_node(net::NodeId id) {
-    const auto i = static_cast<std::size_t>(id);
-    NodeStack& node = nodes[i];
+    NodeStack& node = stack(id);
     node.mac->crash_reset();
     node.radio->crash();
-    if (sleepers[i] != nullptr) {
-      sleepers[i]->deactivate();
-      sleepers[i] = nullptr;
+    if (node.sleeper != nullptr) {
+      node.sleeper->deactivate();
+      node.sleeper = nullptr;
     }
     if (node.agent) node.agent->halt();
     if (maintenance) maintenance->detach_agent(id);
@@ -245,14 +267,15 @@ struct Trial::Impl {
       // node; its stack resumes on the existing tree position.
       complete_restart(id);
     } else {
-      awaiting_rejoin[static_cast<std::size_t>(id)] = 1;
+      stack(id).awaiting_rejoin = true;
       repair.request_rejoin(id);
     }
   }
 
   void on_rejoin(net::NodeId id) {
-    if (!awaiting_rejoin[static_cast<std::size_t>(id)]) return;
-    awaiting_rejoin[static_cast<std::size_t>(id)] = 0;
+    NodeStack& node = stack(id);
+    if (!node.awaiting_rejoin) return;
+    node.awaiting_rejoin = false;
     complete_restart(id);
   }
 
@@ -278,10 +301,10 @@ struct Trial::Impl {
     channel.save_state(out);
     tree.save_state(out);
     link_estimator.save_state(out);
-    out.u64(n);
+    out.u64(nodes.size());
     for (const NodeStack& node : nodes) {
       out.boolean(node.radio != nullptr);
-      if (!node.radio) continue;  // outside the tree: no stack
+      if (!node.radio) continue;  // a roster node the policy left out
       node.radio->save_state(out);
       node.mac->save_state(out);
       out.boolean(node.shaper != nullptr);
@@ -326,7 +349,7 @@ struct Trial::Impl {
     std::vector<const energy::Radio*> radios;
     std::vector<int> rank_of;
     for (net::NodeId id : members) {
-      const NodeStack& node = nodes[static_cast<std::size_t>(id)];
+      const NodeStack& node = stack(id);
       if (node.radio->failed()) continue;
       radios.push_back(node.radio.get());
       rank_of.push_back(tree.rank(id));
@@ -356,7 +379,7 @@ struct Trial::Impl {
 
     std::uint64_t phase_updates = 0;
     for (net::NodeId id : members) {
-      const NodeStack& node = nodes[static_cast<std::size_t>(id)];
+      const NodeStack& node = stack(id);
       RunMetrics::NodeDiag diag;
       diag.id = id;
       diag.rank = tree.rank(id);
@@ -418,18 +441,6 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
       sim.set_tracer(tracer.get());
     }
   }
-  // The loss model draws from its own forked stream, so installing (or
-  // changing) it never perturbs placement/workload/MAC randomness.
-  channel.set_link_model(config.channel_model.build(topo.range(), master.fork(5)));
-  // Per-link frame statistics only cost something when a policy reads them.
-  channel.set_link_stats_enabled(parent_policy->uses_link_estimator());
-
-  // Routing tree, built centrally before the experiment starts (§3). It
-  // follows set_link_model because the ETX policy reads the loss model's
-  // PRR prior.
-  tree = routing::build_policy_tree(topo, root,
-                                    config.deployment.max_tree_dist_m,
-                                    parent_policy.get());
   const std::vector<net::NodeId> members = tree.members();
   // Pre-size the event queue for a handful of timers and in-flight frames
   // per tree member (nodes outside the tree have no stack and schedule
@@ -463,8 +474,9 @@ Trial::Impl::Impl(const ScenarioConfig& config_in) : config{config_in} {
   if (config.faults.enabled()) {
     fault_engine = std::make_unique<fault::FaultEngine>(
         sim,
-        fault::FaultEngineParams{config.faults, n, root, members, setup_end,
-                                 measure_start, measure_end},
+        fault::FaultEngineParams{config.faults, topo.num_nodes(), root,
+                                 members, setup_end, measure_start,
+                                 measure_end},
         master.fork(7));
   }
   policy = make_power_manager(config.protocol.name);

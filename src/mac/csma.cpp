@@ -16,6 +16,10 @@ CsmaMac::CsmaMac(sim::Simulator& sim, net::Channel& channel, energy::Radio& radi
       radio_{radio},
       self_{self},
       params_{params},
+      ack_duration_{params.ack_duration()},
+      sifs_ack_{params.sifs + ack_duration_},
+      eifs_{params.eifs()},
+      ack_timeout_{params.ack_timeout()},
       rng_{std::move(rng)},
       backoff_timer_{sim},
       ack_timer_{sim},
@@ -208,7 +212,7 @@ void CsmaMac::transmit_head_() {
       finish_head_(true);
     } else {
       waiting_ack_ = true;
-      ack_timer_.arm_in(params_.ack_timeout(), [this] { on_ack_timeout_(); });
+      ack_timer_.arm_in(ack_timeout_, [this] { on_ack_timeout_(); });
     }
   });
 }
@@ -253,7 +257,7 @@ void CsmaMac::on_rx_complete(const net::Packet& p, bool ok) {
   if (!ok) {
     // EIFS: after a garbled frame, defer long enough that a response we
     // could not decode (e.g. an ACK) is not stomped.
-    nav_until_ = std::max(nav_until_, sim_.now() + params_.eifs());
+    nav_until_ = std::max(nav_until_, sim_.now() + eifs_);
     if (in_backoff_) freeze_backoff_();
     return;
   }
@@ -302,8 +306,7 @@ void CsmaMac::on_rx_complete(const net::Packet& p, bool ok) {
   }
 
   // Overheard unicast data for someone else: NAV covers its ACK.
-  nav_until_ = std::max(
-      nav_until_, sim_.now() + params_.sifs + params_.ack_duration());
+  nav_until_ = std::max(nav_until_, sim_.now() + sifs_ack_);
   if (in_backoff_) freeze_backoff_();
 }
 
@@ -331,9 +334,8 @@ void CsmaMac::send_ack_(net::NodeId to) {
     transmitting_ = true;
     update_listening_();
     radio_.note_tx(true);
-    const util::Time dur = params_.ack_duration();
-    channel_.start_tx(self_, ack, dur);
-    sim_.schedule_in(dur, [this] {
+    channel_.start_tx(self_, ack, ack_duration_);
+    sim_.schedule_in(ack_duration_, [this] {
       transmitting_ = false;
       update_listening_();
       radio_.note_tx(false);
@@ -370,8 +372,7 @@ void CsmaMac::on_channel_activity() {
       // hidden contenders stomp ACKs and senders burn their retry budget
       // against receivers that already accepted the frame and went back to
       // sleep.
-      nav_until_ = std::max(nav_until_,
-                            sim_.now() + params_.sifs + params_.ack_duration());
+      nav_until_ = std::max(nav_until_, sim_.now() + sifs_ack_);
     }
     decoded_last_busy_ = false;
   }

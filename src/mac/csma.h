@@ -162,6 +162,12 @@ class CsmaMac : public net::ChannelListener {
   energy::Radio& radio_;
   net::NodeId self_;
   MacParams params_;
+  // The fixed airtimes, computed from params_ once: NAV and EIFS updates,
+  // ACK replies and ACK timeouts read them per frame.
+  const util::Time ack_duration_;  // params_.ack_duration()
+  const util::Time sifs_ack_;      // SIFS + ACK: the NAV over a frame's ACK
+  const util::Time eifs_;          // params_.eifs()
+  const util::Time ack_timeout_;   // params_.ack_timeout()
   util::Rng rng_;
 
   // Send queue: a grow-only power-of-two ring. std::deque cycled a heap

@@ -1,6 +1,8 @@
 #include "src/net/channel.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <utility>
 
 #include "src/snap/packet_codec.h"
 
@@ -18,11 +20,23 @@ namespace {
 }  // namespace
 
 Channel::Channel(sim::Simulator& sim, const Topology& topo, ChannelParams params)
+    : Channel{sim, topo, util::SlotIndex::all(topo.num_nodes()), params} {}
+
+Channel::Channel(sim::Simulator& sim, const Topology& topo,
+                 std::shared_ptr<const util::SlotIndex> roster,
+                 ChannelParams params)
     : sim_{sim},
       topo_{topo},
       params_{params},
       dense_stats_{topo.num_nodes() < params.dense_link_stats_below},
-      nodes_(topo.num_nodes()) {}
+      roster_{std::move(roster)},
+      slot_table_{roster_->slot_table()},
+      nodes_(roster_->size()) {
+  if (roster_->universe() != topo.num_nodes()) {
+    throw std::invalid_argument{
+        "Channel: roster universe differs from the topology"};
+  }
+}
 
 void Channel::set_link_model(std::unique_ptr<LinkModel> model) {
   link_model_ = std::move(model);
@@ -43,7 +57,9 @@ void Channel::set_listening(NodeId node, bool listening) {
 Channel::LinkCounters& Channel::link_stat_(NodeId src, NodeId dst) {
   if (!dense_stats_) return sparse_stats_[link_key(src, dst)];
   if (link_stats_.empty()) link_stats_.resize(nodes_.size());
-  auto& row = link_stats_[static_cast<std::size_t>(src)];
+  const util::SlotIndex::Slot s = slot_(src);  // an attached sender
+  assert(s != util::SlotIndex::kNoSlot);
+  auto& row = link_stats_[static_cast<std::size_t>(s)];
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (row[i].dst == dst) {
       // Transpose-on-hit: under mobility a row accumulates every receiver
@@ -64,10 +80,12 @@ Channel::LinkCounters& Channel::link_stat_(NodeId src, NodeId dst) {
 
 const Channel::LinkCounters* Channel::find_link_stat_(NodeId src,
                                                       NodeId dst) const {
-  if (src < 0 || static_cast<std::size_t>(src) >= nodes_.size()) return nullptr;
+  // Only roster nodes send, so no other source has counters.
+  const util::SlotIndex::Slot slot = roster_->slot(src);
+  if (slot == util::SlotIndex::kNoSlot) return nullptr;
   if (!dense_stats_) return sparse_stats_.find(link_key(src, dst));
   if (link_stats_.empty()) return nullptr;
-  for (const LinkStat& s : link_stats_[static_cast<std::size_t>(src)]) {
+  for (const LinkStat& s : link_stats_[static_cast<std::size_t>(slot)]) {
     if (s.dst == dst) return &s.counters;
   }
   return nullptr;
@@ -92,7 +110,10 @@ void Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
   ESSAT_TRACE(sim_, obs::TraceType::kChanTxBegin, sender,
               static_cast<std::uint16_t>(topo_.neighbors(sender).size()),
               p.channel_tx_id, p.prov);
-  auto& s = nodes_.at(static_cast<std::size_t>(sender));
+  if (!roster_->contains(sender)) {
+    throw std::out_of_range{"Channel::start_tx: sender outside the roster"};
+  }
+  auto& s = node_(sender);
   // Carrier-sense notifications fire only on busy<->idle edges: a notify
   // that does not change busy() is a no-op in every attached MAC (the busy
   // branch is idempotent and contention only resumes on the idle edge), so
@@ -133,7 +154,16 @@ void Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
 }
 
 void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
-  auto& node = node_(receiver);
+  const util::SlotIndex::Slot slot = slot_(receiver);
+  if (slot == util::SlotIndex::kNoSlot) {
+    // Outside the roster: no radio, no listener, no state to update, and
+    // no link-model draw, since no answer here can change anything.
+    ESSAT_TRACE(sim_, obs::TraceType::kChanDrop, receiver,
+                drop_arg(obs::DropReason::kDetached, p->type),
+                p->channel_tx_id, p->prov);
+    return;
+  }
+  auto& node = nodes_[static_cast<std::size_t>(slot)];
   // Idle -> busy edge iff this is the first arriving frame at a silent
   // node; otherwise busy() was already true and the notify is skipped.
   const bool busy_edge = node.arriving_count == 0 && !node.transmitting;
@@ -220,7 +250,9 @@ void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
 }
 
 void Channel::end_arrival_(NodeId receiver, const PacketRef& p) {
-  auto& node = node_(receiver);
+  const util::SlotIndex::Slot slot = slot_(receiver);
+  if (slot == util::SlotIndex::kNoSlot) return;  // dropped at its begin
+  auto& node = nodes_[static_cast<std::size_t>(slot)];
   --node.arriving_count;
   assert(node.arriving_count >= 0);
   // Busy -> idle edge iff the air just went quiet at a non-transmitting

@@ -35,11 +35,16 @@
 // all. Per-link statistics are dense degree-sized rows on small topologies
 // and an open-addressed (src,dst)-keyed map on large ones — identical
 // counters either way, O(observed links) memory always.
+// Per-node state exists only for a roster (a util::SlotIndex shared with
+// the routing tree; the harness passes the t = 0 tree's members): a
+// topology's other nodes can never attach, and a frame that reaches one is
+// dropped there as `detached` and touches no state.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "src/net/link_model.h"
@@ -49,6 +54,7 @@
 #include "src/net/types.h"
 #include "src/sim/simulator.h"
 #include "src/util/flat_map.h"
+#include "src/util/slot_index.h"
 
 namespace essat::snap {
 class Serializer;
@@ -91,7 +97,13 @@ class ChannelListener {
 
 class Channel {
  public:
+  // Every node of the topology may attach.
   Channel(sim::Simulator& sim, const Topology& topo, ChannelParams params = {});
+  // Only the roster's nodes may attach; its universe is the topology's
+  // node count.
+  Channel(sim::Simulator& sim, const Topology& topo,
+          std::shared_ptr<const util::SlotIndex> roster,
+          ChannelParams params = {});
 
   // Installs the per-link loss model. Until one is installed every in-range
   // frame is decodable; models reporting always_delivers() (the unit disc)
@@ -105,9 +117,13 @@ class Channel {
   const LinkModel* link_model() const { return link_model_.get(); }
 
   // Attaches the node's receive-side listener. The channel never calls a
-  // detached node; pass nullptr to detach.
+  // detached node; pass nullptr to detach. Throws std::out_of_range for a
+  // node outside the roster.
   void attach(NodeId node, ChannelListener* listener) {
-    nodes_.at(static_cast<std::size_t>(node)).listener = listener;
+    if (!roster_->contains(node)) {
+      throw std::out_of_range{"Channel::attach: node outside the roster"};
+    }
+    node_(node).listener = listener;
   }
 
   // Cached "can this node hear right now?" flag, maintained by the owner of
@@ -118,7 +134,7 @@ class Channel {
   void set_listening(NodeId node, bool listening);
   bool listening(NodeId node) const { return node_(node).listening; }
 
-  std::size_t num_nodes() const { return nodes_.size(); }
+  std::size_t num_nodes() const { return topo_.num_nodes(); }
 
   // Puts `p` on the air from `sender` for `duration`. The sender's MAC is
   // responsible for serializing its own transmissions.
@@ -158,10 +174,11 @@ class Channel {
   void set_link_stats_enabled(bool on) { link_stats_enabled_ = on; }
   bool link_stats_enabled() const { return link_stats_enabled_; }
 
-  // Snapshot hook: per-node carrier/reception state (in-flight frames by
-  // content), medium counters, link statistics (dense rows or sparse map —
-  // serialized as-stored, so the bytes also attest the storage mode), the
-  // link model's state, and the tx-id counter. Listener pointers are wiring.
+  // Snapshot hook: per-roster-slot carrier/reception state (in-flight
+  // frames by content), medium counters, link statistics (dense rows or
+  // sparse map — serialized as-stored, so the bytes also attest the
+  // storage mode), the link model's state, and the tx-id counter. Listener
+  // pointers are wiring.
   void save_state(snap::Serializer& out) const;
 
  private:
@@ -181,11 +198,18 @@ class Channel {
   void begin_arrival_(NodeId receiver, const PacketRef& p);
   void end_arrival_(NodeId receiver, const PacketRef& p);
   void notify_(NodeId node);
-  // Unchecked per-node access for the per-arrival hot path (ids come from
-  // the topology's neighbor lists, which are in range by construction).
+  // Unchecked per-node access for a roster node (an attached node's own
+  // calls, and receivers once begin/end_arrival_ has checked them).
   PerNode& node_(NodeId n) {
-    assert(n >= 0 && static_cast<std::size_t>(n) < nodes_.size());
-    return nodes_[static_cast<std::size_t>(n)];
+    const util::SlotIndex::Slot s = slot_(n);
+    assert(s != util::SlotIndex::kNoSlot);
+    return nodes_[static_cast<std::size_t>(s)];
+  }
+  // A topology node's roster slot (ids come from the topology's neighbor
+  // lists or an attached MAC, so they are in range).
+  util::SlotIndex::Slot slot_(NodeId n) const {
+    assert(n >= 0 && static_cast<std::size_t>(n) < topo_.num_nodes());
+    return slot_table_[static_cast<std::size_t>(n)];
   }
   const PerNode& node_(NodeId n) const {
     return const_cast<Channel*>(this)->node_(n);
@@ -211,14 +235,16 @@ class Channel {
   bool model_every_frame_ = false;  // the model's steps_every_frame()
   bool link_stats_enabled_ = true;
   const bool dense_stats_;  // storage choice, frozen at construction
-  std::vector<PerNode> nodes_;
+  std::shared_ptr<const util::SlotIndex> roster_;
+  const util::SlotIndex::Slot* slot_table_;  // roster_->slot_table()
+  std::vector<PerNode> nodes_;  // by roster slot
   PacketPool pool_;
   std::uint64_t transmissions_ = 0;
   std::uint64_t collisions_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_by_model_ = 0;
-  // Dense mode: src-indexed rows of observed receivers; empty until the
-  // first accumulation under link_stats_enabled_.
+  // Dense mode: rows of observed receivers by sender roster slot; empty
+  // until the first accumulation under link_stats_enabled_.
   std::vector<std::vector<LinkStat>> link_stats_;
   // Sparse mode: packed (src,dst) -> counters. The all-ones key is
   // unreachable (node ids are 31-bit).

@@ -81,16 +81,15 @@ const char* mobility_kind_name(MobilityKind k) {
   throw std::invalid_argument{"mobility_kind_name: unknown kind"};
 }
 
-std::unique_ptr<MobilityModel> MobilitySpec::build(std::vector<Position> initial,
-                                                   double width_m,
-                                                   double height_m,
-                                                   util::Rng&& rng) const {
+std::unique_ptr<MobilityModel> MobilitySpec::build(
+    const std::vector<Position>& initial, double width_m, double height_m,
+    util::Rng&& rng) const {
   switch (kind) {
     case MobilityKind::kStatic:
       return nullptr;
     case MobilityKind::kRandomWaypoint:
       return std::make_unique<RandomWaypointMobility>(
-          std::move(initial), width_m, height_m, waypoint, rng.fork(1));
+          initial, width_m, height_m, waypoint, rng.fork(1));
   }
   throw std::invalid_argument{"MobilitySpec::build: unknown MobilityKind"};
 }

@@ -107,12 +107,13 @@ struct MobilitySpec {
   double epoch_s = 5.0;
 
   // Materializes the model for one trial. `initial` is the deployed
-  // placement, (width_m, height_m) the deployment rectangle (mobility
-  // bounds), `rng` the trial's mobility stream, which the model forks its
-  // per-node streams from. Returns nullptr for kStatic: the topology then
-  // stays frozen and the harness schedules no epoch ticks — the exact
-  // pre-mobility code path at zero cost.
-  std::unique_ptr<MobilityModel> build(std::vector<Position> initial,
+  // placement (copied only by a moving model), (width_m, height_m) the
+  // deployment rectangle (mobility bounds), `rng` the trial's mobility
+  // stream, which the model forks its per-node streams from. Returns
+  // nullptr for kStatic: the topology then stays frozen and the harness
+  // schedules no epoch ticks — the exact pre-mobility code path at zero
+  // cost.
+  std::unique_ptr<MobilityModel> build(const std::vector<Position>& initial,
                                        double width_m, double height_m,
                                        util::Rng&& rng) const;
 

@@ -6,6 +6,7 @@
 #include <queue>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "src/routing/parent_policy.h"
 #include "src/snap/serializer.h"
@@ -13,26 +14,36 @@
 namespace essat::routing {
 
 Tree::Tree(std::size_t num_nodes)
-    : parent_(num_nodes, net::kNoNode),
-      children_(num_nodes),
-      level_(num_nodes, -1),
-      rank_(num_nodes, -1),
-      member_(num_nodes, false) {}
+    : Tree{util::SlotIndex::all(num_nodes)} {}
+
+Tree::Tree(std::shared_ptr<const util::SlotIndex> roster)
+    : roster_{std::move(roster)}, nodes_(roster_->size()) {}
+
+const Tree::Node Tree::kOutsider{};
+
+Tree::Node& Tree::node_(net::NodeId n) {
+  const util::SlotIndex::Slot s = roster_->slot(n);
+  if (s == util::SlotIndex::kNoSlot) {
+    throw std::logic_error{"Tree: node outside the roster"};
+  }
+  return nodes_[static_cast<std::size_t>(s)];
+}
 
 void Tree::set_root(net::NodeId root) {
   if (root_ != net::kNoNode) throw std::logic_error{"Tree: root already set"};
+  Node& r = node_(root);
   root_ = root;
-  member_.at(idx(root)) = true;
-  level_.at(idx(root)) = 0;
-  rank_.at(idx(root)) = 0;
+  r.member = true;
+  r.level = 0;
+  r.rank = 0;
   max_rank_ = kStale;
 }
 
 int Tree::max_rank() const {
   if (max_rank_ == kStale) {
     int m = 0;
-    for (std::size_t i = 0; i < rank_.size(); ++i) {
-      if (member_[i]) m = std::max(m, rank_[i]);
+    for (const Node& node : nodes_) {
+      if (node.member) m = std::max(m, node.rank);
     }
     max_rank_ = m;
   }
@@ -41,25 +52,30 @@ int Tree::max_rank() const {
 
 std::vector<net::NodeId> Tree::members() const {
   std::vector<net::NodeId> out;
-  for (std::size_t i = 0; i < member_.size(); ++i) {
-    if (member_[i]) out.push_back(static_cast<net::NodeId>(i));
+  for (std::size_t s = 0; s < nodes_.size(); ++s) {
+    if (nodes_[s].member) {
+      out.push_back(roster_->id(static_cast<util::SlotIndex::Slot>(s)));
+    }
   }
   return out;
 }
 
 std::size_t Tree::member_count() const {
   return static_cast<std::size_t>(
-      std::count(member_.begin(), member_.end(), true));
+      std::count_if(nodes_.begin(), nodes_.end(),
+                    [](const Node& node) { return node.member; }));
 }
 
 void Tree::add_node(net::NodeId n, net::NodeId parent) {
   if (!is_member(parent)) throw std::logic_error{"Tree::add_node: parent not a member"};
   if (is_member(n)) throw std::logic_error{"Tree::add_node: node already a member"};
-  member_.at(idx(n)) = true;
-  parent_.at(idx(n)) = parent;
-  children_.at(idx(parent)).push_back(n);
-  level_.at(idx(n)) = level_.at(idx(parent)) + 1;
-  rank_.at(idx(n)) = 0;
+  Node& child = node_(n);
+  Node& p = node_(parent);
+  child.member = true;
+  child.parent = parent;
+  p.children.push_back(n);
+  child.level = p.level + 1;
+  child.rank = 0;
   max_rank_ = kStale;
 }
 
@@ -70,22 +86,23 @@ void Tree::change_parent(net::NodeId n, net::NodeId new_parent) {
   if (in_subtree(n, new_parent)) {
     throw std::logic_error{"Tree::change_parent: new parent is a descendant"};
   }
-  const net::NodeId old_parent = parent_.at(idx(n));
-  if (old_parent != net::kNoNode) {
-    auto& siblings = children_.at(idx(old_parent));
+  Node& moved = node_(n);
+  if (moved.parent != net::kNoNode) {
+    auto& siblings = node_(moved.parent).children;
     siblings.erase(std::remove(siblings.begin(), siblings.end(), n), siblings.end());
   }
-  parent_.at(idx(n)) = new_parent;
-  children_.at(idx(new_parent)).push_back(n);
+  Node& p = node_(new_parent);
+  moved.parent = new_parent;
+  p.children.push_back(n);
   // Relevel the moved subtree.
   std::queue<net::NodeId> q;
-  level_.at(idx(n)) = level_.at(idx(new_parent)) + 1;
+  moved.level = p.level + 1;
   q.push(n);
   while (!q.empty()) {
-    const net::NodeId u = q.front();
+    const Node& u = node_(q.front());
     q.pop();
-    for (net::NodeId c : children_.at(idx(u))) {
-      level_.at(idx(c)) = level_.at(idx(u)) + 1;
+    for (net::NodeId c : u.children) {
+      node_(c).level = u.level + 1;
       q.push(c);
     }
   }
@@ -94,42 +111,43 @@ void Tree::change_parent(net::NodeId n, net::NodeId new_parent) {
 std::vector<net::NodeId> Tree::remove_node(net::NodeId n) {
   if (!is_member(n)) throw std::logic_error{"Tree::remove_node: not a member"};
   if (n == root_) throw std::logic_error{"Tree::remove_node: cannot remove root"};
-  const net::NodeId p = parent_.at(idx(n));
-  if (p != net::kNoNode) {
-    auto& siblings = children_.at(idx(p));
+  Node& removed = node_(n);
+  if (removed.parent != net::kNoNode) {
+    auto& siblings = node_(removed.parent).children;
     siblings.erase(std::remove(siblings.begin(), siblings.end(), n), siblings.end());
   }
+  const auto reset = [](Node& node) {
+    node.member = false;
+    node.parent = net::kNoNode;
+    node.children.clear();
+    node.level = -1;
+    node.rank = -1;
+  };
   // Orphan the whole subtree: descendants lose membership too (they must
   // rejoin through repair).
   std::vector<net::NodeId> orphans;
   std::queue<net::NodeId> q;
-  for (net::NodeId c : children_.at(idx(n))) q.push(c);
+  for (net::NodeId c : removed.children) q.push(c);
   while (!q.empty()) {
     const net::NodeId u = q.front();
     q.pop();
     orphans.push_back(u);
-    for (net::NodeId c : children_.at(idx(u))) q.push(c);
-    member_.at(idx(u)) = false;
-    parent_.at(idx(u)) = net::kNoNode;
-    children_.at(idx(u)).clear();
-    level_.at(idx(u)) = -1;
-    rank_.at(idx(u)) = -1;
+    Node& orphan = node_(u);
+    for (net::NodeId c : orphan.children) q.push(c);
+    reset(orphan);
   }
-  member_.at(idx(n)) = false;
-  parent_.at(idx(n)) = net::kNoNode;
-  children_.at(idx(n)).clear();
-  level_.at(idx(n)) = -1;
-  rank_.at(idx(n)) = -1;
+  reset(removed);
   max_rank_ = kStale;
   return orphans;
 }
 
 int Tree::compute_rank_(net::NodeId n) {
+  Node& node = node_(n);
   int r = 0;
-  for (net::NodeId c : children_.at(idx(n))) {
+  for (net::NodeId c : node.children) {
     r = std::max(r, compute_rank_(c) + 1);
   }
-  rank_.at(idx(n)) = r;
+  node.rank = r;
   max_rank_ = kStale;
   return r;
 }
@@ -143,16 +161,37 @@ bool Tree::in_subtree(net::NodeId ancestor, net::NodeId descendant) const {
   net::NodeId u = descendant;
   while (u != net::kNoNode) {
     if (u == ancestor) return true;
-    u = parent_.at(idx(u));
+    u = parent(u);
   }
   return false;
 }
 
+std::shared_ptr<const util::SlotIndex> tree_roster(const net::Topology& topo,
+                                                   net::NodeId root,
+                                                   double max_dist_from_root) {
+  auto roster = std::make_shared<util::SlotIndex>(topo.num_nodes());
+  const net::Position root_pos = topo.position(root);
+  roster->add(root);
+  // Until sort(), ids() is the breadth-first queue.
+  for (std::size_t next = 0; next < roster->size(); ++next) {
+    const net::NodeId u = roster->id(static_cast<util::SlotIndex::Slot>(next));
+    for (net::NodeId v : topo.neighbors(u)) {
+      if (roster->contains(v)) continue;
+      if (net::distance(topo.position(v), root_pos) > max_dist_from_root) {
+        continue;
+      }
+      roster->add(v);
+    }
+  }
+  roster->sort();
+  return roster;
+}
+
 Tree build_bfs_tree(const net::Topology& topo, net::NodeId root,
                     double max_dist_from_root) {
-  Tree tree{topo.num_nodes()};
+  Tree tree{tree_roster(topo, root, max_dist_from_root)};
+  const util::SlotIndex& roster = tree.roster();
   tree.set_root(root);
-  const net::Position root_pos = topo.position(root);
 
   std::queue<net::NodeId> frontier;
   frontier.push(root);
@@ -161,8 +200,7 @@ Tree build_bfs_tree(const net::Topology& topo, net::NodeId root,
     frontier.pop();
     // Deterministic child order: ascending node id (the topology's order).
     for (net::NodeId v : topo.neighbors(u)) {
-      if (tree.is_member(v)) continue;
-      if (net::distance(topo.position(v), root_pos) > max_dist_from_root) continue;
+      if (!roster.contains(v) || tree.is_member(v)) continue;
       tree.add_node(v, u);
       frontier.push(v);
     }
@@ -173,15 +211,28 @@ Tree build_bfs_tree(const net::Topology& topo, net::NodeId root,
 
 Tree build_policy_tree(const net::Topology& topo, net::NodeId root,
                        double max_dist_from_root, ParentPolicy* policy) {
+  return build_policy_tree(topo, tree_roster(topo, root, max_dist_from_root),
+                           root, policy);
+}
+
+Tree build_policy_tree(const net::Topology& topo,
+                       std::shared_ptr<const util::SlotIndex> roster,
+                       net::NodeId root, ParentPolicy* policy) {
   if (policy == nullptr) {
     throw std::invalid_argument{"build_policy_tree: null ParentPolicy"};
   }
 
-  const std::size_t n = topo.num_nodes();
-  const net::Position root_pos = topo.position(root);
-  std::vector<double> cost(n, std::numeric_limits<double>::infinity());
-  std::vector<net::NodeId> parent(n, net::kNoNode);
-  std::vector<char> settled(n, 0);
+  // Scratch by roster slot. Every in-range node within the distance cap
+  // that the search can reach is in the roster, so a neighbour outside it
+  // is one the cap excludes.
+  const util::SlotIndex& index = *roster;
+  const std::size_t m = index.size();
+  std::vector<double> cost(m, std::numeric_limits<double>::infinity());
+  std::vector<net::NodeId> parent(m, net::kNoNode);
+  std::vector<char> settled(m, 0);
+  const auto slot = [&index](net::NodeId id) {
+    return static_cast<std::size_t>(index.slot(id));
+  };
 
   // Min-heap over (cost, push sequence): the sequence makes the pop order
   // FIFO-stable among equal costs, which is what makes unit costs settle
@@ -190,25 +241,26 @@ Tree build_policy_tree(const net::Topology& topo, net::NodeId root,
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
   std::uint64_t next_seq = 0;
 
-  cost[static_cast<std::size_t>(root)] = 0.0;
+  cost[slot(root)] = 0.0;
   heap.emplace(0.0, next_seq++, root);
 
   std::vector<net::NodeId> settle_order;
   while (!heap.empty()) {
     const auto [c, seq, u] = heap.top();
     heap.pop();
-    auto& done = settled[static_cast<std::size_t>(u)];
-    if (done || c != cost[static_cast<std::size_t>(u)]) continue;  // stale entry
-    done = 1;
+    const std::size_t su = slot(u);
+    if (settled[su] || c != cost[su]) continue;  // stale entry
+    settled[su] = 1;
     if (u != root) settle_order.push_back(u);
 
     for (net::NodeId v : topo.neighbors(u)) {
-      if (settled[static_cast<std::size_t>(v)]) continue;
-      if (net::distance(topo.position(v), root_pos) > max_dist_from_root) continue;
+      if (!index.contains(v)) continue;
+      const std::size_t sv = slot(v);
+      if (settled[sv]) continue;
       const double offer = c + policy->link_cost(v, u);
-      if (offer < cost[static_cast<std::size_t>(v)]) {
-        cost[static_cast<std::size_t>(v)] = offer;
-        parent[static_cast<std::size_t>(v)] = u;
+      if (offer < cost[sv]) {
+        cost[sv] = offer;
+        parent[sv] = u;
         heap.emplace(offer, next_seq++, v);
       }
     }
@@ -216,11 +268,9 @@ Tree build_policy_tree(const net::Topology& topo, net::NodeId root,
 
   // A node always settles after its final parent, so inserting in settle
   // order keeps add_node's parent-is-a-member invariant.
-  Tree tree{n};
+  Tree tree{std::move(roster)};
   tree.set_root(root);
-  for (net::NodeId u : settle_order) {
-    tree.add_node(u, parent[static_cast<std::size_t>(u)]);
-  }
+  for (net::NodeId u : settle_order) tree.add_node(u, parent[slot(u)]);
   tree.recompute_ranks();
   return tree;
 }
@@ -228,14 +278,17 @@ Tree build_policy_tree(const net::Topology& topo, net::NodeId root,
 void Tree::save_state(snap::Serializer& out) const {
   out.begin("TREE");
   out.i32(root_);
-  out.u64(parent_.size());
-  for (std::size_t i = 0; i < parent_.size(); ++i) {
-    out.i32(parent_[i]);
-    out.i32(level_[i]);
-    out.i32(rank_[i]);
-    out.boolean(member_[i]);
-    out.u64(children_[i].size());
-    for (net::NodeId c : children_[i]) out.i32(c);
+  out.u64(roster_->universe());
+  out.u64(nodes_.size());
+  for (std::size_t s = 0; s < nodes_.size(); ++s) {
+    const Node& node = nodes_[s];
+    out.i32(roster_->id(static_cast<util::SlotIndex::Slot>(s)));
+    out.i32(node.parent);
+    out.i32(node.level);
+    out.i32(node.rank);
+    out.boolean(node.member);
+    out.u64(node.children.size());
+    for (net::NodeId c : node.children) out.i32(c);
   }
   out.end();
 }

@@ -22,6 +22,14 @@
 
 namespace essat::snap {
 
+// Version 10: a trial keeps per-node state only for its roster, the t = 0
+// tree's members (util::SlotIndex). TREE writes the id range and one entry
+// per roster slot, each led by its node id, instead of one per node; CHAN
+// writes one per roster slot and its dense link-stat rows by sender slot;
+// TRST's stack list has one entry per roster slot; FENG's down flags are
+// one per member; and a Gilbert-Elliott chain never starts for a link to
+// a node outside the roster.
+//
 // Version 9: the link models' draws are keyed by (seed, link[, frame]), so
 // a model holds seeds instead of streams. LMSH writes its seed instead of
 // its per-link cache and two util::Rng states (the cache is a function of
@@ -52,7 +60,7 @@ namespace essat::snap {
 // packets). SCFG loses that bool, TRST loses the setup-protocol flag, and
 // the PacketType values and payload tags renumber (kAtim 5 -> 2,
 // kPhaseRequest 6 -> 3).
-inline constexpr std::uint32_t kFormatVersion = 9;
+inline constexpr std::uint32_t kFormatVersion = 10;
 
 enum class SnapshotKind : std::uint32_t {
   kTrial = 1,  // full mid-run simulator state + scenario config

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "bench/alloc_hook.h"
 #include "src/essat.h"
@@ -400,6 +401,71 @@ TEST(SteadyStateAlloc, StaticTopologyBuildsListsOnFirstRead) {
   EXPECT_GT(degree, 0u);
 }
 
+// Beyond its 4 B-per-node slot index, a policy tree is O(members): built
+// over 100 000 nodes at the paper's density with the paper's 300 m cap,
+// its roster, Dijkstra scratch and per-node arrays follow the 82 nodes
+// the cap admits (about 125 B each). A tree and scratch sized by the
+// topology took 49 B per node. The first build reads the members'
+// neighbour lists, so the second one is counted.
+TEST(SteadyStateAlloc, PolicyTreeIsMemberSized) {
+  constexpr std::size_t kNodes = 100000;
+  const double side = 500.0 * std::sqrt(static_cast<double>(kNodes) / 80.0);
+  util::Rng placement{1};
+  const net::Topology topo =
+      net::Topology::uniform_random(kNodes, side, 125.0, placement);
+  const net::NodeId root = topo.nearest({side / 2.0, side / 2.0});
+  routing::MinHopPolicy policy;
+  const std::size_t members =
+      routing::build_policy_tree(topo, root, 300.0, &policy).member_count();
+  CountScope scope;
+  const routing::Tree tree =
+      routing::build_policy_tree(topo, root, 300.0, &policy);
+  const double beyond_index =
+      static_cast<double>(scope.bytes()) - 4.0 * static_cast<double>(kNodes);
+  EXPECT_EQ(tree.member_count(), members);
+  EXPECT_GT(members, 20u);
+  EXPECT_LE(beyond_index, 256.0 * static_cast<double>(members))
+      << beyond_index << " B beyond the slot index for " << members
+      << " members";
+}
+
+// A channel keeps per-node state for its roster only: over 100 000 nodes,
+// one whose roster holds three nodes allocates under 1 KiB (680 B; a slot
+// per node took 40 B each, 4 MB here), and a frame still reaches the
+// roster nodes in range.
+TEST(SteadyStateAlloc, ChannelIsRosterSized) {
+  constexpr std::size_t kNodes = 100000;
+  const net::Topology topo = net::Topology::line(kNodes, 50.0, 125.0);
+  auto roster = std::make_shared<util::SlotIndex>(kNodes);
+  for (net::NodeId id : {12, 10, 11}) roster->add(id);
+  roster->sort();
+  sim::Simulator sim;
+  sim.reserve_events(16);
+  CountScope construct;
+  net::Channel ch{sim, topo, roster};
+  const std::uint64_t bytes = construct.bytes();
+  EXPECT_LE(bytes, 1024u) << "a three-node channel allocated " << bytes << " B";
+  EXPECT_EQ(ch.num_nodes(), kNodes);
+  struct Counting : net::ChannelListener {
+    int delivered = 0;
+    void on_rx_complete(const net::Packet&, bool ok) override {
+      if (ok) ++delivered;
+    }
+    void on_channel_activity() override {}
+  } listener;
+  for (net::NodeId id : {10, 11, 12}) {
+    ch.attach(id, &listener);
+    ch.set_listening(id, true);
+  }
+  EXPECT_THROW(ch.attach(13, &listener), std::out_of_range);
+  // Node 11's neighbours are 9, 10, 12 and 13; 9 and 13 are outside the
+  // roster.
+  ch.start_tx(11, net::make_data_packet(11, net::kNoNode, {}),
+              Time::milliseconds(1));
+  sim.run();
+  EXPECT_EQ(listener.delivered, 2);
+}
+
 // Whole-trial budgets. They count allocations, not host time, so they hold
 // on any machine. The workload is DTS-SS with nodes uniform in a 500 m
 // square; 160 nodes are denser than the paper's 80, so arrival fan-out
@@ -437,6 +503,23 @@ TEST(SteadyStateAlloc, PerNodeFootprintWithinBudget) {
   const double bytes_1000 = trial_alloc_bytes(1000);
   EXPECT_LE(bytes_1000 / 1000.0, 22314.0);
   EXPECT_LE((bytes_1000 - bytes_160) / (1000.0 - 160.0), 24303.0);
+}
+
+// A node outside the t = 0 tree holds only its position, cell-index and
+// list slots and its roster slot, about 37 B. A 1 s, 20 000-node DTS-SS
+// trial at the paper's density (69 members) therefore allocates at most
+// 96 B per node, member stacks included; with a tree and a channel slot,
+// a stack-list entry and a position copy per node it took 249 B.
+TEST(SteadyStateAlloc, OutsiderFootprintWithinBudget) {
+  constexpr int kNodes = 20000;
+  harness::ScenarioConfig c = uniform_dts_ss(kNodes, 1.0, Time::seconds(1));
+  c.deployment.area_m = 500.0 * std::sqrt(kNodes / 80.0);
+  CountScope scope;
+  const harness::RunMetrics m = harness::run_scenario(c);
+  const double per_node = static_cast<double>(scope.bytes()) / kNodes;
+  EXPECT_LE(per_node, 96.0);
+  EXPECT_GT(m.tree_members, 20);
+  EXPECT_LT(m.tree_members, 200);
 }
 
 // Same seed, 2 s and 4 s windows at 4 Hz: setup and teardown allocations

@@ -105,6 +105,20 @@ TEST_P(TreeSeedSweep, RepeatedRankRecomputeIsIdempotent) {
 // max_rank() is cached; after every kind of edit it must still equal a
 // scan of the members' ranks, stale ranks between recomputes included.
 TEST_P(TreeSeedSweep, CachedMaxRankMatchesScanUnderRandomEdits) {
+  // The BFS tree admits only its roster; copy its shape into a tree every
+  // node may join, so an edit can add any node that is not a member.
+  std::vector<net::NodeId> by_level = tree_->members();
+  std::stable_sort(by_level.begin(), by_level.end(),
+                   [this](net::NodeId a, net::NodeId b) {
+                     return tree_->level(a) < tree_->level(b);
+                   });
+  Tree open{topo_->num_nodes()};
+  open.set_root(root_);
+  for (net::NodeId n : by_level) {
+    if (n != root_) open.add_node(n, tree_->parent(n));
+  }
+  open.recompute_ranks();
+  *tree_ = std::move(open);
   const auto scan = [this] {
     int m = 0;
     for (net::NodeId n : tree_->members()) m = std::max(m, tree_->rank(n));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/routing/parent_policy.h"
 #include "src/routing/tree.h"
 
 namespace essat::routing {
@@ -128,6 +129,53 @@ TEST(Tree, MembersListsExactlyMembers) {
   const Tree t = build_bfs_tree(chain(), 0, 300.0);
   const auto m = t.members();
   EXPECT_EQ(m, (std::vector<net::NodeId>{0, 1, 2, 3}));
+}
+
+// The roster is every node within the cap that in-range hops inside the
+// cap connect to the root, in ascending id order.
+TEST(Tree, RosterIsTheCappedComponent) {
+  const net::Topology topo = chain();
+  EXPECT_EQ(tree_roster(topo, 0, 300.0)->ids(),
+            (std::vector<net::NodeId>{0, 1, 2, 3}));
+  EXPECT_EQ(tree_roster(topo, 0, 250.0)->ids(),
+            (std::vector<net::NodeId>{0, 1, 2}));
+  // Mid-chain root: slots follow ascending ids.
+  const auto roster = tree_roster(topo, 2, 100.0);
+  EXPECT_EQ(roster->ids(), (std::vector<net::NodeId>{1, 2, 3}));
+  EXPECT_EQ(roster->slot(1), 0);
+  EXPECT_EQ(roster->slot(3), 2);
+  EXPECT_EQ(roster->slot(4), util::SlotIndex::kNoSlot);
+  EXPECT_EQ(roster->universe(), 5u);
+}
+
+// A node outside the roster reads as a non-member and can never join.
+TEST(Tree, OutsideTheRosterIsNeverAMember) {
+  Tree t = build_bfs_tree(chain(), 0, 300.0);
+  EXPECT_EQ(t.num_nodes(), 5u);
+  EXPECT_EQ(t.roster().size(), 4u);
+  EXPECT_FALSE(t.is_member(4));
+  EXPECT_EQ(t.parent(4), net::kNoNode);
+  EXPECT_TRUE(t.children(4).empty());
+  EXPECT_EQ(t.level(4), -1);
+  EXPECT_EQ(t.rank(4), -1);
+  EXPECT_FALSE(t.is_leaf(4));
+  EXPECT_THROW(t.add_node(4, 3), std::logic_error);
+  // A removed roster node may rejoin.
+  t.remove_node(3);
+  t.add_node(3, 2);
+  EXPECT_EQ(t.level(3), 3);
+}
+
+// Any parent policy grows the roster's tree: the Dijkstra search visits the
+// same nodes as the breadth-first one.
+TEST(Tree, PolicyTreeMembersAreTheRoster) {
+  util::Rng rng{23};
+  const auto topo = net::Topology::uniform_random(200, 900.0, 125.0, rng);
+  const net::NodeId root = topo.nearest({450, 450});
+  MinHopPolicy policy;
+  const Tree t = build_policy_tree(topo, root, 300.0, &policy);
+  EXPECT_EQ(t.members(), tree_roster(topo, root, 300.0)->ids());
+  EXPECT_LT(t.member_count(), 200u);
 }
 
 TEST(Tree, RanksAfterRecomputeMatchDefinition) {
