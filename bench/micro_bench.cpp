@@ -237,7 +237,7 @@ struct DevirtListener final : net::ChannelListener {
   void on_rx_complete(const net::Packet&, bool ok) override {
     delivered += ok ? 1 : 0;
   }
-  void on_channel_activity() override { ++activity; }
+  void on_channel_activity(bool) override { ++activity; }
 };
 
 constexpr int kDispatchArrivals = 1024;
@@ -257,7 +257,7 @@ void BM_ListenerDispatchDevirtualized(benchmark::State& state) {
   for (auto _ : state) {
     for (int i = 0; i < kDispatchArrivals; ++i) {
       for (auto& n : nodes) {
-        if (n.listener != nullptr) n.listener->on_channel_activity();
+        if (n.listener != nullptr) n.listener->on_channel_activity(true);
         if (n.listening) n.listener->on_rx_complete(p, true);
       }
     }

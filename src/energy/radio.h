@@ -70,8 +70,9 @@ class Radio {
   // all future turn_on() calls.
   void fail();
   // Churn-style crash: fail() plus clearing the MAC activity latches. The
-  // MAC's tx-end timer dies with the node, so nothing else would ever clear
-  // note_tx/note_rx and the radio would bill TX power across the outage.
+  // MAC ignores the end of the frame a crash abandoned, so nothing else
+  // would ever clear note_tx/note_rx and the radio would bill TX power
+  // across the outage.
   void crash();
   // Revives a crashed radio (node restart). The radio stays OFF; callers
   // turn_on() it as part of rebuilding the node's stack.

@@ -23,7 +23,6 @@ CsmaMac::CsmaMac(sim::Simulator& sim, net::Channel& channel, energy::Radio& radi
       rng_{std::move(rng)},
       backoff_timer_{sim},
       ack_timer_{sim},
-      tx_end_timer_{sim},
       nav_timer_{sim},
       dense_dup_table_{channel.num_nodes() < params.dense_dup_table_below} {
   if (dense_dup_table_) {
@@ -67,17 +66,18 @@ void CsmaMac::check_idle_() {
 void CsmaMac::crash_reset() {
   backoff_timer_.cancel();
   ack_timer_.cancel();
-  tx_end_timer_.cancel();
   nav_timer_.cancel();
   queue_.clear();       // queued TxCallbacks are dropped unfired
   in_flight_.reset();   // likewise the head's
+  head_tx_id_ = 0;      // its end, if still to come, finishes nothing
   transmitting_ = false;
   waiting_ack_ = false;
   in_backoff_ = false;
   saw_busy_ = false;
   decoded_last_busy_ = false;
   nav_until_ = util::Time::zero();
-  // pending_acks_ intentionally untouched — see the header comment.
+  // pending_acks_ and ack_tx_id_ intentionally untouched — see the header
+  // comment.
   update_listening_();
 }
 
@@ -201,20 +201,33 @@ void CsmaMac::transmit_head_() {
   transmitting_ = true;
   update_listening_();
   radio_.note_tx(true);
-  const util::Time dur = params_.tx_duration(in_flight_->packet.size_bytes);
-  channel_.start_tx(self_, in_flight_->packet, dur);
-  tx_end_timer_.arm_in(dur, [this] {
-    transmitting_ = false;
-    update_listening_();
-    radio_.note_tx(false);
-    if (!in_flight_) return;
-    if (in_flight_->packet.is_broadcast()) {
-      finish_head_(true);
-    } else {
-      waiting_ack_ = true;
-      ack_timer_.arm_in(ack_timeout_, [this] { on_ack_timeout_(); });
-    }
-  });
+  head_tx_id_ = channel_.start_tx(
+      self_, in_flight_->packet,
+      params_.tx_duration(in_flight_->packet.size_bytes));
+}
+
+void CsmaMac::on_tx_end(std::uint64_t tx_id) {
+  if (tx_id == head_tx_id_) {
+    head_tx_id_ = 0;
+    end_head_tx_();
+  } else if (tx_id == ack_tx_id_) {
+    ack_tx_id_ = 0;
+    end_ack_tx_();
+  }
+  // Otherwise a frame a crash abandoned: nothing waits for its end.
+}
+
+void CsmaMac::end_head_tx_() {
+  assert(in_flight_);  // crash_reset forgets the head's tx id with it
+  transmitting_ = false;
+  update_listening_();
+  radio_.note_tx(false);
+  if (in_flight_->packet.is_broadcast()) {
+    finish_head_(true);
+  } else {
+    waiting_ack_ = true;
+    ack_timer_.arm_in(ack_timeout_, [this] { on_ack_timeout_(); });
+  }
 }
 
 void CsmaMac::on_ack_timeout_() {
@@ -334,22 +347,23 @@ void CsmaMac::send_ack_(net::NodeId to) {
     transmitting_ = true;
     update_listening_();
     radio_.note_tx(true);
-    channel_.start_tx(self_, ack, ack_duration_);
-    sim_.schedule_in(ack_duration_, [this] {
-      transmitting_ = false;
-      update_listening_();
-      radio_.note_tx(false);
-      --pending_acks_;
-      // Resume a paused contention; channel notifications handle the
-      // busy->idle edge, but our own transmitting_ flag is local.
-      if (in_flight_ && !in_backoff_ && !waiting_ack_) begin_contention_();
-      check_idle_();
-    });
+    ack_tx_id_ = channel_.start_tx(self_, ack, ack_duration_);
   });
 }
 
-void CsmaMac::on_channel_activity() {
-  const bool busy = channel_.busy(self_);
+void CsmaMac::end_ack_tx_() {
+  transmitting_ = false;
+  update_listening_();
+  radio_.note_tx(false);
+  --pending_acks_;
+  // Resume a paused contention; channel notifications handle the
+  // busy->idle edge, but our own transmitting_ flag is local.
+  if (in_flight_ && !in_backoff_ && !waiting_ack_) begin_contention_();
+  check_idle_();
+}
+
+void CsmaMac::on_channel_activity(bool busy) {
+  assert(busy == channel_.busy(self_));
   if (busy) {
     saw_busy_ = true;
     if (in_backoff_) {
@@ -402,9 +416,10 @@ void CsmaMac::save_state(snap::Serializer& out) const {
   out.boolean(saw_busy_);
   out.boolean(decoded_last_busy_);
   out.i32(pending_acks_);
+  out.u64(head_tx_id_);
+  out.u64(ack_tx_id_);
   snap::save_timer(out, backoff_timer_);
   snap::save_timer(out, ack_timer_);
-  snap::save_timer(out, tx_end_timer_);
   snap::save_timer(out, nav_timer_);
   rng_.save_state(out);
   out.u32(next_mac_seq_);

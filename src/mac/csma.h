@@ -15,6 +15,13 @@
 //  * Overheard unicast data raises a NAV until the expected ACK completes;
 //    corrupted receptions defer by EIFS. Both protect ACKs from neighbors.
 //
+// Event shape: a transmission's end is the channel's sender-side end
+// event, which calls on_tx_end with the frame's channel tx id after the
+// carrier-sense update; the MAC schedules no end event of its own. It
+// keeps the tx id of its frame on the air and of its ACK on the air, so
+// an end it no longer expects (the frame a crash abandoned) finishes
+// nothing.
+//
 // Interaction with power management:
 //  * The radio must be fully ON to transmit or receive; the MAC pauses while
 //    it is off and resumes on wake (it observes radio state changes).
@@ -112,20 +119,23 @@ class CsmaMac : public net::ChannelListener {
   const MacStats& stats() const { return stats_; }
 
   // Node crash (fault engine): drops the queue and the in-flight frame
-  // without firing their callbacks, cancels every MAC timer, and clears the
-  // contention/NAV state, as if the node lost power mid-operation. The
-  // pending-ACK counter is deliberately left alone — SIFS-deferred ACK
-  // replies are raw (uncancellable) sim events that still fire, decrement
-  // it, and no-op against the dead radio. Dup-suppression tables survive
-  // (deterministic either way; keeping them avoids re-delivering frames the
-  // upper layer consumed before the crash). Stats survive: they are
-  // cumulative over the run, not per-boot.
+  // without firing their callbacks, cancels every MAC timer, forgets the
+  // in-flight frame's tx id (so its end, if it is still on the air,
+  // finishes nothing), and clears the contention/NAV state, as if the node
+  // lost power mid-operation. The pending-ACK counter and the ACK's tx id
+  // are deliberately left alone — a SIFS-deferred ACK reply is a raw
+  // (uncancellable) sim event, and it and an ACK's end still run,
+  // decrement the counter, and no-op against the dead radio.
+  // Dup-suppression tables survive (deterministic either way; keeping them
+  // avoids re-delivering frames the upper layer consumed before the
+  // crash). Stats survive: they are cumulative over the run, not per-boot.
   void crash_reset();
 
   // Snapshot hook: queue contents (packets by value, exact ring layout),
-  // the in-flight frame, contention/NAV/ACK state, all four timers, the
-  // backoff RNG, dup tables as stored, and counters. The upper-layer
-  // callbacks (tx cb, rx handler, filter) are wiring, rebuilt by replay.
+  // the in-flight frame, contention/NAV/ACK state, the tx ids on the air,
+  // all three timers, the backoff RNG, dup tables as stored, and counters.
+  // The upper-layer callbacks (tx cb, rx handler, filter) are wiring,
+  // rebuilt by replay.
   void save_state(snap::Serializer& out) const;
 
  private:
@@ -139,7 +149,8 @@ class CsmaMac : public net::ChannelListener {
 
   // net::ChannelListener (the channel calls back through one pointer).
   void on_rx_complete(const net::Packet& p, bool ok) override;
-  void on_channel_activity() override;
+  void on_channel_activity(bool busy) override;
+  void on_tx_end(std::uint64_t tx_id) override;
 
   // Pushes radio-ON-and-not-transmitting into the channel's cached
   // listening flag; call after every transmitting_ toggle and radio state
@@ -152,6 +163,8 @@ class CsmaMac : public net::ChannelListener {
   void begin_contention_();   // (re)start DIFS + remaining backoff
   void freeze_backoff_();     // medium went busy mid-countdown
   void transmit_head_();
+  void end_head_tx_();   // the in-flight frame left the air
+  void end_ack_tx_();    // our ACK reply left the air
   void finish_head_(bool success);
   void on_ack_timeout_();
   void send_ack_(net::NodeId to);
@@ -183,9 +196,12 @@ class CsmaMac : public net::ChannelListener {
   bool saw_busy_ = false;              // a busy period is/was in progress
   bool decoded_last_busy_ = false;     // it ended in a decodable frame
   int pending_acks_ = 0;               // scheduled/in-flight ACK replies
+  // Channel tx ids of our frames on the air (0: none): the in-flight
+  // frame's and the ACK reply's.
+  std::uint64_t head_tx_id_ = 0;
+  std::uint64_t ack_tx_id_ = 0;
   sim::Timer backoff_timer_;
   sim::Timer ack_timer_;
-  sim::Timer tx_end_timer_;
   sim::Timer nav_timer_;
 
   RxHandler rx_handler_;

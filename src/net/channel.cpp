@@ -101,18 +101,19 @@ std::uint64_t Channel::frames_on(NodeId src, NodeId dst) const {
   return s != nullptr ? s->frames : 0;
 }
 
-void Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
+std::uint64_t Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
+  if (!roster_->contains(sender)) {
+    throw std::out_of_range{"Channel::start_tx: sender outside the roster"};
+  }
   ++transmissions_;
-  p.channel_tx_id = ++next_tx_id_;
+  const std::uint64_t tx_id = ++next_tx_id_;
+  p.channel_tx_id = tx_id;
   // Conservation anchor: arg16 is the frozen in-range receiver count; each
   // of those receivers emits exactly one kChanDeliver or kChanDrop for this
   // tx id (obs::check_conservation verifies the match).
   ESSAT_TRACE(sim_, obs::TraceType::kChanTxBegin, sender,
               static_cast<std::uint16_t>(topo_.neighbors(sender).size()),
-              p.channel_tx_id, p.prov);
-  if (!roster_->contains(sender)) {
-    throw std::out_of_range{"Channel::start_tx: sender outside the roster"};
-  }
+              tx_id, p.prov);
   auto& s = node_(sender);
   // Carrier-sense notifications fire only on busy<->idle edges: a notify
   // that does not change busy() is a no-op in every attached MAC (the busy
@@ -125,7 +126,7 @@ void Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
   if (s.rx.active) {
     s.rx.corrupted = true;
   }
-  if (!was_busy) notify_(sender);
+  if (!was_busy) notify_(s, true);
 
   // One shared immutable copy of the frame for the whole transmission: the
   // arrival events and every receiver's reception state hold refs into it.
@@ -146,11 +147,15 @@ void Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
     for (NodeId m : topo_.neighbors(sender, gen)) end_arrival_(m, frame);
     topo_.unpin_generation(gen);
   });
-  sim_.schedule_at(sim_.now() + duration, [this, sender] {
-    auto& node = node_(sender);
+  // The sender's end: carrier sense first, then the sender's own tx-end,
+  // so the MAC sees the medium as it is when it resumes.
+  sim_.schedule_at(sim_.now() + duration, [this, sender, tx_id] {
+    PerNode& node = node_(sender);
     node.transmitting = false;
-    if (node.arriving_count == 0) notify_(sender);  // busy -> idle edge
+    if (node.arriving_count == 0) notify_(node, false);  // busy -> idle edge
+    if (node.listener != nullptr) node.listener->on_tx_end(tx_id);
   });
+  return tx_id;
 }
 
 void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
@@ -204,7 +209,7 @@ void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
         ESSAT_TRACE(sim_, obs::TraceType::kChanDrop, receiver,
                     drop_arg(obs::DropReason::kModel, p->type),
                     p->channel_tx_id, p->prov);
-        if (busy_edge) notify_(receiver);
+        if (busy_edge) notify_(node, true);
         return;
       }
     }
@@ -246,7 +251,7 @@ void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
                          p->type),
                 p->channel_tx_id, p->prov);
   }
-  if (busy_edge) notify_(receiver);
+  if (busy_edge) notify_(node, true);
 }
 
 void Channel::end_arrival_(NodeId receiver, const PacketRef& p) {
@@ -284,12 +289,7 @@ void Channel::end_arrival_(NodeId receiver, const PacketRef& p) {
       node.listener->on_rx_complete(*delivered_frame, ok);
     }
   }
-  if (idle_edge) notify_(receiver);
-}
-
-void Channel::notify_(NodeId node) {
-  ChannelListener* l = node_(node).listener;
-  if (l != nullptr) l->on_channel_activity();
+  if (idle_edge) notify_(node, false);
 }
 
 void Channel::save_state(snap::Serializer& out) const {

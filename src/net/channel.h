@@ -22,19 +22,26 @@
 // transmission is moved once into a pooled shared slot (net/packet_pool.h);
 // the begin/end arrival events and every receiver's in-progress-reception
 // state hold 16-byte PacketRefs into that slot, so broadcast delivery copies
-// no Packet and — once the pool is warm — allocates nothing. Arrival
-// processing visits only the sender's interference neighborhood from the
-// topology's grid index (O(neighbors) per transmission, never O(n)). Each
-// transmission pins the topology's current neighbor-list generation at
-// start_tx and unpins it after its end event, so both events read the same
-// receivers even if a mobility epoch refreshes the lists mid-frame; static
-// and mobile topologies share this one path.
+// no Packet and — once the pool is warm — allocates nothing. A
+// transmission is three events: the arrivals' begin and end, and the
+// sender's own end, which clears its carrier sense and then tells its
+// listener (on_tx_end), so the MAC schedules no end event of its own.
+// Arrival processing visits only the sender's interference neighborhood
+// from the topology's grid index (O(neighbors) per transmission, never
+// O(n)). Each transmission pins the topology's current neighbor-list
+// generation at start_tx and unpins it after its arrivals' end event, so
+// both arrival events read the same receivers even if a mobility epoch
+// refreshes the lists mid-frame; static and mobile topologies share this
+// one path.
 // Receivers are reached through a devirtualization-friendly ChannelListener
 // pointer plus a channel-side cached `listening` flag, so the per-arrival
 // "can this node hear?" check is one flag load with no indirect call at
-// all. Per-link statistics are dense degree-sized rows on small topologies
-// and an open-addressed (src,dst)-keyed map on large ones — identical
-// counters either way, O(observed links) memory always.
+// all. A carrier-sense edge reaches the listener through the per-node
+// record the arrival loop already holds, with its direction, so neither
+// side looks the node up again. Per-link statistics are dense degree-sized
+// rows on small topologies and an open-addressed (src,dst)-keyed map on
+// large ones — identical counters either way, O(observed links) memory
+// always.
 // Per-node state exists only for a roster (a util::SlotIndex shared with
 // the routing tree; the harness passes the t = 0 tree's members): a
 // topology's other nodes can never attach, and a frame that reaches one is
@@ -91,8 +98,13 @@ class ChannelListener {
   // the radio abandoned (turned off / started transmitting mid-frame).
   // The Packet reference is shared and immutable; copy what you keep.
   virtual void on_rx_complete(const Packet& p, bool ok) = 0;
-  // Fired whenever the carrier-sense state at this node may have changed.
-  virtual void on_channel_activity() = 0;
+  // Fired on each edge of carrier sense at this node: `busy` is the new
+  // state, so it always equals Channel::busy(node).
+  virtual void on_channel_activity(bool busy) = 0;
+  // The node's own transmission `tx_id` (what start_tx returned) left the
+  // air, at the sender's end of its airtime, after the carrier-sense
+  // update. A node that never transmits can ignore it.
+  virtual void on_tx_end(std::uint64_t tx_id) { (void)tx_id; }
 };
 
 class Channel {
@@ -136,9 +148,12 @@ class Channel {
 
   std::size_t num_nodes() const { return topo_.num_nodes(); }
 
-  // Puts `p` on the air from `sender` for `duration`. The sender's MAC is
-  // responsible for serializing its own transmissions.
-  void start_tx(NodeId sender, Packet p, util::Time duration);
+  // Puts `p` on the air from `sender` for `duration` and returns the
+  // frame's channel_tx_id, which the sender's listener gets back in
+  // on_tx_end. The sender's MAC is responsible for serializing its own
+  // transmissions. Throws std::out_of_range, with nothing on the air or
+  // counted, for a sender outside the roster.
+  std::uint64_t start_tx(NodeId sender, Packet p, util::Time duration);
 
   // Carrier sense at `node`. Inline: the MAC consults it on every channel
   // event and contention step.
@@ -197,7 +212,10 @@ class Channel {
 
   void begin_arrival_(NodeId receiver, const PacketRef& p);
   void end_arrival_(NodeId receiver, const PacketRef& p);
-  void notify_(NodeId node);
+  // Carrier-sense edge at `n`, to its listener if it has one.
+  static void notify_(PerNode& n, bool busy) {
+    if (n.listener != nullptr) n.listener->on_channel_activity(busy);
+  }
   // Unchecked per-node access for a roster node (an attached node's own
   // calls, and receivers once begin/end_arrival_ has checked them).
   PerNode& node_(NodeId n) {

@@ -8,8 +8,12 @@
 
 namespace essat::sim {
 
-void EventQueue::file_(Entry e) const {
-  const std::int64_t g = bucket_of_(e.time);
+void EventQueue::file_(std::uint32_t slot, util::Time t) {
+  SlotMeta& s = meta_[slot];
+  s.live_seq = next_seq_;
+  s.node = 0;
+  const Entry e = Entry::make(t, next_seq_++, slot);
+  const std::int64_t g = bucket_of_(t);
   if (g <= cur_g_) {
     // At or behind the drain cursor: keep the cursor bucket's undrained
     // tail sorted so the entry fires in (time, seq) order.
@@ -26,13 +30,13 @@ void EventQueue::file_(Entry e) const {
     return;
   }
   if (epoch_of_(g) == epoch_of_(cur_g_)) {
-    list_push_(static_cast<std::size_t>(g) & (kBuckets - 1), e);
+    s.node = list_push_(wheel_slot_(g), e);
     return;
   }
   far_.push_back(e);
 }
 
-void EventQueue::list_push_(std::size_t slot, Entry e) const {
+std::uint32_t EventQueue::list_push_(std::size_t bucket, Entry e) const {
   std::uint32_t link = free_node_;
   if (link != 0) {
     free_node_ = pool_[link - 1].next;
@@ -41,24 +45,43 @@ void EventQueue::list_push_(std::size_t slot, Entry e) const {
     pool_.emplace_back();
     link = static_cast<std::uint32_t>(pool_.size());
   }
-  pool_[link - 1] = Node{e, heads_[slot]};
-  heads_[slot] = link;
-  bitmap_set_(slot);
+  const std::uint32_t head = heads_[bucket];
+  pool_[link - 1] = Node{e, head, 0};
+  if (head != 0) pool_[head - 1].prev = link;
+  heads_[bucket] = link;
+  bitmap_set_(bucket);
+  return link;
+}
+
+void EventQueue::unlink_(std::uint32_t link) {
+  Node& n = pool_[link - 1];
+  if (n.prev != 0) {
+    pool_[n.prev - 1].next = n.next;
+  } else {
+    const std::size_t bucket = wheel_slot_(bucket_of_(n.entry.time));
+    heads_[bucket] = n.next;
+    if (n.next == 0) bitmap_clear_(bucket);
+  }
+  if (n.next != 0) pool_[n.next - 1].prev = n.prev;
+  n.next = free_node_;
+  free_node_ = link;
 }
 
 void EventQueue::take_cursor_bucket_() const {
   assert(cur_.empty());
-  const std::size_t slot = cur_slot_();
-  for (std::uint32_t link = heads_[slot]; link != 0;) {
+  const std::size_t bucket = wheel_slot_(cur_g_);
+  for (std::uint32_t link = heads_[bucket]; link != 0;) {
     Node& n = pool_[link - 1];
+    assert(is_live_(n.entry) && "a bucket list holds a dead entry");
     cur_.push_back(n.entry);
+    meta_[n.entry.slot()].node = 0;  // now in the cursor bucket
     const std::uint32_t next = n.next;
     n.next = free_node_;
     free_node_ = link;
     link = next;
   }
-  heads_[slot] = 0;
-  bitmap_clear_(slot);
+  heads_[bucket] = 0;
+  bitmap_clear_(bucket);
   // The list is newest-first; filing order is closer to (time, seq) order,
   // which is the cheap case for the small-run sort.
   std::reverse(cur_.begin(), cur_.end());
@@ -86,24 +109,32 @@ bool EventQueue::ensure_head_() const {
     // bucket and hop to the next occupied one.
     cur_.clear();
     drain_ = 0;
-    const std::size_t next = bitmap_find_from_(cur_slot_() + 1);
+    const std::size_t here = wheel_slot_(cur_g_);
+    const std::size_t next = bitmap_find_from_(here + 1);
     if (next < kBuckets) {
-      cur_g_ += static_cast<std::int64_t>(next - cur_slot_());
+      cur_g_ += static_cast<std::int64_t>(next - here);
       take_cursor_bucket_();
       continue;
     }
-    // Epoch drained. Jump straight to the earliest overflow epoch and pull
-    // its entries wheel-ward; everything later keeps waiting in far_.
-    if (far_.empty()) return false;
+    // Epoch drained. Drop the overflow list's dead entries, jump straight
+    // to the earliest epoch among the rest and pull its entries wheel-ward;
+    // everything later keeps waiting in far_.
     std::int64_t min_epoch = std::numeric_limits<std::int64_t>::max();
-    for (const Entry& e : far_) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < far_.size(); ++i) {
+      const Entry e = far_[i];
+      if (!is_live_(e)) continue;
       min_epoch = std::min(min_epoch, epoch_of_(bucket_of_(e.time)));
+      far_[kept++] = e;
     }
+    far_.resize(kept);
+    if (far_.empty()) return false;
     cur_g_ = min_epoch << kBucketsLog2;
     for (std::size_t i = 0; i < far_.size();) {
-      const std::int64_t g = bucket_of_(far_[i].time);
+      const Entry e = far_[i];
+      const std::int64_t g = bucket_of_(e.time);
       if (epoch_of_(g) == min_epoch) {
-        list_push_(static_cast<std::size_t>(g) & (kBuckets - 1), far_[i]);
+        meta_[e.slot()].node = list_push_(wheel_slot_(g), e);
         far_[i] = far_.back();
         far_.pop_back();
       } else {
@@ -126,7 +157,7 @@ void EventQueue::reserve(std::size_t expected_events) {
   cur_.reserve(expected_events);
 }
 
-EventId EventQueue::push(util::Time t, Callback cb) {
+EventId EventQueue::push(util::Time t, Callback&& cb) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(meta_.size());
@@ -137,69 +168,50 @@ EventId EventQueue::push(util::Time t, Callback cb) {
     free_slots_.pop_back();
   }
   assert(slot <= Entry::kSlotMask && "live-event population exceeds 2^24");
-  // Entry packs seq into 64 - kSlotBits bits; past that the liveness
-  // compare in drop_dead_ would treat every entry as a tombstone.
+  // Entry packs seq into 64 - kSlotBits bits; past that a live entry's
+  // seq would no longer match its slot's live_seq.
   assert(next_seq_ < (1ull << (64 - Entry::kSlotBits)) &&
          "event seq space exhausted (~1.1e12 pushes per queue)");
-  SlotMeta& s = meta_[slot];
   cbs_[slot] = std::move(cb);
-  s.live_seq = next_seq_;
-  assert(s.entries() == 0);
-  s.entries_pending = 1 | SlotMeta::kPendingBit;
-  file_(Entry::make(t, next_seq_++, slot));
+  file_(slot, t);
   ++live_;
   peak_live_ = std::max(peak_live_, live_);
-  return encode_(slot, s.generation);
+  return encode_(slot, meta_[slot].generation);
 }
 
 void EventQueue::cancel(EventId id) {
-  if (id == kInvalidEventId) return;
-  const std::uint32_t slot = decode_slot_(id);
-  if (slot >= meta_.size()) return;
-  SlotMeta& s = meta_[slot];
-  // Only a pending event of the matching generation gets cancelled; a
-  // recycled slot (different generation) or an already-fired id is a no-op.
-  if (!s.pending() || s.generation != static_cast<std::uint32_t>(id)) return;
-  s.set_pending(false);
-  cbs_[slot] = nullptr;  // free the closure eagerly; wheel entries are tombstones
+  const std::uint32_t slot = pending_slot_(id);
+  if (slot == meta_.size()) return;
+  // A listed entry leaves the wheel now; one in the cursor bucket or the
+  // overflow list stays behind, dead, until it is skimmed or dropped.
+  if (meta_[slot].node != 0) unlink_(meta_[slot].node);
+  cbs_[slot] = nullptr;  // free the closure eagerly
+  release_slot_(slot);
   --live_;
 }
 
 bool EventQueue::rearm(EventId id, util::Time t) {
-  if (id == kInvalidEventId) return false;
-  const std::uint32_t slot = decode_slot_(id);
-  if (slot >= meta_.size()) return false;
-  SlotMeta& s = meta_[slot];
-  if (!s.pending() || s.generation != static_cast<std::uint32_t>(id)) {
-    return false;
-  }
-  // The previous wheel entry's seq stops matching live_seq, turning it
-  // into a tombstone that drop_dead_ skims when it surfaces. The slot (and
-  // its callback) stay exactly where they are.
-  s.live_seq = next_seq_;
-  ++s.entries_pending;  // pending bit unchanged, entry count +1
-  file_(Entry::make(t, next_seq_++, slot));
+  const std::uint32_t slot = pending_slot_(id);
+  if (slot == meta_.size()) return false;
+  // The slot (and its callback) stay exactly where they are; only the
+  // entry moves, as in cancel.
+  if (meta_[slot].node != 0) unlink_(meta_[slot].node);
+  file_(slot, t);
   return true;
 }
 
-void EventQueue::entry_surfaced_(std::uint32_t slot) const {
+void EventQueue::release_slot_(std::uint32_t slot) {
   SlotMeta& s = meta_[slot];
-  assert(s.entries() > 0);
-  --s.entries_pending;
-  if (s.entries_pending == 0) release_slot_(slot);  // no entries, not pending
-}
-
-void EventQueue::release_slot_(std::uint32_t slot) const {
-  ++meta_[slot].generation;
+  s.live_seq = SlotMeta::kNoSeq;
+  s.node = 0;
+  ++s.generation;
   free_slots_.push_back(slot);
 }
 
 bool EventQueue::drop_dead_() const {
   while (ensure_head_()) {
-    const Entry& top = head_();
-    const SlotMeta& s = meta_[top.slot()];
-    if (s.pending() && s.live_seq == top.seq()) return true;  // live head
-    entry_surfaced_(top.slot());
+    if (is_live_(head_())) return true;
+    ++skimmed_;
     pop_head_();
   }
   return false;
@@ -219,13 +231,11 @@ std::pair<util::Time, EventQueue::Callback> EventQueue::pop() {
   assert(live);
   (void)live;
   const Entry top = head_();  // POD copy; the callback lives in the slot
-  SlotMeta& s = meta_[top.slot()];
+  pop_head_();
   // Moving out leaves the slot's callback null — no copy, no destructor
   // work beyond the moved-from shell.
   std::pair<util::Time, Callback> out{top.time, std::move(cbs_[top.slot()])};
-  s.set_pending(false);
-  entry_surfaced_(top.slot());
-  pop_head_();
+  release_slot_(top.slot());
   --live_;
   return out;
 }
@@ -235,31 +245,24 @@ bool EventQueue::pop_until(util::Time limit, util::Time& t, Callback& cb,
   if (!drop_dead_()) return false;
   const Entry top = head_();
   if (top.time > limit) return false;
-  SlotMeta& s = meta_[top.slot()];
-  t = top.time;
-  id = encode_(top.slot(), s.generation);  // before surfacing recycles the slot
-  cb = std::move(cbs_[top.slot()]);
-  s.set_pending(false);
-  entry_surfaced_(top.slot());
   pop_head_();
+  t = top.time;
+  id = encode_(top.slot(), meta_[top.slot()].generation);  // before release
+  cb = std::move(cbs_[top.slot()]);
+  release_slot_(top.slot());
   --live_;
   return true;
 }
 
 void EventQueue::save_state(snap::Serializer& out) const {
-  // Collect every live entry: an entry is live iff its slot is pending and
-  // it carries the slot's current seq (rearm tombstones, cancelled, and
-  // already-fired entries fail the seq match). Walking the cursor bucket,
-  // every bucket list and the overflow list visits dead entries too; the
-  // filter drops them.
+  // Collect every live entry: an entry is live iff it carries its slot's
+  // live seq (cancelled, re-timed and already-fired entries fail the
+  // match). The cursor bucket and the overflow list hold dead entries too;
+  // the filter drops them.
   std::vector<Entry> live;
   live.reserve(live_);
   auto consider = [&](const Entry& e) {
-    const std::uint32_t slot = e.slot();
-    if (slot < meta_.size() && meta_[slot].pending() &&
-        meta_[slot].live_seq == e.seq()) {
-      live.push_back(e);
-    }
+    if (is_live_(e)) live.push_back(e);
   };
   for (std::size_t i = drain_; i < cur_.size(); ++i) consider(cur_[i]);
   for (const std::uint32_t head : heads_) {

@@ -1,40 +1,44 @@
 // Calendar-wheel event scheduler with O(1) amortized insertion and pop,
-// O(1) cancellation, and an O(1) in-place re-arm. Events at the same
-// timestamp fire in insertion order, which makes simulation runs fully
-// deterministic for a given seed.
+// and O(1) cancellation and in-place re-arm. Events at the same timestamp
+// fire in insertion order, which makes simulation runs fully deterministic
+// for a given seed.
 //
 // Structure: virtual time is cut into fixed-width buckets (16.4 us — the
 // scale of MAC slots and inter-frame spaces); kBuckets consecutive buckets
 // form one wheel epoch. Entries are 16-byte PODs (time, packed seq+slot).
-// A bucket ahead of the drain cursor is an unsorted singly-linked list
+// A bucket ahead of the drain cursor is an unsorted doubly-linked list
 // threaded through one node pool shared by every bucket, so its storage
 // follows its entries (Brown's calendar queue, CACM 31(10), 1988): a node
-// returns to the pool's LIFO free list when the cursor takes its bucket,
-// so the pool holds as many nodes as the lists ever held entries at once.
-// When the cursor reaches a bucket, its list moves into the one cursor
-// vector and is sorted by (time, seq) once, so ordering costs O(n log b)
-// over tiny contiguous runs instead of a binary heap's cache-hostile sift
-// per operation. Events beyond the current epoch wait in an unsorted
-// overflow list and migrate wheel-ward at epoch boundaries; an occupancy
-// bitmap skips empty buckets in O(1), so sparse stretches (sleeping
-// networks) cost nothing. The pop sequence is the total order (time, seq)
-// regardless of bucket geometry — determinism never depends on the wheel
-// parameters.
+// returns to the pool's LIFO free list when its entry is cancelled or
+// re-timed, or when the cursor takes its bucket, so the pool holds as many
+// nodes as the lists ever held entries at once. When the cursor reaches a
+// bucket, its list moves into the one cursor vector and is sorted by
+// (time, seq) once, so ordering costs O(n log b) over tiny contiguous runs
+// instead of a binary heap's cache-hostile sift per operation. Events
+// beyond the current epoch wait in an unsorted overflow list and migrate
+// wheel-ward at epoch boundaries; an occupancy bitmap skips empty buckets
+// in O(1), so sparse stretches (sleeping networks) cost nothing. The pop
+// sequence is the total order (time, seq) regardless of bucket geometry —
+// determinism never depends on the wheel parameters.
 //
 // Callbacks and liveness state live in a slot table indexed directly by
-// the high half of the EventId, split into a 16-byte metadata record
-// (four per cache line, all the skim loop touches) and a 64-byte
-// InlineCallback (loaded exactly once, on pop). Pushing never touches the
-// heap allocator; with reserve() sized to the expected event population,
-// steady-state push/pop is allocation-free. Cancellation flips the slot's
-// state — no hash lookups anywhere — and dead entries are skimmed when
-// they surface. rearm() retimes a pending event without releasing its
-// slot or touching its callback: the old wheel entry becomes a tombstone
-// (its seq no longer matches the slot's live seq) and a fresh entry is
-// filed, which is exactly what cancel+push would have produced minus the
-// callback churn. Slots are recycled through a free list; a generation
-// counter folded into the EventId makes stale cancels (of an already-
-// fired or recycled id) harmless no-ops.
+// the high half of the EventId, split into a 16-byte metadata record (the
+// live entry's seq, a generation, and the pool node of a listed entry) and
+// a 64-byte InlineCallback (loaded exactly once, on pop). Pushing never
+// touches the heap allocator; with reserve() sized to the expected event
+// population, steady-state push/pop is allocation-free. An entry is live
+// iff its seq is its slot's live seq; seqs are never reused, so a slot is
+// free again the moment its event fires or is cancelled. cancel() and
+// rearm() unlink a listed entry from its bucket on the spot, so no dead
+// entry (tombstone) ever lies ahead of the cursor. Two places still hold
+// tombstones: the cursor bucket, whose sorted vector a cancelled or
+// re-timed entry stays in until the head skims it, and the overflow list,
+// which drops its dead entries at the next epoch boundary instead of
+// migrating them. So the head only ever skims entries of the cursor's own
+// bucket. rearm() keeps the slot, its callback and its id, and files the
+// event afresh with a new seq, exactly as cancel+push would order it. A
+// generation counter folded into the EventId makes stale cancels (of an
+// already-fired or recycled id) harmless no-ops.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +63,9 @@ class EventQueue {
 
   // Enqueues `cb` to fire at `t`. Returns a handle usable with `cancel`
   // and `rearm`.
-  EventId push(util::Time t, Callback cb);
-  // Marks an event as cancelled; it is discarded when it reaches the head.
+  EventId push(util::Time t, Callback&& cb);
+  // Removes a pending event: its slot is free at once and its entry, when
+  // it sits in a bucket ahead of the cursor, leaves the wheel with it.
   // Cancelling an unknown or already-fired id is a harmless no-op.
   void cancel(EventId id);
   // Re-times a still-pending event, keeping its slot, callback, and id.
@@ -87,13 +92,16 @@ class EventQueue {
   // High-water mark of live events — the event population a harness should
   // reserve() for on the next comparable run.
   std::size_t peak_live() const { return peak_live_; }
+  // Dead entries the head has skimmed so far. Only a cancelled or re-timed
+  // entry of the cursor's own bucket can get there.
+  std::uint64_t skimmed() const { return skimmed_; }
 
   // Pre-sizes the slot table, free list, overflow list, bucket node pool
   // and cursor bucket for `expected_events` entries: a handful of
-  // allocations, none per bucket. A slot stays taken until the tombstones
-  // its rearms left have drained, so the table can outgrow a size taken
-  // from the live-event population and then doubles: a 1 000-node trial
-  // with 4 786 live events at its peak took 7 765 slots.
+  // allocations, none per bucket. A slot is free again once its event
+  // fires or is cancelled, so the table holds the most events ever pending
+  // at once; the overflow list and the cursor bucket also hold dead
+  // entries until they drain.
   void reserve(std::size_t expected_events);
 
   // Snapshot hook: serializes the live-event digest — every pending
@@ -135,19 +143,17 @@ class EventQueue {
   // (drop_dead_) touches only this 16-byte record — four per cache line —
   // and the 64-byte callback line is loaded exactly once, on pop.
   struct SlotMeta {
-    std::uint64_t live_seq = 0;   // seq of the entry that may fire this slot
+    // Seq of the entry that fires this slot; kNoSeq while nothing is
+    // pending (fired, cancelled, or free). Seqs stay below 2^40, so a
+    // dead entry never matches.
+    std::uint64_t live_seq = kNoSeq;
     std::uint32_t generation = 0;
-    // Bit 31: pending (pushed, not yet popped or cancelled). Bits 0..30:
-    // count of wheel entries (live + tombstone) pointing at this slot.
-    std::uint32_t entries_pending = 0;
+    // Pool link of the live entry while it sits in a bucket list ahead of
+    // the cursor; 0 while it is in the cursor bucket or the overflow list.
+    std::uint32_t node = 0;
 
-    static constexpr std::uint32_t kPendingBit = 0x80000000u;
-    bool pending() const { return (entries_pending & kPendingBit) != 0; }
-    void set_pending(bool p) {
-      entries_pending = p ? entries_pending | kPendingBit
-                          : entries_pending & ~kPendingBit;
-    }
-    std::uint32_t entries() const { return entries_pending & ~kPendingBit; }
+    static constexpr std::uint64_t kNoSeq = ~0ull;
+    bool pending() const { return live_seq != kNoSeq; }
   };
 
   // EventId layout: (slot + 1) in the high 32 bits, generation in the low
@@ -155,11 +161,20 @@ class EventQueue {
   static EventId encode_(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(slot) + 1) << 32 | generation;
   }
-  // Slot index for a valid-looking id, or >= meta_.size() when out of range.
-  std::uint32_t decode_slot_(EventId id) const {
+  // The slot of a pending event, or meta_.size() for an invalid, fired,
+  // cancelled or recycled id.
+  std::uint32_t pending_slot_(EventId id) const {
     const std::uint64_t slot_plus_1 = id >> 32;
-    return slot_plus_1 == 0 ? static_cast<std::uint32_t>(meta_.size())
-                            : static_cast<std::uint32_t>(slot_plus_1 - 1);
+    const auto none = static_cast<std::uint32_t>(meta_.size());
+    if (slot_plus_1 == 0 || slot_plus_1 > none) return none;
+    const auto slot = static_cast<std::uint32_t>(slot_plus_1 - 1);
+    const SlotMeta& s = meta_[slot];
+    return s.pending() && s.generation == static_cast<std::uint32_t>(id)
+               ? slot
+               : none;
+  }
+  bool is_live_(const Entry& e) const {
+    return meta_[e.slot()].live_seq == e.seq();
   }
 
   // --- Calendar wheel geometry -------------------------------------------
@@ -179,20 +194,28 @@ class EventQueue {
   static std::int64_t epoch_of_(std::int64_t g) {
     return g >> kBucketsLog2;
   }
+  // Position of global bucket `g` within its epoch.
+  static std::size_t wheel_slot_(std::int64_t g) {
+    return static_cast<std::size_t>(g) & (kBuckets - 1);
+  }
 
-  // Files an entry into the wheel, the overflow list, or — for times at or
-  // behind the drain cursor — the sorted remainder of the cursor bucket.
-  void file_(Entry e) const;
-  // Prepends `e` to the list of bucket `slot`, ahead of the cursor.
-  void list_push_(std::size_t slot, Entry e) const;
+  // Gives `slot` a fresh seq and files its entry at `t`: into a bucket
+  // list, the overflow list, or — for times at or behind the drain cursor —
+  // the sorted remainder of the cursor bucket.
+  void file_(std::uint32_t slot, util::Time t);
+  // Prepends `e` to the list of bucket `bucket`, ahead of the cursor, and
+  // returns its node's link.
+  std::uint32_t list_push_(std::size_t bucket, Entry e) const;
+  // Removes a listed entry from its bucket and frees its node.
+  void unlink_(std::uint32_t link);
   // Moves the cursor bucket's list into the empty cur_, sorts it by
   // (time, seq), and returns its nodes to the pool.
   void take_cursor_bucket_() const;
-  void bitmap_set_(std::size_t slot) const {
-    occupancy_[slot >> 6] |= 1ull << (slot & 63);
+  void bitmap_set_(std::size_t bucket) const {
+    occupancy_[bucket >> 6] |= 1ull << (bucket & 63);
   }
-  void bitmap_clear_(std::size_t slot) const {
-    occupancy_[slot >> 6] &= ~(1ull << (slot & 63));
+  void bitmap_clear_(std::size_t bucket) const {
+    occupancy_[bucket >> 6] &= ~(1ull << (bucket & 63));
   }
   // First occupied bucket at position >= from, or kBuckets when none.
   std::size_t bitmap_find_from_(std::size_t from) const;
@@ -203,24 +226,20 @@ class EventQueue {
   // Precondition: ensure_head_() returned true.
   const Entry& head_() const { return cur_[drain_]; }
   void pop_head_() const { ++drain_; }
-  std::size_t cur_slot_() const {
-    return static_cast<std::size_t>(cur_g_) & (kBuckets - 1);
-  }
 
-  // Skims dead entries (cancelled, fired, or rearm tombstones) off the
-  // head; they are unobservable, so this is observably const. Returns
-  // false when no live entry remains.
+  // Skims dead entries (cancelled or re-timed, all in the cursor bucket)
+  // off the head; they are unobservable, so this is observably const.
+  // Returns false when no live entry remains.
   bool drop_dead_() const;
-  // One wheel entry referencing `slot` has surfaced; release the slot once
-  // no entry references it and nothing is pending.
-  void entry_surfaced_(std::uint32_t slot) const;
-  void release_slot_(std::uint32_t slot) const;
+  // Ends the pending state of `slot` (fired or cancelled) and frees it.
+  void release_slot_(std::uint32_t slot);
 
   // One entry of a bucket ahead of the cursor, or a free node. Links are
   // pool index + 1, so 0 ends a list and a zeroed head is an empty bucket.
   struct Node {
     Entry entry;
-    std::uint32_t next = 0;
+    std::uint32_t next = 0;  // toward the tail; the free list's link
+    std::uint32_t prev = 0;  // toward the head; 0 at the head
   };
 
   // Buckets ahead of the cursor: list heads into one node pool shared by
@@ -237,11 +256,12 @@ class EventQueue {
   mutable std::vector<Entry> cur_;
   mutable std::size_t drain_ = 0;  // next position in cur_
   mutable std::vector<SlotMeta> meta_;
-  mutable std::vector<Callback> cbs_;  // parallel to meta_
-  mutable std::vector<std::uint32_t> free_slots_;
+  std::vector<Callback> cbs_;  // parallel to meta_
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;
+  mutable std::uint64_t skimmed_ = 0;
 };
 
 }  // namespace essat::sim

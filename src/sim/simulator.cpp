@@ -6,7 +6,7 @@
 
 namespace essat::sim {
 
-EventId Simulator::schedule_at(util::Time t, Callback cb) {
+EventId Simulator::schedule_at(util::Time t, Callback&& cb) {
   const util::Time at = std::max(t, now_);
   const EventId id = queue_.push(at, std::move(cb));
   ESSAT_TRACE(*this, obs::TraceType::kEvPush, -1, 0, id,
@@ -14,7 +14,7 @@ EventId Simulator::schedule_at(util::Time t, Callback cb) {
   return id;
 }
 
-EventId Simulator::schedule_in(util::Time delay, Callback cb) {
+EventId Simulator::schedule_in(util::Time delay, Callback&& cb) {
   return schedule_at(now_ + std::max(delay, util::Time::zero()), std::move(cb));
 }
 

@@ -25,9 +25,11 @@ class Simulator {
   util::Time now() const { return now_; }
 
   // Schedules `cb` at absolute time `t` (clamped to `now()` if in the past).
-  EventId schedule_at(util::Time t, Callback cb);
+  // Callbacks are taken by rvalue reference: a lambda converts once, into
+  // the temporary that the queue's slot moves from.
+  EventId schedule_at(util::Time t, Callback&& cb);
   // Schedules `cb` after `delay` (clamped to 0 if negative).
-  EventId schedule_in(util::Time delay, Callback cb);
+  EventId schedule_in(util::Time delay, Callback&& cb);
   void cancel(EventId id) {
     ESSAT_TRACE(*this, obs::TraceType::kEvCancel, -1, 0, id, 0);
     queue_.cancel(id);

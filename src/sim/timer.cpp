@@ -20,7 +20,7 @@ Timer& Timer::operator=(Timer&& other) noexcept {
   return *this;
 }
 
-void Timer::arm_at(util::Time t, Callback cb) {
+void Timer::arm_at(util::Time t, Callback&& cb) {
   // Guard against scheduling in the past: a re-arm computed from stale
   // state (e.g. a NAV that already expired) must not fire before events
   // already popped for `now`. Clamping matches what Simulator::schedule_at
@@ -36,7 +36,7 @@ void Timer::arm_at(util::Time t, Callback cb) {
   id_ = sim_->schedule_at(fire_time_, [this] { fire_(); });
 }
 
-void Timer::arm_in(util::Time delay, Callback cb) {
+void Timer::arm_in(util::Time delay, Callback&& cb) {
   arm_at(sim_->now() + delay, std::move(cb));
 }
 

@@ -5,7 +5,8 @@
 // Hot-path shape: the queue slot holds only a thin [this] thunk; the user
 // callback lives in the Timer itself (cb_). Re-arming an armed Timer takes
 // the EventQueue::rearm fast path — the slot, its thunk, and the EventId
-// are reused; only the heap position changes — instead of cancel+push.
+// are reused; only the wheel position changes — instead of cancel+push.
+// A cancelled Timer gives its slot back, so arming it again is a push.
 // Arm times in the past are clamped to now() (debug-asserted), so a stale
 // re-arm can never fire out of order.
 #pragma once
@@ -28,8 +29,8 @@ class Timer {
 
   // (Re)arms the timer to fire at absolute time `t` (clamped to now()). A
   // pending arm is retimed in place; its queued slot is reused.
-  void arm_at(util::Time t, Callback cb);
-  void arm_in(util::Time delay, Callback cb);
+  void arm_at(util::Time t, Callback&& cb);
+  void arm_in(util::Time delay, Callback&& cb);
   // Inline: the MAC cancels timers on nearly every state transition, most
   // of them already-disarmed no-ops that must cost two branches, not a
   // cross-TU call.

@@ -22,6 +22,11 @@
 
 namespace essat::snap {
 
+// Version 11: a transmission ends in one event. The channel's sender-side
+// end event calls the MAC's tx-end, so CMAC loses its tx-end timer and
+// writes the tx ids of its frame and its ACK on the air instead, and the
+// EVTQ digest loses the MAC's tx-end entries (every later seq is smaller).
+//
 // Version 10: a trial keeps per-node state only for its roster, the t = 0
 // tree's members (util::SlotIndex). TREE writes the id range and one entry
 // per roster slot, each led by its node id, instead of one per node; CHAN
@@ -60,7 +65,7 @@ namespace essat::snap {
 // packets). SCFG loses that bool, TRST loses the setup-protocol flag, and
 // the PacketType values and payload tags renumber (kAtim 5 -> 2,
 // kPhaseRequest 6 -> 3).
-inline constexpr std::uint32_t kFormatVersion = 10;
+inline constexpr std::uint32_t kFormatVersion = 11;
 
 enum class SnapshotKind : std::uint32_t {
   kTrial = 1,  // full mid-run simulator state + scenario config

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,7 +24,7 @@ struct Listener : ChannelListener {
   void on_rx_complete(const Packet& p, bool ok) override {
     received.emplace_back(p, ok);
   }
-  void on_channel_activity() override { ++notifications; }
+  void on_channel_activity(bool) override { ++notifications; }
 
   // Attach + mark listening, the canonical bring-up a MAC performs.
   void listen_on(Channel& ch, NodeId node) {
@@ -224,6 +227,71 @@ TEST(Channel, BatchedArrivalsMatchLegacyScheduling) {
       {},           {{1, false}}, {{0, false}}, {{0, false}},
       {{1, true}},  {{1, true}},  {{1, false}}, {{1, false}}};
   EXPECT_EQ(seen, expected);
+}
+
+// Each carrier-sense edge carries its direction, and it is always the
+// state busy() reports. The sender's own end comes last, after its idle
+// edge, and carries the id start_tx returned.
+TEST(Channel, EdgesCarryBusyAndSenderEndCarriesTxId) {
+  sim::Simulator sim;
+  Topology topo = line_topo();
+  Channel ch{sim, topo};
+  struct Recorder : ChannelListener {
+    Channel* ch = nullptr;
+    NodeId self = kNoNode;
+    std::vector<std::string> log;
+    void on_rx_complete(const Packet&, bool ok) override {
+      log.push_back(ok ? "rx ok" : "rx bad");
+    }
+    void on_channel_activity(bool busy) override {
+      log.push_back(busy == ch->busy(self) ? (busy ? "busy" : "idle")
+                                           : "wrong edge");
+    }
+    void on_tx_end(std::uint64_t tx_id) override {
+      log.push_back("end " + std::to_string(tx_id));
+    }
+  };
+  Recorder r0, r1;
+  r0.ch = r1.ch = &ch;
+  r0.self = 0;
+  r1.self = 1;
+  ch.attach(0, &r0);
+  ch.attach(1, &r1);
+  ch.set_listening(1, true);
+
+  const std::uint64_t first = ch.start_tx(0, test_packet(0, 1),
+                                          Time::microseconds(200));
+  sim.schedule_at(Time::microseconds(300), [&] {
+    EXPECT_EQ(ch.start_tx(0, test_packet(0, 1), Time::microseconds(200)),
+              first + 1);
+  });
+  sim.run();
+  EXPECT_EQ(r0.log, (std::vector<std::string>{
+                        "busy", "idle", "end " + std::to_string(first),
+                        "busy", "idle", "end " + std::to_string(first + 1)}));
+  EXPECT_EQ(r1.log, (std::vector<std::string>{"busy", "rx ok", "idle", "busy",
+                                              "rx ok", "idle"}));
+  EXPECT_EQ(ch.transmissions(), 2u);
+}
+
+// A sender outside the roster is refused before anything happens: no
+// frame is counted, no tx id is taken, no event is scheduled.
+TEST(Channel, RefusedSenderPutsNothingOnTheAir) {
+  sim::Simulator sim;
+  Topology topo = line_topo();
+  auto roster = std::make_shared<util::SlotIndex>(topo.num_nodes());
+  roster->add(1);
+  roster->add(2);
+  Channel ch{sim, topo, roster};
+  Listener l1;
+  l1.listen_on(ch, 1);
+  EXPECT_THROW(ch.start_tx(0, test_packet(0, 1), Time::microseconds(200)),
+               std::out_of_range);
+  EXPECT_EQ(ch.transmissions(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // The next accepted frame takes the first tx id.
+  EXPECT_EQ(ch.start_tx(1, test_packet(1, 2), Time::microseconds(200)), 1u);
+  EXPECT_EQ(ch.transmissions(), 1u);
 }
 
 TEST(Channel, BackToBackFramesBothDeliver) {

@@ -25,7 +25,7 @@ struct Listener : ChannelListener {
   void on_rx_complete(const Packet& p, bool ok) override {
     received.emplace_back(p, ok);
   }
-  void on_channel_activity() override {}
+  void on_channel_activity(bool) override {}
 
   void listen_on(Channel& ch, NodeId node) {
     ch.attach(node, this);

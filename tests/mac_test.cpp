@@ -294,6 +294,81 @@ TEST(CsmaMac, StatsCountTransmissions) {
   EXPECT_EQ(rig.macs[1]->stats().frames_received, 1u);
 }
 
+// A unicast exchange is eight events: the backoff, the DATA's three (its
+// arrivals' begin and end, and the sender's end, which also ends the MAC's
+// transmission), the SIFS-deferred ACK reply, and the ACK's three. The ACK
+// timeout is cancelled before it fires.
+TEST(CsmaMac, UnicastExchangeIsEightEvents) {
+  MacRig rig{2};
+  bool success = false;
+  rig.macs[0]->send(data(1), [&](bool ok) { success = ok; });
+  rig.sim.run_until(Time::milliseconds(100));
+  EXPECT_TRUE(success);
+  EXPECT_EQ(rig.sim.executed_events(), 8u);
+}
+
+// A node crashes mid-frame, restarts, and queues a broadcast while its old
+// frame is still on the air. The old frame's end must not finish the new
+// frame: the broadcast completes only once it has been on the air itself.
+TEST(CsmaMac, CrashedFrameEndDoesNotFinishTheNextFrame) {
+  MacParams params;
+  params.cw_min = params.cw_max = params.initial_data_cw = 0;
+  MacRig rig{2, params};
+  int atims_heard = 0;
+  rig.macs[1]->set_rx_handler([&](const net::Packet& p) {
+    if (p.type == net::PacketType::kAtim) ++atims_heard;
+  });
+  net::Packet big = data(1);
+  big.size_bytes = 1000;  // 8.2 ms on the air, from DIFS on
+  rig.macs[0]->send(big);
+  rig.sim.schedule_at(Time::milliseconds(1), [&] {
+    ASSERT_TRUE(rig.channel.busy(0));  // the frame is on the air
+    rig.macs[0]->crash_reset();
+    rig.radios[0]->crash();
+    rig.radios[0]->restore();
+    rig.radios[0]->turn_on();
+  });
+  int done = 0;
+  std::uint64_t sent_when_done = 0;
+  rig.sim.schedule_at(Time::milliseconds(3), [&] {
+    ASSERT_TRUE(rig.radios[0]->is_on());
+    ASSERT_TRUE(rig.channel.busy(0));  // still the crashed frame
+    rig.macs[0]->send(net::make_atim_packet(0, {1}), [&](bool ok) {
+      done += ok ? 1 : 100;
+      sent_when_done = rig.macs[0]->stats().transmissions;
+    });
+  });
+  rig.sim.run_until(Time::milliseconds(100));
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(sent_when_done, 2u);  // the broadcast itself went on the air
+  EXPECT_EQ(atims_heard, 1);
+  EXPECT_TRUE(rig.macs[0]->idle());
+}
+
+// A crash mid-ACK keeps the ACK's end: it still drains pending_acks_, so
+// the crashed MAC goes idle (and says so) when the ACK leaves the air.
+TEST(CsmaMac, CrashMidAckStillDrainsPendingAcks) {
+  MacRig rig{2};
+  int idle_calls = 0;
+  rig.macs[1]->set_idle_callback([&] { ++idle_calls; });
+  bool crashed = false;
+  rig.macs[1]->set_rx_handler([&](const net::Packet&) {
+    const MacParams p;
+    rig.sim.schedule_in(p.sifs + p.ack_duration() / 2, [&] {
+      ASSERT_TRUE(rig.channel.busy(1));  // our ACK is on the air
+      EXPECT_FALSE(rig.macs[1]->idle());
+      rig.macs[1]->crash_reset();
+      rig.radios[1]->crash();
+      crashed = true;
+    });
+  });
+  rig.macs[0]->send(data(1));
+  rig.sim.run_until(Time::milliseconds(100));
+  ASSERT_TRUE(crashed);
+  EXPECT_TRUE(rig.macs[1]->idle());
+  EXPECT_EQ(idle_calls, 1);
+}
+
 TEST(MacParams, Durations) {
   MacParams p;
   // 52 bytes at 1 Mbps = 416 us + 192 us PHY = 608 us.

@@ -327,7 +327,7 @@ TEST(Mobility, ChannelSurvivesEpochTickMidFrame) {
       ++completions;
       EXPECT_TRUE(ok);
     }
-    void on_channel_activity() override {}
+    void on_channel_activity(bool) override {}
   } l1;
   ch.attach(1, &l1);
   ch.set_listening(1, true);
@@ -471,7 +471,7 @@ TEST(MobilityPinning, FramesSpanningRebuildsKeepTheirReceivers) {
     int ok = 0;
     int failed = 0;
     void on_rx_complete(const Packet&, bool good) override { ++(good ? ok : failed); }
-    void on_channel_activity() override {}
+    void on_channel_activity(bool) override {}
   };
   std::vector<Recorder> rec(initial.size());
   for (std::size_t n = 0; n < rec.size(); ++n) {

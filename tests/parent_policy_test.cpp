@@ -160,7 +160,7 @@ TEST(LinkEstimator, ObservedLossesPullEstimateBelowPrior) {
   ch.set_link_model(std::make_unique<DropForward>());
   struct Ear : net::ChannelListener {
     void on_rx_complete(const net::Packet&, bool) override {}
-    void on_channel_activity() override {}
+    void on_channel_activity(bool) override {}
   } ear;
   ch.attach(1, &ear);
   ch.set_listening(1, true);

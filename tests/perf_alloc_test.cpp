@@ -88,6 +88,33 @@ TEST(SteadyStateAlloc, BucketsShareOneEntryPool) {
   EXPECT_EQ(fired, 2u * kCluster);
 }
 
+// A cancel or rearm unlinks an entry in a bucket ahead of the cursor at
+// once and frees its slot, so churning one event 10 ms ahead (inside the
+// cursor's epoch) reuses one slot and one pool node: after the first cycle
+// nothing grows, and no dead entry is left for the head to skim.
+TEST(SteadyStateAlloc, ChurnAheadOfTheCursorIsAllocationFree) {
+  sim::EventQueue q;
+  std::uint64_t fired = 0;
+  const Time at = Time::milliseconds(10);
+  sim::EventId id = q.push(at, [&fired] { ++fired; });
+  auto cycle = [&](int i) {
+    q.cancel(id);
+    id = q.push(at, [&fired] { ++fired; });
+    return q.rearm(id, at + Time::microseconds(i % 1000));
+  };
+  ASSERT_TRUE(cycle(0));
+  {
+    CountScope scope;
+    bool rearmed = true;
+    for (int i = 1; i <= 100000; ++i) rearmed = cycle(i) && rearmed;
+    EXPECT_EQ(scope.count(), 0u) << "cancel/push/rearm churn allocated";
+    EXPECT_TRUE(rearmed);
+  }
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(fired, 1u);
+  EXPECT_EQ(q.skimmed(), 0u);
+}
+
 TEST(SteadyStateAlloc, TimerRearmIsAllocationFree) {
   sim::Simulator sim;
   sim.reserve_events(16);
@@ -144,7 +171,7 @@ TEST(SteadyStateAlloc, BroadcastDeliveryIsAllocationFree) {
     void on_rx_complete(const net::Packet&, bool ok) override {
       if (ok) ++delivered;
     }
-    void on_channel_activity() override {}
+    void on_channel_activity(bool) override {}
   } listener;
   int& delivered = listener.delivered;
   for (net::NodeId n = 0; n < 3; ++n) {
@@ -300,7 +327,7 @@ TEST(SteadyStateAlloc, MobilityEpochIsAllocationFree) {
     void on_rx_complete(const net::Packet&, bool ok) override {
       if (ok) ++delivered;
     }
-    void on_channel_activity() override {}
+    void on_channel_activity(bool) override {}
   } listener;
   for (net::NodeId n = 0; n < 120; ++n) {
     ch.attach(n, &listener);
@@ -451,7 +478,7 @@ TEST(SteadyStateAlloc, ChannelIsRosterSized) {
     void on_rx_complete(const net::Packet&, bool ok) override {
       if (ok) ++delivered;
     }
-    void on_channel_activity() override {}
+    void on_channel_activity(bool) override {}
   } listener;
   for (net::NodeId id : {10, 11, 12}) {
     ch.attach(id, &listener);

@@ -197,6 +197,8 @@ class RefQueue {
     live_.push_back(Event{time_ns, next_seq_++, tag});
   }
   bool holds(int tag) const { return find_(tag) < live_.size(); }
+  // Fire time of a held event. Precondition: holds(tag).
+  std::int64_t time_of(int tag) const { return live_[find_(tag)].time_ns; }
   void cancel(int tag) {
     const std::size_t i = find_(tag);
     if (i < live_.size()) {
@@ -391,6 +393,99 @@ TEST(EventQueue, MatchesReferenceModelOnClusteredOps) {
     EXPECT_TRUE(ref.empty());
     EXPECT_EQ(got, want) << "seed " << seed;
     EXPECT_GT(cursor_ns, 4 * kEpochNs) << "the cursor crossed few epochs";
+  }
+}
+
+// Where a cancel or rearm finds its event's entry decides whether a dead
+// entry stays behind. In a bucket list ahead of the cursor it is unlinked
+// at once; in the overflow list it is dropped before it would migrate; in
+// the cursor bucket it stays until the head skims it. So after a full
+// drain the head has skimmed exactly the entries killed in the cursor
+// bucket. The mix aims pushes, cancels and rearms at all three places, and
+// behind the cursor, and the pop order must still be the reference's.
+TEST(EventQueue, OnlyCursorBucketEntriesReachTheHeadDead) {
+  constexpr std::int64_t kBucketNs = std::int64_t{1} << 14;
+  constexpr std::int64_t kEpochNs = std::int64_t{1} << 24;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    util::Rng rng{seed};
+    EventQueue q;
+    RefQueue ref;
+    std::vector<std::pair<EventId, int>> handles;
+    std::vector<int> got, want;
+    int next_tag = 0;
+    // After a pop the cursor sits in the latest popped entry's bucket (an
+    // entry filed behind the cursor pops without moving it).
+    std::int64_t cursor_ns = 0;
+    // Kills by place: the cursor bucket, a bucket list, the overflow list.
+    std::uint64_t kills[3] = {0, 0, 0};
+    auto place = [&](std::int64_t t) {
+      const std::int64_t g = t / kBucketNs;
+      const std::int64_t cur = cursor_ns / kBucketNs;
+      if (g <= cur) return 0;
+      return t / kEpochNs == cursor_ns / kEpochNs ? 1 : 2;
+    };
+    auto pick_time = [&]() -> std::int64_t {
+      const std::int64_t bucket_end = (cursor_ns / kBucketNs + 1) * kBucketNs;
+      const std::int64_t epoch_end = (cursor_ns / kEpochNs + 1) * kEpochNs;
+      switch (rng.uniform_int(0, 3)) {
+        case 0:  // the cursor bucket
+          return rng.uniform_int(cursor_ns, bucket_end - 1);
+        case 1:  // behind the cursor
+          return std::max<std::int64_t>(
+              0, cursor_ns - rng.uniform_int(1, 2 * kBucketNs));
+        case 2:  // a bucket list
+          return rng.uniform_int(cursor_ns, epoch_end - 1);
+        default:  // the overflow list
+          return rng.uniform_int(epoch_end, epoch_end + 2 * kEpochNs);
+      }
+    };
+    auto pick_handle = [&]() -> const std::pair<EventId, int>& {
+      const auto n = static_cast<std::int64_t>(handles.size());
+      const std::int64_t lo = std::max<std::int64_t>(0, n - 48);
+      return handles[static_cast<std::size_t>(rng.uniform_int(lo, n - 1))];
+    };
+
+    for (int op = 0; op < 6000; ++op) {
+      const std::int64_t kind = rng.uniform_int(0, 19);
+      if (kind < 10 || ref.empty()) {
+        const std::int64_t t = pick_time();
+        const int tag = next_tag++;
+        handles.emplace_back(
+            q.push(Time::nanoseconds(t), [tag, &got] { got.push_back(tag); }),
+            tag);
+        ref.push(t, tag);
+      } else if (kind < 17) {
+        const auto [id, tag] = pick_handle();
+        if (ref.holds(tag)) ++kills[place(ref.time_of(tag))];
+        if (kind < 13) {
+          q.cancel(id);
+          ref.cancel(tag);
+        } else {
+          const std::int64_t t = pick_time();
+          ASSERT_EQ(q.rearm(id, Time::nanoseconds(t)), ref.holds(tag));
+          ref.rearm(tag, t);
+        }
+      } else {
+        const std::int64_t burst = rng.uniform_int(1, 3);
+        for (std::int64_t k = 0; k < burst && !ref.empty(); ++k) {
+          auto [t, cb] = q.pop();
+          cursor_ns = std::max(cursor_ns, t.ns());
+          cb();
+          want.push_back(ref.pop_min());
+        }
+      }
+      ASSERT_EQ(q.size(), ref.size()) << "seed " << seed << " op " << op;
+    }
+    while (!ref.empty()) {
+      q.pop().second();
+      want.push_back(ref.pop_min());
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_GT(kills[0], 50u) << "seed " << seed;
+    EXPECT_GT(kills[1], 50u) << "seed " << seed;
+    EXPECT_GT(kills[2], 50u) << "seed " << seed;
+    EXPECT_EQ(q.skimmed(), kills[0]) << "seed " << seed;
   }
 }
 

@@ -181,7 +181,7 @@ harness::RunMetrics full_metrics() {
 }
 
 TEST(WireFormat, ScenarioConfigBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 10u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 11u) << "re-record the constants below";
   const auto bytes = snap::scenario_config_to_bytes(full_config());
   EXPECT_EQ(bytes.size(), 590u);
   EXPECT_EQ(crc(bytes), 1643716630u);
@@ -192,7 +192,7 @@ TEST(WireFormat, ScenarioConfigBytesPinned) {
 }
 
 TEST(WireFormat, RunMetricsBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 10u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 11u) << "re-record the constants below";
   const auto bytes = snap::run_metrics_to_bytes(full_metrics());
   EXPECT_EQ(bytes.size(), 559u);
   EXPECT_EQ(crc(bytes), 2152200120u);
@@ -225,26 +225,26 @@ harness::ScenarioConfig pinned_trial_config() {
 // bytes depend on the header and length only, so the payload CRC is pinned
 // as well.
 TEST(WireFormat, TrialSnapshotBytesPinned) {
-  ASSERT_EQ(snap::kFormatVersion, 10u) << "re-record the constants below";
+  ASSERT_EQ(snap::kFormatVersion, 11u) << "re-record the constants below";
   const harness::ScenarioConfig c = pinned_trial_config();
 
   const snap::TrialCapture at_zero = snap::capture_trial(c, Time::zero());
   const auto zero_bytes = at_zero.snapshot.to_bytes();
-  EXPECT_EQ(zero_bytes.size(), 242724u);
-  EXPECT_EQ(crc(zero_bytes), 525083652u);
-  EXPECT_EQ(crc(at_zero.snapshot.payload), 1358305321u);
+  EXPECT_EQ(zero_bytes.size(), 242934u);
+  EXPECT_EQ(crc(zero_bytes), 1931161982u);
+  EXPECT_EQ(crc(at_zero.snapshot.payload), 2187715829u);
 
   // Mid-measurement: queued and in-flight reports, DTS phase state.
   const Time mid = harness::Trial{c}.measure_end() - c.measure_duration / 2;
   const snap::TrialCapture cap = snap::capture_trial(c, mid);
   const auto cap_bytes = cap.snapshot.to_bytes();
-  EXPECT_EQ(cap_bytes.size(), 267568u);
-  EXPECT_EQ(crc(cap_bytes), 2742701863u);
-  EXPECT_EQ(crc(cap.snapshot.payload), 1779736446u);
+  EXPECT_EQ(cap_bytes.size(), 267762u);
+  EXPECT_EQ(crc(cap_bytes), 1223724062u);
+  EXPECT_EQ(crc(cap.snapshot.payload), 690262450u);
 
   const auto metrics = snap::run_metrics_to_bytes(cap.metrics);
   EXPECT_EQ(metrics.size(), 2484u);
-  EXPECT_EQ(crc(metrics), 2755182717u);
+  EXPECT_EQ(crc(metrics), 2293965139u);
 }
 
 // Two runs whose every aggregated metric differs, so a swapped column or a
